@@ -11,10 +11,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .coupling import CouplingScenario, PulsePair, bias_report, omega_ex, synthesize_pulse_train
@@ -23,20 +20,18 @@ from .figures import (
     FIGURE_IDS,
     FigureDataset,
     WAVELENGTH_NM,
+    _curve_dataset,
     build_figure,
     dataset_from_order_table,
     write_dataset,
 )
-from .orders import CurveKind, InclusionRule, curve, occupation_value, order_table
+from .orders import EDGE_OFFSET, CurveKind, InclusionRule, occupation_value, order_table
 from .quadrature import QuadratureError
 
 OUTDIR_ENV = "GRATING_ORDERS_OUTDIR"
 
 # Control-grating band: |omega - 1| below this is reported as ordinary.
 ORDINARY_BAND = 0.005
-
-# Alpha displacement realizing the one-sided threshold forms 'j-' / 'j+'.
-THRESHOLD_OFFSET = 1e-6
 
 _PI_FORM = re.compile(r"^(?P<coef>[-+]?[0-9]*\.?[0-9]*)\s*pi\s*(?:/\s*(?P<div>[0-9]+\.?[0-9]*))?$")
 
@@ -67,7 +62,7 @@ def parse_j_equiv(text: str) -> float:
     if s and s[-1] in "+-":
         j = int(s[:-1])
         sign = 1.0 if s[-1] == "+" else -1.0
-        alpha = j * math.pi * 0.5 + sign * THRESHOLD_OFFSET
+        alpha = j * math.pi * 0.5 + sign * EDGE_OFFSET
         return alpha / (math.pi * 0.5)
     return float(s)
 
@@ -93,100 +88,14 @@ def parse_sigma(text: str) -> float:
     return float(s)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters of one CLI invocation, ready for dispatch."""
-
-    subcommand: str
-    figure_id: str | None = None
-    w_nm: float | None = None
-    wavelength_nm: float = WAVELENGTH_NM
-    sigma: float | None = None
-    n_slits: int | None = None
-    alpha_min: float | None = None
-    alpha_max: float | None = None
-    samples: int | None = None
-    rule: InclusionRule = InclusionRule()
-    j_equiv: float | None = None
-    j_min: float | None = None
-    j_max: float | None = None
-    quantity: str | None = None
-    out: Path | None = None
-    fmt: str = "csv"
-    seed: int = 0
-    scenario: CouplingScenario | None = None
-    cycles: int = 100
-    noise_sd: float = 0.0
-    baseline: float = 0.2
-    pulse_pair: PulsePair | None = None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        common = {
-            "subcommand": args.subcommand,
-            "fmt": getattr(args, "fmt", "csv"),
-            "out": getattr(args, "out", None),
-            "seed": getattr(args, "seed", 0),
-        }
-        if hasattr(args, "rule"):
-            common["rule"] = InclusionRule(mode=args.rule, eps_tie=args.eps_tie)
-        if args.subcommand == "figure":
-            return cls(
-                figure_id=args.figure_id,
-                sigma=args.sigma,
-                n_slits=args.n_slits,
-                alpha_min=args.alpha_min,
-                alpha_max=args.alpha_max,
-                samples=args.samples,
-                **common,
-            )
-        if args.subcommand in ("table", "omega"):
-            return cls(
-                w_nm=args.w,
-                wavelength_nm=args.wavelength,
-                j_equiv=args.j_equiv,
-                sigma=args.sigma,
-                n_slits=getattr(args, "n_slits", None),
-                **common,
-            )
-        if args.subcommand == "experiment":
-            pair = None
-            if (args.dv_g is None) != (args.dv_gc is None):
-                raise ValueError("--dv-g and --dv-gc must be given together")
-            if args.dv_g is not None:
-                pair = PulsePair(dv_g=args.dv_g, dv_gc=args.dv_gc)
-            scenario = CouplingScenario(
-                omega_id=args.omega_id,
-                p_ratio=args.p_ratio,
-                f_g=args.f_g,
-                f_r=args.f_r,
-                eta=args.eta,
-            )
-            return cls(
-                scenario=scenario,
-                cycles=args.cycles,
-                noise_sd=args.noise_sd,
-                baseline=args.baseline,
-                pulse_pair=pair,
-                **common,
-            )
-        if args.subcommand == "sweep":
-            if not args.j_min < args.j_max:
-                raise ValueError("--j-min must be below --j-max")
-            return cls(
-                quantity=args.quantity,
-                j_min=args.j_min,
-                j_max=args.j_max,
-                samples=args.samples,
-                sigma=args.sigma,
-                **common,
-            )
-        raise ValueError(f"unknown subcommand {args.subcommand!r}")
+def _rule(args: argparse.Namespace) -> InclusionRule:
+    return InclusionRule(mode=args.rule, eps_tie=args.eps_tie)
 
 
-def _default_out(name: str, fmt: str) -> Path:
-    base = Path(os.environ.get(OUTDIR_ENV, "."))
-    return base / f"{name}.{fmt}"
+def _write(dataset: FigureDataset, args: argparse.Namespace, name: str) -> None:
+    out = args.out or Path(os.environ.get(OUTDIR_ENV, ".")) / f"{name}.{args.fmt}"
+    write_dataset(dataset, out, args.fmt)
+    print(f"wrote {out} ({dataset.rows.shape[0]} rows)")
 
 
 def _add_rule_flags(p: argparse.ArgumentParser) -> None:
@@ -269,41 +178,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_figure(config: RunConfig) -> int:
+def _run_figure(args: argparse.Namespace) -> int:
     dataset = build_figure(
-        config.figure_id,
-        sigma=config.sigma,
-        n_slits=config.n_slits,
-        alpha_min=config.alpha_min,
-        alpha_max=config.alpha_max,
-        samples=config.samples,
-        rule=config.rule,
+        args.figure_id,
+        sigma=args.sigma,
+        n_slits=args.n_slits,
+        alpha_min=args.alpha_min,
+        alpha_max=args.alpha_max,
+        samples=args.samples,
+        rule=_rule(args),
     )
-    out = config.out or _default_out(config.figure_id, config.fmt)
-    write_dataset(dataset, out, config.fmt)
-    print(f"wrote {out} ({dataset.rows.shape[0]} rows)")
+    _write(dataset, args, args.figure_id)
     return 0
 
 
-def _spec_from_config(config: RunConfig) -> GratingSpec:
-    n_slits = config.n_slits if config.n_slits is not None else 257
-    if config.j_equiv is not None:
-        at = config.j_equiv * math.pi * config.sigma
-        return GratingSpec.from_truncation(at, config.wavelength_nm, config.sigma, n_slits)
-    if config.w_nm is None:
+def _spec_from_args(args: argparse.Namespace) -> GratingSpec:
+    if args.j_equiv is not None:
+        at = args.j_equiv * math.pi * args.sigma
+        return GratingSpec.from_truncation(at, args.wavelength, args.sigma, args.n_slits)
+    if args.w is None:
         raise ValueError("either --w or --j-equiv is required")
-    return GratingSpec.from_sigma(config.w_nm, config.sigma, config.wavelength_nm, n_slits)
+    return GratingSpec.from_sigma(args.w, args.sigma, args.wavelength, args.n_slits)
 
 
-def _run_table(config: RunConfig) -> int:
-    spec = _spec_from_config(config)
-    table = order_table(spec, config.rule)
+def _run_table(args: argparse.Namespace) -> int:
+    rule = _rule(args)
+    spec = _spec_from_args(args)
+    table = order_table(spec, rule)
     dataset = dataset_from_order_table(
         table, figure_id="table", extra_params={"j_equiv": equivalent_order(spec)}
     )
-    out = config.out or _default_out("table", config.fmt)
-    write_dataset(dataset, out, config.fmt)
-    print(f"wrote {out} ({dataset.rows.shape[0]} rows)")
+    _write(dataset, args, "table")
     print(f"grating j-equiv {equivalent_order(spec):.4f}: "
           f"P_r = {table.p_r:.6f}, E_r = {table.e_r:.6f}, omega = {table.omega:.6f}")
     return 0
@@ -315,17 +220,18 @@ def _classify(omega: float) -> str:
     return "enriched" if omega > 1.0 else "depleted"
 
 
-def _run_omega(config: RunConfig) -> int:
-    if config.j_equiv is not None:
-        at = config.j_equiv * math.pi * config.sigma
-        j_equiv = config.j_equiv
-    elif config.w_nm is not None:
-        spec = GratingSpec.from_sigma(config.w_nm, config.sigma, config.wavelength_nm, 257)
-        at = float(truncation_alpha(spec))
+def _run_omega(args: argparse.Namespace) -> int:
+    rule = _rule(args)
+    if args.j_equiv is not None:
+        at = args.j_equiv * math.pi * args.sigma
+        j_equiv = args.j_equiv
+    elif args.w is not None:
+        spec = GratingSpec.from_sigma(args.w, args.sigma, args.wavelength, 257)
+        at = truncation_alpha(spec)
         j_equiv = equivalent_order(spec)
     else:
         raise ValueError("either --w or --j-equiv is required")
-    omega = occupation_value(at, config.sigma, config.rule)
+    omega = occupation_value(at, args.sigma, rule)
     print(f"j_equiv: {j_equiv:.6f}")
     print(f"alpha_t: {at!r}")
     print(f"P_r: {1.0 / omega:.6f}")
@@ -334,19 +240,28 @@ def _run_omega(config: RunConfig) -> int:
     return 0
 
 
-def _run_experiment(config: RunConfig) -> int:
-    if config.pulse_pair is not None:
-        value = omega_ex(config.pulse_pair)
+def _run_experiment(args: argparse.Namespace) -> int:
+    if (args.dv_g is None) != (args.dv_gc is None):
+        raise ValueError("--dv-g and --dv-gc must be given together")
+    pair = PulsePair(dv_g=args.dv_g, dv_gc=args.dv_gc) if args.dv_g is not None else None
+    scenario = CouplingScenario(
+        omega_id=args.omega_id,
+        p_ratio=args.p_ratio,
+        f_g=args.f_g,
+        f_r=args.f_r,
+        eta=args.eta,
+    )
+    if pair is not None:
+        value = omega_ex(pair)
         print(f"omega_ex: {value:.6f}")
         print(f"classification: {_classify(value)}")
         return 0
-    scenario = config.scenario
     report = bias_report(scenario)
     for line in report.summary_lines():
         print(line)
     train = synthesize_pulse_train(
-        scenario.omega_id, scenario, baseline_bias=config.baseline,
-        cycles=config.cycles, noise_sd=config.noise_sd, seed=config.seed,
+        scenario.omega_id, scenario, baseline_bias=args.baseline,
+        cycles=args.cycles, noise_sd=args.noise_sd, seed=args.seed,
     )
     print(f"synthetic pulse pair:   dv_g={train.pulses.dv_g:.6f} dv_gc={train.pulses.dv_gc:.6f}")
     print(f"recovered omega:        {train.omega_recovered:.6f}"
@@ -354,27 +269,24 @@ def _run_experiment(config: RunConfig) -> int:
     return 0
 
 
-def _run_sweep(config: RunConfig) -> int:
-    lo = config.j_min * math.pi * config.sigma
-    hi = config.j_max * math.pi * config.sigma
-    c = curve(config.quantity, config.sigma, (lo, hi), config.samples, config.rule)
-    rows = np.column_stack([c.abscissa, c.abscissa / (math.pi * config.sigma), c.ordinate])
-    dataset = FigureDataset(
-        figure_id="sweep",
-        params={
-            "quantity": config.quantity,
-            "sigma": config.sigma,
-            "j_min": config.j_min,
-            "j_max": config.j_max,
-            "samples": config.samples,
-            "rule": config.rule.mode,
-        },
-        columns=("alpha_t", "j_equiv", config.quantity),
-        rows=rows,
+def _run_sweep(args: argparse.Namespace) -> int:
+    rule = _rule(args)
+    if not args.j_min < args.j_max:
+        raise ValueError("--j-min must be below --j-max")
+    params = {
+        "quantity": args.quantity,
+        "sigma": args.sigma,
+        "j_min": args.j_min,
+        "j_max": args.j_max,
+        "samples": args.samples,
+        "rule": rule.mode,
+    }
+    lo = args.j_min * math.pi * args.sigma
+    hi = args.j_max * math.pi * args.sigma
+    dataset = _curve_dataset(
+        "sweep", args.quantity, args.sigma, lo, hi, args.samples, rule, args.quantity, params
     )
-    out = config.out or _default_out("sweep", config.fmt)
-    write_dataset(dataset, out, config.fmt)
-    print(f"wrote {out} ({dataset.rows.shape[0]} rows)")
+    _write(dataset, args, "sweep")
     return 0
 
 
@@ -387,16 +299,16 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch a validated configuration to its subcommand runner."""
-    return _RUNNERS[config.subcommand](config)
+def run(args: argparse.Namespace) -> int:
+    """Dispatch parsed arguments to their subcommand runner."""
+    return _RUNNERS[args.subcommand](args)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return run(RunConfig.from_args(args))
+        return run(args)
     except QuadratureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "AlphaPoint",
     "GratingSpec",
     "alpha_from_theta",
     "truncation_alpha",
@@ -35,22 +34,8 @@ _SERIES_WINDOW = 1e-6
 DEFAULT_SLIT_COUNT = 257
 
 
-@dataclass(frozen=True)
-class AlphaPoint:
-    """A single alpha-space coordinate. Must be a finite real."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
-
-    def __float__(self) -> float:
-        return float(self.alpha)
-
-
-def as_alpha(value: AlphaPoint | float) -> float:
-    """Coerce an AlphaPoint or bare number to a validated float coordinate."""
+def as_alpha(value: float) -> float:
+    """Coerce a number to a validated float alpha coordinate: finite, any sign."""
     x = float(value)
     if not math.isfinite(x):
         raise ValueError(f"alpha must be finite, got {value!r}")
@@ -124,7 +109,7 @@ class GratingSpec:
     @classmethod
     def from_truncation(
         cls,
-        alpha_t: AlphaPoint | float,
+        alpha_t: float,
         wavelength_lambda: float,
         duty_sigma: float = 0.5,
         slit_count_n: int = DEFAULT_SLIT_COUNT,
@@ -138,7 +123,7 @@ class GratingSpec:
         )
 
 
-def alpha_from_theta(spec: GratingSpec, theta_deg: float) -> AlphaPoint:
+def alpha_from_theta(spec: GratingSpec, theta_deg: float) -> float:
     """Map an azimuthal angle in degrees to its alpha-space coordinate.
 
     Odd in theta; restricted to the physical half-space -90 <= theta <= 90.
@@ -146,19 +131,24 @@ def alpha_from_theta(spec: GratingSpec, theta_deg: float) -> AlphaPoint:
     if not -90.0 <= theta_deg <= 90.0:
         raise ValueError(f"theta must lie in [-90, 90] degrees, got {theta_deg!r}")
     scale = math.pi * spec.slit_width_w / spec.wavelength_lambda
-    return AlphaPoint(scale * math.sin(math.radians(theta_deg)))
+    return scale * math.sin(math.radians(theta_deg))
 
 
-def truncation_alpha(spec: GratingSpec) -> AlphaPoint:
+def truncation_alpha(spec: GratingSpec) -> float:
     """Envelope truncation alpha_t = pi w / lambda, i.e. alpha at grazing angle."""
-    return AlphaPoint(math.pi * spec.slit_width_w / spec.wavelength_lambda)
+    return math.pi * spec.slit_width_w / spec.wavelength_lambda
 
 
-def order_alpha(j: int, sigma: float) -> AlphaPoint:
-    """Position alpha_j = j pi sigma of the j-th principal interference order."""
+def order_alpha(j: int, sigma: float) -> float:
+    """Position alpha_j = j pi sigma of the j-th principal interference order.
+
+    Evaluated as (j * pi) * sigma; ``orders.propagating_orders`` compares
+    orders against truncation with this same expression, so an order placed
+    at its own threshold ties exactly.
+    """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma!r}")
-    return AlphaPoint(j * math.pi * sigma)
+    return j * math.pi * sigma
 
 
 def equivalent_order(spec: GratingSpec) -> float:
@@ -170,7 +160,7 @@ def equivalent_order(spec: GratingSpec) -> float:
     return spec.slit_width_w / (spec.wavelength_lambda * spec.duty_sigma)
 
 
-def sinc_sq(alpha: AlphaPoint | float) -> float:
+def sinc_sq(alpha: float) -> float:
     """Single-slit intensity envelope (sin(alpha)/alpha)^2, in [0, 1].
 
     The removable singularity at alpha = 0 is evaluated by series inside a
@@ -202,7 +192,7 @@ def sinc_sq_at_order(j: int, sigma: float) -> float:
     return (s / (math.pi * t)) ** 2
 
 
-def grating_factor(alpha: AlphaPoint | float, sigma: float, n_slits: int) -> float:
+def grating_factor(alpha: float, sigma: float, n_slits: int) -> float:
     """N-slit interference factor (sin(N alpha/sigma) / sin(alpha/sigma))^2.
 
     Principal maxima sit at alpha = j pi sigma where both sines vanish; the
@@ -227,6 +217,6 @@ def grating_factor(alpha: AlphaPoint | float, sigma: float, n_slits: int) -> flo
     return r * r
 
 
-def grating_intensity(alpha: AlphaPoint | float, sigma: float, n_slits: int) -> float:
+def grating_intensity(alpha: float, sigma: float, n_slits: int) -> float:
     """Resultant intensity of the N-slit grating: envelope times grating factor."""
     return sinc_sq(alpha) * grating_factor(alpha, sigma, n_slits)

@@ -25,7 +25,15 @@ from .diffraction import (
     sinc_sq,
     sinc_sq_at_order,
 )
-from .orders import CurveKind, DEFAULT_RULE, InclusionRule, OrderTable, curve, order_table
+from .orders import (
+    EDGE_OFFSET,
+    CurveKind,
+    DEFAULT_RULE,
+    InclusionRule,
+    OrderTable,
+    curve,
+    order_table,
+)
 
 __all__ = [
     "FigureDataset",
@@ -188,20 +196,23 @@ def _intensity_rows(alpha_lo, alpha_hi, samples, sigma, n_slits, include_single=
     return np.asarray(rows, dtype=float)
 
 
-def _curve_dataset(figure_id, kind, sigma, lo, hi, samples, rule, value_column):
+def _curve_dataset(figure_id, kind, sigma, lo, hi, samples, rule, value_column, params=None):
+    """Sample ``curve`` into (alpha_t, j_equiv, value) rows; figure params by default."""
     c = curve(kind, sigma, (lo, hi), samples, rule)
     j_equiv = c.abscissa / (math.pi * sigma)
     rows = np.column_stack([c.abscissa, j_equiv, c.ordinate])
-    return FigureDataset(
-        figure_id=figure_id,
-        params={
+    if params is None:
+        params = {
             "sigma": sigma,
             "alpha_min": lo,
             "alpha_max": hi,
             "samples": samples,
             "rule": rule.mode,
             "eps_tie": rule.eps_tie,
-        },
+        }
+    return FigureDataset(
+        figure_id=figure_id,
+        params=params,
         columns=("alpha_t", "j_equiv", value_column),
         rows=rows,
     )
@@ -249,7 +260,7 @@ def build_figure(
         n = n_slits if n_slits is not None else 4
         j = 12
         m = samples if samples is not None else 1001
-        aj = float(order_alpha(j, sig))
+        aj = order_alpha(j, sig)
         half = math.pi * sig / 2.0
         rows = _intensity_rows(aj - half, aj + half, m, sig, n, include_single=True)
         return FigureDataset(
@@ -279,10 +290,9 @@ def build_figure(
     if figure_id == "fig8":
         sig = sigma if sigma is not None else 0.5
         n = n_slits if n_slits is not None else 257
-        offset = 1e-6
-        a3 = float(order_alpha(3, sig))
+        a3 = order_alpha(3, sig)
         tables = {}
-        for label, at in (("minus", a3 - offset), ("plus", a3 + offset)):
+        for label, at in (("minus", a3 - EDGE_OFFSET), ("plus", a3 + EDGE_OFFSET)):
             spec = GratingSpec.from_truncation(at, WAVELENGTH_NM, sig, n)
             tables[label] = order_table(spec, rule)
         js = sorted({r.j for r in tables["plus"].rows} | {r.j for r in tables["minus"].rows})
@@ -294,7 +304,9 @@ def build_figure(
                 r = by_j[label].get(j)
                 row.extend([r.p_rj, r.energy_share] if r else [0.0, 0.0])
             rows.append(row)
-        params = {"sigma": sig, "n_slits": n, "alpha_offset": offset, "lambda_nm": WAVELENGTH_NM}
+        params = {
+            "sigma": sig, "n_slits": n, "alpha_offset": EDGE_OFFSET, "lambda_nm": WAVELENGTH_NM
+        }
         for label, t in tables.items():
             params.update(
                 {

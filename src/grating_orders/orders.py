@@ -19,7 +19,6 @@ import numpy as np
 
 from .diffraction import (
     GratingSpec,
-    AlphaPoint,
     as_alpha,
     order_alpha,
     sinc_sq_at_order,
@@ -50,6 +49,7 @@ __all__ = [
 # Displacement used to render the two one-sided limits of a threshold
 # discontinuity; physical beams only approximate a true mathematical
 # discontinuity, so a pair of nearby samples is the honest representation.
+# The same offset places the CLI's 'j-'/'j+' truncations and fig8's pair.
 EDGE_OFFSET = 1e-6
 
 
@@ -57,9 +57,11 @@ EDGE_OFFSET = 1e-6
 class InclusionRule:
     """Which orders count as propagating at truncation alpha_t.
 
-    ``inclusive`` admits |alpha_j| <= alpha_t + eps_tie (the default, with a
-    1e-9 tie tolerance so an order sitting exactly at truncation is counted);
-    ``strict_below`` admits |alpha_j| < alpha_t only.
+    Order j is admitted when its position alpha_j = j pi sigma, rounded
+    exactly as ``order_alpha`` rounds it, satisfies |alpha_j| <= alpha_t +
+    eps_tie under ``inclusive`` (the default, with a 1e-9 tie tolerance) or
+    |alpha_j| < alpha_t under ``strict_below``. An order sitting exactly at
+    alpha_t is therefore counted only under ``inclusive``.
     """
 
     mode: str = "inclusive"
@@ -104,28 +106,27 @@ class ProbabilityCurve:
 
 
 def propagating_orders(
-    alpha_t: AlphaPoint | float, sigma: float, rule: InclusionRule = DEFAULT_RULE
+    alpha_t: float, sigma: float, rule: InclusionRule = DEFAULT_RULE
 ) -> list[int]:
-    """Symmetric set {-n, ..., n} of orders admitted below truncation."""
+    """Symmetric set {-n, ..., n} of orders admitted below truncation.
+
+    Order j is admitted when j * pi * sigma, the expression ``order_alpha``
+    evaluates, is at most a cap: alpha_t + eps_tie when inclusive, the largest
+    float below alpha_t when strict. Positions never decrease with j, so the
+    two walks from the estimate cap / (pi sigma), which test that one
+    condition, stop at the last admitted order.
+    """
     at = as_alpha(alpha_t)
     if at <= 0:
         raise ValueError(f"alpha_t must be positive, got {at!r}")
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma!r}")
-    h = math.pi * sigma
-    if rule.mode == "inclusive":
-        bound = at + rule.eps_tie
-        n = int(bound / h)
-        while (n + 1) * h <= bound:
-            n += 1
-        while n > 0 and n * h > bound:
-            n -= 1
-    else:
-        n = int(at / h)
-        while (n + 1) * h < at:
-            n += 1
-        while n > 0 and n * h >= at:
-            n -= 1
+    cap = at + rule.eps_tie if rule.mode == "inclusive" else math.nextafter(at, 0.0)
+    n = int(cap / (math.pi * sigma))
+    while (n + 1) * math.pi * sigma <= cap:
+        n += 1
+    while n * math.pi * sigma > cap:  # stops at order 0, whose position 0.0 is within any cap
+        n -= 1
     return list(range(-n, n + 1))
 
 
@@ -134,7 +135,7 @@ def _envelope_sum(alpha_t: float, sigma: float, rule: InclusionRule) -> float:
     return 1.0 + 2.0 * math.fsum(sinc_sq_at_order(j, sigma) for j in range(1, n + 1))
 
 
-def output_probability(alpha_t: AlphaPoint | float, n_slits: int) -> float:
+def output_probability(alpha_t: float, n_slits: int) -> float:
     """Collective pre-interference output probability N * int sinc^2 over +-alpha_t."""
     at = as_alpha(alpha_t)
     if at <= 0:
@@ -145,7 +146,7 @@ def output_probability(alpha_t: AlphaPoint | float, n_slits: int) -> float:
 
 
 def resultant_sum(
-    alpha_t: AlphaPoint | float,
+    alpha_t: float,
     sigma: float,
     n_slits: int,
     rule: InclusionRule = DEFAULT_RULE,
@@ -158,7 +159,7 @@ def resultant_sum(
 
 
 def normalized_resultant_probability(
-    alpha_t: AlphaPoint | float, sigma: float, rule: InclusionRule = DEFAULT_RULE
+    alpha_t: float, sigma: float, rule: InclusionRule = DEFAULT_RULE
 ) -> float:
     """Resultant probability normalized by output probability (N cancels).
 
@@ -178,7 +179,7 @@ def normalized_resultant_probability(
 
 def order_probability(
     j: int,
-    alpha_t: AlphaPoint | float,
+    alpha_t: float,
     sigma: float,
     rule: InclusionRule = DEFAULT_RULE,
 ) -> float:
@@ -191,7 +192,7 @@ def order_probability(
 
 
 def occupation_value(
-    alpha_t: AlphaPoint | float, sigma: float, rule: InclusionRule = DEFAULT_RULE
+    alpha_t: float, sigma: float, rule: InclusionRule = DEFAULT_RULE
 ) -> float:
     """Energy-to-probability ratio of the propagating orders.
 
@@ -223,7 +224,7 @@ def omega_from_delta_p(delta_p: float, p_o: float, sign: str) -> float:
 
 
 def zero_order_share(
-    alpha_t: AlphaPoint | float, sigma: float, rule: InclusionRule = DEFAULT_RULE
+    alpha_t: float, sigma: float, rule: InclusionRule = DEFAULT_RULE
 ) -> float:
     """Fraction of the total resultant probability carried by the 0th order.
 
@@ -236,7 +237,7 @@ def zero_order_share(
 
 
 def zero_order_energy(
-    alpha_t: AlphaPoint | float,
+    alpha_t: float,
     sigma: float,
     e_o: float = 1.0,
     rule: InclusionRule = DEFAULT_RULE,
@@ -282,7 +283,7 @@ def order_table(spec: GratingSpec, rule: InclusionRule = DEFAULT_RULE) -> OrderT
     away from 0.5 steps outside the square-wave-ruling setting the table is
     normally read in.
     """
-    at = float(truncation_alpha(spec))
+    at = truncation_alpha(spec)
     sigma = spec.duty_sigma
     orders = propagating_orders(at, sigma, rule)
     denom = sinc_sq_integral(Interval(-at, at))
@@ -340,7 +341,7 @@ def curve(
     extras = []
     j = 1
     while True:
-        aj = float(order_alpha(j, sigma))
+        aj = order_alpha(j, sigma)
         if aj >= hi:
             break
         if aj > lo:

@@ -229,7 +229,7 @@ def grating_factor_subinterval_integral(
     period of its argument); with the envelope on it approximates
     N pi sigma sinc^2(alpha_j), the Riemann-strip output probability.
     """
-    aj = float(order_alpha(j, sigma))
+    aj = order_alpha(j, sigma)
     half = math.pi * sigma / 2.0
     if frozen_envelope:
         f = lambda a: grating_factor(a, sigma, n_slits)

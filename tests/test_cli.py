@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from grating_orders import cli
+from grating_orders import __version__, cli
 from grating_orders.figures import load_dataset
 from grating_orders.quadrature import QuadratureError
 
@@ -157,6 +157,12 @@ class TestOmegaCommand:
         assert code == 0
         assert "j_equiv: 2.6319" in out
 
+    def test_missing_width_is_error(self, tmp_path, monkeypatch, capsys):
+        code, out, err = run(["omega"], tmp_path, monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        assert "--w or --j-equiv" in err
+
 
 class TestExperimentCommand:
     def test_synthetic_loop(self, tmp_path, monkeypatch, capsys):
@@ -195,6 +201,27 @@ class TestSweepCommand:
         assert ds.columns == ("alpha_t", "j_equiv", "occupation")
         assert ds.rows[:, 1].min() >= 2.0
         assert ds.rows[:, 1].max() <= 6.0
+
+    def test_header_params(self, tmp_path, monkeypatch, capsys):
+        code, _, _ = run(
+            ["sweep", "--j-min", "2", "--j-max", "6", "--samples", "50", "--rule", "strict_below"],
+            tmp_path, monkeypatch, capsys,
+        )
+        assert code == 0
+        header = [
+            line for line in (tmp_path / "sweep.csv").read_text().splitlines()
+            if line.startswith("#")
+        ]
+        assert header == [
+            "# figure: sweep",
+            f"# version: {__version__}",
+            "# j_max: 6.0",
+            "# j_min: 2.0",
+            "# quantity: occupation",
+            "# rule: strict_below",
+            "# samples: 50",
+            "# sigma: 0.5",
+        ]
 
     def test_bad_range(self, tmp_path, monkeypatch, capsys):
         code, _, err = run(

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grating_orders.diffraction import (
-    AlphaPoint,
     GratingSpec,
     alpha_from_theta,
     equivalent_order,
@@ -128,7 +127,6 @@ class TestTruncationAndOrders:
 class TestSincSq:
     def test_removable_singularity(self):
         assert sinc_sq(0.0) == 1.0
-        assert sinc_sq(AlphaPoint(0.0)) == 1.0
 
     def test_zero_at_pi(self):
         assert sinc_sq(math.pi) < 1e-30

@@ -60,6 +60,16 @@ class TestPropagatingOrders:
         assert propagating_orders(math.pi, 0.5) == list(range(-2, 3))
         assert propagating_orders(math.pi, 0.5, STRICT) == list(range(-1, 2))
 
+    @pytest.mark.parametrize("sigma", [0.3, 1 / 3, 0.5, 0.125])
+    def test_order_at_its_own_threshold(self, sigma):
+        # An order placed at order_alpha(j) is counted only by the inclusive
+        # rule. Each call builds a 2j+1 list, so j runs over every value below
+        # 2000 and a stride up to 20000 to keep the test near a second.
+        for j in [*range(1, 2000), *range(2000, 20000, 211)]:
+            at = order_alpha(j, sigma)
+            assert propagating_orders(at, sigma, STRICT)[-1] == j - 1
+            assert propagating_orders(at, sigma)[-1] == j
+
     def test_requires_positive_alpha_t(self):
         with pytest.raises(ValueError):
             propagating_orders(0.0, 0.5)
