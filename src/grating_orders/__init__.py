@@ -2,103 +2,16 @@
 
 __version__ = "0.1.0"
 
-from .diffraction import (
-    GratingSpec,
-    alpha_from_theta,
-    equivalent_order,
-    grating_factor,
-    grating_intensity,
-    order_alpha,
-    sinc_sq,
-    sinc_sq_at_order,
-    truncation_alpha,
-)
-from .quadrature import (
-    Interval,
-    QuadratureError,
-    QuadratureResult,
-    adaptive_integrate,
-    grating_factor_subinterval_integral,
-    si,
-    sinc_sq_integral,
-)
-from .orders import (
-    CurveKind,
-    DEFAULT_RULE,
-    InclusionRule,
-    OrderRow,
-    OrderTable,
-    ProbabilityCurve,
-    curve,
-    normalized_resultant_probability,
-    occupation_value,
-    omega_from_delta_p,
-    order_probability,
-    order_table,
-    output_probability,
-    propagating_orders,
-    resultant_sum,
-    zero_order_energy,
-    zero_order_share,
-)
-from .coupling import (
-    BiasReport,
-    CouplingScenario,
-    PulsePair,
-    PulseTrain,
-    apparent_omega_annular,
-    apparent_omega_finite_reservoir,
-    bias_report,
-    composed_apparent_omega,
-    equilibrated_omega,
-    omega_ex,
-    synthesize_pulse_train,
-)
+from . import coupling, diffraction, orders, quadrature
+from .diffraction import *
+from .quadrature import *
+from .orders import *
+from .coupling import *
 
 __all__ = [
     "__version__",
-    "GratingSpec",
-    "alpha_from_theta",
-    "equivalent_order",
-    "grating_factor",
-    "grating_intensity",
-    "order_alpha",
-    "sinc_sq",
-    "sinc_sq_at_order",
-    "truncation_alpha",
-    "Interval",
-    "QuadratureError",
-    "QuadratureResult",
-    "adaptive_integrate",
-    "grating_factor_subinterval_integral",
-    "si",
-    "sinc_sq_integral",
-    "CurveKind",
-    "DEFAULT_RULE",
-    "InclusionRule",
-    "OrderRow",
-    "OrderTable",
-    "ProbabilityCurve",
-    "curve",
-    "normalized_resultant_probability",
-    "occupation_value",
-    "omega_from_delta_p",
-    "order_probability",
-    "order_table",
-    "output_probability",
-    "propagating_orders",
-    "resultant_sum",
-    "zero_order_energy",
-    "zero_order_share",
-    "BiasReport",
-    "CouplingScenario",
-    "PulsePair",
-    "PulseTrain",
-    "apparent_omega_annular",
-    "apparent_omega_finite_reservoir",
-    "bias_report",
-    "composed_apparent_omega",
-    "equilibrated_omega",
-    "omega_ex",
-    "synthesize_pulse_train",
+    *diffraction.__all__,
+    *quadrature.__all__,
+    *orders.__all__,
+    *coupling.__all__,
 ]

@@ -56,7 +56,8 @@ def parse_j_equiv(text: str) -> float:
     """Parse a j-equivalent truncation: a number, or 'j-'/'j+' threshold forms.
 
     'j-'/'j+' place the truncation one edge offset (1e-6 in alpha) inside or
-    outside the j-th order threshold of a sigma = 0.5 ruling.
+    outside the j-th order threshold of a sigma = 0.5 ruling; at another duty
+    cycle the same j shift is 2e-6 sigma in alpha.
     """
     s = text.strip()
     if s and s[-1] in "+-":
@@ -89,7 +90,7 @@ def parse_sigma(text: str) -> float:
 
 
 def _rule(args: argparse.Namespace) -> InclusionRule:
-    return InclusionRule(mode=args.rule, eps_tie=args.eps_tie)
+    return InclusionRule(mode=args.rule)
 
 
 def _write(dataset: FigureDataset, args: argparse.Namespace, name: str) -> None:
@@ -101,8 +102,6 @@ def _write(dataset: FigureDataset, args: argparse.Namespace, name: str) -> None:
 def _add_rule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rule", choices=("inclusive", "strict_below"), default="inclusive",
                    help="order inclusion at truncation (default inclusive)")
-    p.add_argument("--eps-tie", type=float, default=1e-9,
-                   help="tie tolerance for the inclusive rule (default 1e-9)")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -128,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     _add_rule_flags(p)
     _add_output_flags(p)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("table", help="per-order probability/energy table for one grating")
     p.add_argument("--w", type=parse_length_nm, default=None,
@@ -198,7 +196,7 @@ def _spec_from_args(args: argparse.Namespace) -> GratingSpec:
         return GratingSpec.from_truncation(at, args.wavelength, args.sigma, args.n_slits)
     if args.w is None:
         raise ValueError("either --w or --j-equiv is required")
-    return GratingSpec.from_sigma(args.w, args.sigma, args.wavelength, args.n_slits)
+    return GratingSpec(args.w, args.sigma, args.wavelength, args.n_slits)
 
 
 def _run_table(args: argparse.Namespace) -> int:
@@ -226,7 +224,7 @@ def _run_omega(args: argparse.Namespace) -> int:
         at = args.j_equiv * math.pi * args.sigma
         j_equiv = args.j_equiv
     elif args.w is not None:
-        spec = GratingSpec.from_sigma(args.w, args.sigma, args.wavelength, 257)
+        spec = GratingSpec(args.w, args.sigma, args.wavelength)
         at = truncation_alpha(spec)
         j_equiv = equivalent_order(spec)
     else:

@@ -104,6 +104,17 @@ def apparent_omega_finite_reservoir(scenario: CouplingScenario) -> float:
     return scenario.omega_id / equilibrated_omega(scenario)
 
 
+def _annular_coupled_amplitude(s: CouplingScenario, omega: float) -> float:
+    """Annulus-sampled pulse amplitude of a beam at occupation omega once coupled.
+
+    Grating-beam energy is normalized to 1, so the blocked amplitude is f_g.
+    """
+    amplitude = s.f_g - (s.f_g - s.f_r) * s.eta * (omega - 1.0)
+    if amplitude <= 0:
+        raise ValueError("modulation too large for the annular-sampling model")
+    return amplitude
+
+
 def apparent_omega_annular(scenario: CouplingScenario) -> float:
     """Measured occupation with both beams partially inside the sampling annulus.
 
@@ -114,13 +125,7 @@ def apparent_omega_annular(scenario: CouplingScenario) -> float:
     covers both the enriched (omega_id > 1) and depleted (omega_id < 1) cases;
     f_r = f_g degenerates to no net transfer and an apparent value of 1.
     """
-    s = scenario
-    if s.f_r > s.f_g:
-        raise ValueError(f"f_r={s.f_r!r} must not exceed f_g={s.f_g!r}")
-    denom = s.f_g - (s.f_g - s.f_r) * s.eta * (s.omega_id - 1.0)
-    if denom <= 0:
-        raise ValueError("modulation too large for the annular-sampling model")
-    return s.f_g / denom
+    return scenario.f_g / _annular_coupled_amplitude(scenario, scenario.omega_id)
 
 
 def composed_apparent_omega(scenario: CouplingScenario) -> float:
@@ -258,12 +263,8 @@ def synthesize_pulse_train(
         raise ValueError(f"baseline_bias must be finite, got {baseline_bias!r}")
 
     s = replace(scenario, omega_id=omega_id)
-    omega_after_reservoir = apparent_omega_finite_reservoir(s)
-    # Annulus-sampled pulse amplitudes, grating-beam energy normalized to 1.
     amp_blocked = s.f_g
-    amp_coupled = s.f_g - (s.f_g - s.f_r) * s.eta * (omega_after_reservoir - 1.0)
-    if amp_coupled <= 0:
-        raise ValueError("modulation too large for the annular-sampling model")
+    amp_coupled = _annular_coupled_amplitude(s, apparent_omega_finite_reservoir(s))
 
     m = samples_per_half_cycle
     total = cycles * 2 * m

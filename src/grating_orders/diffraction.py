@@ -46,30 +46,24 @@ def as_alpha(value: float) -> float:
 class GratingSpec:
     """Physical description of an irradiated transmission grating.
 
-    Lengths in nanometres. The duty cycle sigma = w/p is stored redundantly
-    with the period and must agree with it; sigma = 0.5 is a Ronchi ruling.
-    Slits narrower than the wavelength are rejected outright: the scalar
-    sinc^2 envelope model is not valid there.
+    Lengths in nanometres. The period follows from the slit width and the
+    duty cycle sigma = w/p; sigma = 0.5 is a Ronchi ruling. Slits narrower
+    than the wavelength are rejected outright: the scalar sinc^2 envelope
+    model is not valid there.
     """
 
     slit_width_w: float
-    period_p: float
     duty_sigma: float
     wavelength_lambda: float
-    slit_count_N: int
+    slit_count_N: int = DEFAULT_SLIT_COUNT
 
     def __post_init__(self) -> None:
-        for name in ("slit_width_w", "period_p", "wavelength_lambda"):
+        if not 0.0 < self.duty_sigma < 1.0:
+            raise ValueError(f"duty_sigma must lie in (0, 1), got {self.duty_sigma!r}")
+        for name in ("slit_width_w", "wavelength_lambda"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a positive finite length, got {v!r}")
-        if not 0.0 < self.duty_sigma < 1.0:
-            raise ValueError(f"duty_sigma must lie in (0, 1), got {self.duty_sigma!r}")
-        implied = self.slit_width_w / self.duty_sigma
-        if abs(self.period_p - implied) > 1e-12 * implied:
-            raise ValueError(
-                f"period_p={self.period_p!r} inconsistent with w/sigma={implied!r}"
-            )
         if self.slit_width_w < self.wavelength_lambda:
             raise ValueError(
                 "sub-wavelength slit rejected: "
@@ -78,23 +72,10 @@ class GratingSpec:
         if not (isinstance(self.slit_count_N, int) and self.slit_count_N >= 1):
             raise ValueError(f"slit_count_N must be an integer >= 1, got {self.slit_count_N!r}")
 
-    @classmethod
-    def from_sigma(
-        cls,
-        slit_width_w: float,
-        duty_sigma: float,
-        wavelength_lambda: float,
-        slit_count_n: int = DEFAULT_SLIT_COUNT,
-    ) -> "GratingSpec":
-        if not 0.0 < duty_sigma < 1.0:
-            raise ValueError(f"duty_sigma must lie in (0, 1), got {duty_sigma!r}")
-        return cls(
-            slit_width_w=slit_width_w,
-            period_p=slit_width_w / duty_sigma,
-            duty_sigma=duty_sigma,
-            wavelength_lambda=wavelength_lambda,
-            slit_count_N=slit_count_n,
-        )
+    @property
+    def period_p(self) -> float:
+        """Grating period p = w / sigma, in nanometres."""
+        return self.slit_width_w / self.duty_sigma
 
     @classmethod
     def ronchi(
@@ -104,7 +85,7 @@ class GratingSpec:
         slit_count_n: int = DEFAULT_SLIT_COUNT,
     ) -> "GratingSpec":
         """Square-wave ruling with equal slit and band widths (sigma = 0.5)."""
-        return cls.from_sigma(slit_width_w, 0.5, wavelength_lambda, slit_count_n)
+        return cls(slit_width_w, 0.5, wavelength_lambda, slit_count_n)
 
     @classmethod
     def from_truncation(
@@ -118,9 +99,7 @@ class GratingSpec:
         at = as_alpha(alpha_t)
         if at <= 0:
             raise ValueError(f"alpha_t must be positive, got {at!r}")
-        return cls.from_sigma(
-            wavelength_lambda * at / math.pi, duty_sigma, wavelength_lambda, slit_count_n
-        )
+        return cls(wavelength_lambda * at / math.pi, duty_sigma, wavelength_lambda, slit_count_n)
 
 
 def alpha_from_theta(spec: GratingSpec, theta_deg: float) -> float:

@@ -27,6 +27,7 @@ from .diffraction import (
 )
 from .orders import (
     EDGE_OFFSET,
+    EPS_TIE,
     CurveKind,
     DEFAULT_RULE,
     InclusionRule,
@@ -208,7 +209,7 @@ def _curve_dataset(figure_id, kind, sigma, lo, hi, samples, rule, value_column, 
             "alpha_max": hi,
             "samples": samples,
             "rule": rule.mode,
-            "eps_tie": rule.eps_tie,
+            "eps_tie": EPS_TIE,
         }
     return FigureDataset(
         figure_id=figure_id,

@@ -20,7 +20,6 @@ import numpy as np
 from .diffraction import (
     GratingSpec,
     as_alpha,
-    order_alpha,
     sinc_sq_at_order,
     truncation_alpha,
 )
@@ -52,6 +51,10 @@ __all__ = [
 # The same offset places the CLI's 'j-'/'j+' truncations and fig8's pair.
 EDGE_OFFSET = 1e-6
 
+# Absolute tolerance by which the inclusive rule admits an order sitting just
+# above truncation, so an order placed at its own threshold ties inclusively.
+EPS_TIE = 1e-9
+
 
 @dataclass(frozen=True)
 class InclusionRule:
@@ -59,19 +62,16 @@ class InclusionRule:
 
     Order j is admitted when its position alpha_j = j pi sigma, rounded
     exactly as ``order_alpha`` rounds it, satisfies |alpha_j| <= alpha_t +
-    eps_tie under ``inclusive`` (the default, with a 1e-9 tie tolerance) or
+    EPS_TIE under ``inclusive`` (the default; EPS_TIE = 1e-9 is fixed) or
     |alpha_j| < alpha_t under ``strict_below``. An order sitting exactly at
     alpha_t is therefore counted only under ``inclusive``.
     """
 
     mode: str = "inclusive"
-    eps_tie: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.mode not in ("inclusive", "strict_below"):
             raise ValueError(f"mode must be 'inclusive' or 'strict_below', got {self.mode!r}")
-        if self.eps_tie < 0:
-            raise ValueError(f"eps_tie must be >= 0, got {self.eps_tie!r}")
 
 
 DEFAULT_RULE = InclusionRule()
@@ -107,11 +107,11 @@ class ProbabilityCurve:
 
 def propagating_orders(
     alpha_t: float, sigma: float, rule: InclusionRule = DEFAULT_RULE
-) -> list[int]:
-    """Symmetric set {-n, ..., n} of orders admitted below truncation.
+) -> range:
+    """Symmetric set {-n, ..., n} of orders admitted below truncation, as a range.
 
     Order j is admitted when j * pi * sigma, the expression ``order_alpha``
-    evaluates, is at most a cap: alpha_t + eps_tie when inclusive, the largest
+    evaluates, is at most a cap: alpha_t + EPS_TIE when inclusive, the largest
     float below alpha_t when strict. Positions never decrease with j, so the
     two walks from the estimate cap / (pi sigma), which test that one
     condition, stop at the last admitted order.
@@ -121,13 +121,13 @@ def propagating_orders(
         raise ValueError(f"alpha_t must be positive, got {at!r}")
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma!r}")
-    cap = at + rule.eps_tie if rule.mode == "inclusive" else math.nextafter(at, 0.0)
+    cap = at + EPS_TIE if rule.mode == "inclusive" else math.nextafter(at, 0.0)
     n = int(cap / (math.pi * sigma))
     while (n + 1) * math.pi * sigma <= cap:
         n += 1
     while n * math.pi * sigma > cap:  # stops at order 0, whose position 0.0 is within any cap
         n -= 1
-    return list(range(-n, n + 1))
+    return range(-n, n + 1)
 
 
 def _envelope_sum(alpha_t: float, sigma: float, rule: InclusionRule) -> float:
@@ -338,19 +338,15 @@ def curve(
         )
 
     grid = np.linspace(lo, hi, samples)
-    extras = []
-    j = 1
-    while True:
-        aj = order_alpha(j, sigma)
-        if aj >= hi:
-            break
-        if aj > lo:
-            if aj - EDGE_OFFSET > lo:
-                extras.append(aj - EDGE_OFFSET)
-            if aj + EDGE_OFFSET < hi:
-                extras.append(aj + EDGE_OFFSET)
-        j += 1
-    pts = np.unique(np.concatenate([grid, np.asarray(extras, dtype=float)]))
+    # Only orders near [lo, hi] are generated; j * pi * sigma rounds exactly
+    # as order_alpha does, so the masks below see the true order positions.
+    step = math.pi * sigma
+    j = np.arange(max(1, math.floor(lo / step)), math.ceil(hi / step) + 1)
+    aj = j * math.pi * sigma
+    aj = aj[(aj > lo) & (aj < hi)]
+    below = aj - EDGE_OFFSET
+    above = aj + EDGE_OFFSET
+    pts = np.unique(np.concatenate([grid, below[below > lo], above[above < hi]]))
 
     if kind is CurveKind.ZERO_ORDER_ENERGY:
         f = lambda at: zero_order_energy(at, sigma, e_o, rule)

@@ -231,8 +231,8 @@ def test_criterion_10_cli_figures_are_deterministic(tmp_path, monkeypatch, capsy
             t0 = time.perf_counter()
             a = tmp_path / f"{fid}_a.csv"
             b = tmp_path / f"{fid}_b.csv"
-            assert cli.main(["figure", "--id", fid, "--seed", "3", "--out", str(a)]) == 0
-            assert cli.main(["figure", "--id", fid, "--seed", "3", "--out", str(b)]) == 0
+            assert cli.main(["figure", "--id", fid, "--out", str(a)]) == 0
+            assert cli.main(["figure", "--id", fid, "--out", str(b)]) == 0
             elapsed = time.perf_counter() - t0
             assert elapsed < 10.0, f"{fid} exceeded 10s for two runs: {elapsed:.2f}s"
             assert a.read_bytes() == b.read_bytes(), f"{fid} not byte-identical"

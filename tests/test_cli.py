@@ -67,7 +67,7 @@ class TestFigureCommand:
             assert right > left
 
     def test_byte_identical_reruns(self, tmp_path, monkeypatch, capsys):
-        argv = ["figure", "--id", "fig9", "--samples", "500", "--seed", "11"]
+        argv = ["figure", "--id", "fig9", "--samples", "500"]
         run(argv + ["--out", str(tmp_path / "a.csv")], tmp_path, monkeypatch, capsys)
         run(argv + ["--out", str(tmp_path / "b.csv")], tmp_path, monkeypatch, capsys)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
@@ -229,3 +229,19 @@ class TestSweepCommand:
         )
         assert code == 2
         assert "j-min" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure", "--id", "fig6", "--seed", "1"],
+        ["figure", "--id", "fig6", "--eps-tie", "1e-9"],
+        ["table", "--w", "1250", "--eps-tie", "1e-9"],
+        ["omega", "--j-equiv", "3", "--eps-tie", "1e-9"],
+        ["sweep", "--j-min", "1", "--j-max", "2", "--eps-tie", "1e-9"],
+    ],
+)
+def test_removed_flags_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv, tmp_path, monkeypatch, capsys)
+    assert exc.value.code == 2
