@@ -25,7 +25,7 @@ from .figures import (
     dataset_from_order_table,
     write_dataset,
 )
-from .orders import EDGE_OFFSET, CurveKind, InclusionRule, occupation_value, order_table
+from .orders import EDGE_OFFSET, CurveKind, occupation_value, order_table
 from .quadrature import QuadratureError
 
 OUTDIR_ENV = "GRATING_ORDERS_OUTDIR"
@@ -34,6 +34,14 @@ OUTDIR_ENV = "GRATING_ORDERS_OUTDIR"
 ORDINARY_BAND = 0.005
 
 _PI_FORM = re.compile(r"^(?P<coef>[-+]?[0-9]*\.?[0-9]*)\s*pi\s*(?:/\s*(?P<div>[0-9]+\.?[0-9]*))?$")
+
+
+def _divide(num: float, den: str) -> float:
+    """num / float(den), with a zero divisor rejected as a ValueError."""
+    d = float(den)
+    if d == 0:
+        raise ValueError(f"zero divisor {den!r}")
+    return num / d
 
 
 def parse_alpha(text: str) -> float:
@@ -47,7 +55,7 @@ def parse_alpha(text: str) -> float:
         coef = m.group("coef")
         value = math.pi * (float(coef) if coef not in ("", "+", "-") else float(coef + "1"))
         if m.group("div"):
-            value /= float(m.group("div"))
+            value = _divide(value, m.group("div"))
         return value
     return float(s)
 
@@ -85,23 +93,14 @@ def parse_sigma(text: str) -> float:
     s = text.strip()
     if "/" in s:
         num, _, den = s.partition("/")
-        return float(num) / float(den)
+        return _divide(float(num), den)
     return float(s)
-
-
-def _rule(args: argparse.Namespace) -> InclusionRule:
-    return InclusionRule(mode=args.rule)
 
 
 def _write(dataset: FigureDataset, args: argparse.Namespace, name: str) -> None:
     out = args.out or Path(os.environ.get(OUTDIR_ENV, ".")) / f"{name}.{args.fmt}"
     write_dataset(dataset, out, args.fmt)
     print(f"wrote {out} ({dataset.rows.shape[0]} rows)")
-
-
-def _add_rule_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rule", choices=("inclusive", "strict_below"), default="inclusive",
-                   help="order inclusion at truncation (default inclusive)")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -125,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-min", type=parse_alpha, default=None, help="e.g. pi or 3pi/2")
     p.add_argument("--alpha-max", type=parse_alpha, default=None)
     p.add_argument("--samples", type=int, default=None)
-    _add_rule_flags(p)
     _add_output_flags(p)
 
     p = sub.add_parser("table", help="per-order probability/energy table for one grating")
@@ -137,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="alternative to --w: j-equivalent truncation (supports 3- / 3+)")
     p.add_argument("--sigma", type=parse_sigma, default=0.5)
     p.add_argument("--n-slits", type=int, default=257)
-    _add_rule_flags(p)
     _add_output_flags(p)
 
     p = sub.add_parser("omega", help="occupation value at a truncation point")
@@ -146,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=parse_length_nm, default=None)
     p.add_argument("--lambda", dest="wavelength", type=parse_length_nm, default=WAVELENGTH_NM)
     p.add_argument("--sigma", type=parse_sigma, default=0.5)
-    _add_rule_flags(p)
 
     p = sub.add_parser("experiment", help="bias report and synthetic pulse-train measurement")
     p.add_argument("--omega-id", type=float, default=1.025)
@@ -170,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j-max", type=float, required=True)
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--sigma", type=parse_sigma, default=0.5)
-    _add_rule_flags(p)
     _add_output_flags(p)
 
     return parser
@@ -184,7 +179,6 @@ def _run_figure(args: argparse.Namespace) -> int:
         alpha_min=args.alpha_min,
         alpha_max=args.alpha_max,
         samples=args.samples,
-        rule=_rule(args),
     )
     _write(dataset, args, args.figure_id)
     return 0
@@ -200,9 +194,8 @@ def _spec_from_args(args: argparse.Namespace) -> GratingSpec:
 
 
 def _run_table(args: argparse.Namespace) -> int:
-    rule = _rule(args)
     spec = _spec_from_args(args)
-    table = order_table(spec, rule)
+    table = order_table(spec)
     dataset = dataset_from_order_table(
         table, figure_id="table", extra_params={"j_equiv": equivalent_order(spec)}
     )
@@ -219,7 +212,6 @@ def _classify(omega: float) -> str:
 
 
 def _run_omega(args: argparse.Namespace) -> int:
-    rule = _rule(args)
     if args.j_equiv is not None:
         at = args.j_equiv * math.pi * args.sigma
         j_equiv = args.j_equiv
@@ -229,7 +221,7 @@ def _run_omega(args: argparse.Namespace) -> int:
         j_equiv = equivalent_order(spec)
     else:
         raise ValueError("either --w or --j-equiv is required")
-    omega = occupation_value(at, args.sigma, rule)
+    omega = occupation_value(at, args.sigma)
     print(f"j_equiv: {j_equiv:.6f}")
     print(f"alpha_t: {at!r}")
     print(f"P_r: {1.0 / omega:.6f}")
@@ -268,7 +260,6 @@ def _run_experiment(args: argparse.Namespace) -> int:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    rule = _rule(args)
     if not args.j_min < args.j_max:
         raise ValueError("--j-min must be below --j-max")
     params = {
@@ -277,12 +268,11 @@ def _run_sweep(args: argparse.Namespace) -> int:
         "j_min": args.j_min,
         "j_max": args.j_max,
         "samples": args.samples,
-        "rule": rule.mode,
     }
     lo = args.j_min * math.pi * args.sigma
     hi = args.j_max * math.pi * args.sigma
     dataset = _curve_dataset(
-        "sweep", args.quantity, args.sigma, lo, hi, args.samples, rule, args.quantity, params
+        "sweep", args.quantity, args.sigma, lo, hi, args.samples, args.quantity, params
     )
     _write(dataset, args, "sweep")
     return 0

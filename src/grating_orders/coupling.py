@@ -16,6 +16,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# A bias whose underestimate is below this, in occupation units, is reported
+# as insignificant.
+SIGNIFICANCE_THRESHOLD = 0.001
+
+# Detector samples in each half of a chopper cycle.
+SAMPLES_PER_HALF_CYCLE = 16
+
 __all__ = [
     "CouplingScenario",
     "PulsePair",
@@ -142,7 +149,7 @@ class BiasReport:
     Underestimates are idealized modulation magnitude minus apparent
     modulation magnitude, in occupation units; the ``*_pp`` fields express
     them in percentage points. A bias is flagged insignificant when the
-    magnitude of its underestimate is below ``threshold``.
+    magnitude of its underestimate is below ``SIGNIFICANCE_THRESHOLD``.
     """
 
     scenario: CouplingScenario
@@ -154,7 +161,6 @@ class BiasReport:
     underestimate_finite: float
     underestimate_annular: float
     underestimate_composed: float
-    threshold: float
 
     @property
     def underestimate_finite_pp(self) -> float:
@@ -170,15 +176,15 @@ class BiasReport:
 
     @property
     def finite_insignificant(self) -> bool:
-        return abs(self.underestimate_finite) < self.threshold
+        return abs(self.underestimate_finite) < SIGNIFICANCE_THRESHOLD
 
     @property
     def annular_insignificant(self) -> bool:
-        return abs(self.underestimate_annular) < self.threshold
+        return abs(self.underestimate_annular) < SIGNIFICANCE_THRESHOLD
 
     @property
     def composed_insignificant(self) -> bool:
-        return abs(self.underestimate_composed) < self.threshold
+        return abs(self.underestimate_composed) < SIGNIFICANCE_THRESHOLD
 
     def summary_lines(self) -> list[str]:
         def flag(ok: bool) -> str:
@@ -199,10 +205,8 @@ class BiasReport:
         ]
 
 
-def bias_report(scenario: CouplingScenario, threshold: float = 0.001) -> BiasReport:
+def bias_report(scenario: CouplingScenario) -> BiasReport:
     """Evaluate every bias map for a scenario and flag significance."""
-    if not threshold > 0:
-        raise ValueError(f"threshold must be positive, got {threshold!r}")
     ideal_mod = abs(scenario.omega_id - 1.0)
     fin = apparent_omega_finite_reservoir(scenario)
     ann = apparent_omega_annular(scenario)
@@ -217,7 +221,6 @@ def bias_report(scenario: CouplingScenario, threshold: float = 0.001) -> BiasRep
         underestimate_finite=ideal_mod - abs(fin - 1.0),
         underestimate_annular=ideal_mod - abs(ann - 1.0),
         underestimate_composed=ideal_mod - abs(comp - 1.0),
-        threshold=threshold,
     )
 
 
@@ -240,7 +243,6 @@ def synthesize_pulse_train(
     noise_sd: float = 0.0,
     *,
     seed: int = 0,
-    samples_per_half_cycle: int = 16,
 ) -> PulseTrain:
     """Generate the two chopped square-wave records and recover the pulse pair.
 
@@ -257,8 +259,6 @@ def synthesize_pulse_train(
         raise ValueError(f"cycles must be >= 1, got {cycles!r}")
     if noise_sd < 0:
         raise ValueError(f"noise_sd must be >= 0, got {noise_sd!r}")
-    if samples_per_half_cycle < 1:
-        raise ValueError(f"samples_per_half_cycle must be >= 1, got {samples_per_half_cycle!r}")
     if not math.isfinite(baseline_bias):
         raise ValueError(f"baseline_bias must be finite, got {baseline_bias!r}")
 
@@ -266,7 +266,7 @@ def synthesize_pulse_train(
     amp_blocked = s.f_g
     amp_coupled = _annular_coupled_amplitude(s, apparent_omega_finite_reservoir(s))
 
-    m = samples_per_half_cycle
+    m = SAMPLES_PER_HALF_CYCLE
     total = cycles * 2 * m
     rng = np.random.default_rng(seed)
     high = np.zeros(total, dtype=bool)

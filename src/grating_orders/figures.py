@@ -29,8 +29,6 @@ from .orders import (
     EDGE_OFFSET,
     EPS_TIE,
     CurveKind,
-    DEFAULT_RULE,
-    InclusionRule,
     OrderTable,
     curve,
     order_table,
@@ -197,9 +195,12 @@ def _intensity_rows(alpha_lo, alpha_hi, samples, sigma, n_slits, include_single=
     return np.asarray(rows, dtype=float)
 
 
-def _curve_dataset(figure_id, kind, sigma, lo, hi, samples, rule, value_column, params=None):
-    """Sample ``curve`` into (alpha_t, j_equiv, value) rows; figure params by default."""
-    c = curve(kind, sigma, (lo, hi), samples, rule)
+def _curve_dataset(figure_id, kind, sigma, lo, hi, samples, value_column, params=None):
+    """Sample ``curve`` into (alpha_t, j_equiv, value) rows; figure params by default.
+
+    Whichever params are written also name the one inclusion rule.
+    """
+    c = curve(kind, sigma, (lo, hi), samples)
     j_equiv = c.abscissa / (math.pi * sigma)
     rows = np.column_stack([c.abscissa, j_equiv, c.ordinate])
     if params is None:
@@ -208,12 +209,11 @@ def _curve_dataset(figure_id, kind, sigma, lo, hi, samples, rule, value_column, 
             "alpha_min": lo,
             "alpha_max": hi,
             "samples": samples,
-            "rule": rule.mode,
             "eps_tie": EPS_TIE,
         }
     return FigureDataset(
         figure_id=figure_id,
-        params=params,
+        params={**params, "rule": "inclusive"},
         columns=("alpha_t", "j_equiv", value_column),
         rows=rows,
     )
@@ -227,7 +227,6 @@ def build_figure(
     alpha_min: float | None = None,
     alpha_max: float | None = None,
     samples: int | None = None,
-    rule: InclusionRule = DEFAULT_RULE,
 ) -> FigureDataset:
     """Build one of the standard figure datasets.
 
@@ -286,7 +285,7 @@ def build_figure(
         m = samples if samples is not None else 2000
         kind = CurveKind.RESULTANT_PROBABILITY if figure_id == "fig6" else CurveKind.OCCUPATION
         col = "p_r" if figure_id == "fig6" else "omega"
-        return _curve_dataset(figure_id, kind, sig, lo, hi, m, rule, col)
+        return _curve_dataset(figure_id, kind, sig, lo, hi, m, col)
 
     if figure_id == "fig8":
         sig = sigma if sigma is not None else 0.5
@@ -295,7 +294,7 @@ def build_figure(
         tables = {}
         for label, at in (("minus", a3 - EDGE_OFFSET), ("plus", a3 + EDGE_OFFSET)):
             spec = GratingSpec.from_truncation(at, WAVELENGTH_NM, sig, n)
-            tables[label] = order_table(spec, rule)
+            tables[label] = order_table(spec)
         js = sorted({r.j for r in tables["plus"].rows} | {r.j for r in tables["minus"].rows})
         by_j = {label: {r.j: r for r in t.rows} for label, t in tables.items()}
         rows = []
@@ -329,4 +328,4 @@ def build_figure(
     lo = alpha_min if alpha_min is not None else math.pi / 4.0
     hi = alpha_max if alpha_max is not None else 4.0 * math.pi
     m = samples if samples is not None else 2000
-    return _curve_dataset(figure_id, CurveKind.ZERO_ORDER_ENERGY, sig, lo, hi, m, rule, "e_r0")
+    return _curve_dataset(figure_id, CurveKind.ZERO_ORDER_ENERGY, sig, lo, hi, m, "e_r0")

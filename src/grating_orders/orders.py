@@ -26,8 +26,6 @@ from .diffraction import (
 from .quadrature import Interval, sinc_sq_integral
 
 __all__ = [
-    "InclusionRule",
-    "DEFAULT_RULE",
     "CurveKind",
     "ProbabilityCurve",
     "OrderRow",
@@ -51,30 +49,13 @@ __all__ = [
 # The same offset places the CLI's 'j-'/'j+' truncations and fig8's pair.
 EDGE_OFFSET = 1e-6
 
-# Absolute tolerance by which the inclusive rule admits an order sitting just
-# above truncation, so an order placed at its own threshold ties inclusively.
+# Absolute tolerance by which an order sitting just above truncation is still
+# admitted, so an order placed at its own threshold ties inclusively.
 EPS_TIE = 1e-9
 
-
-@dataclass(frozen=True)
-class InclusionRule:
-    """Which orders count as propagating at truncation alpha_t.
-
-    Order j is admitted when its position alpha_j = j pi sigma, rounded
-    exactly as ``order_alpha`` rounds it, satisfies |alpha_j| <= alpha_t +
-    EPS_TIE under ``inclusive`` (the default; EPS_TIE = 1e-9 is fixed) or
-    |alpha_j| < alpha_t under ``strict_below``. An order sitting exactly at
-    alpha_t is therefore counted only under ``inclusive``.
-    """
-
-    mode: str = "inclusive"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("inclusive", "strict_below"):
-            raise ValueError(f"mode must be 'inclusive' or 'strict_below', got {self.mode!r}")
-
-
-DEFAULT_RULE = InclusionRule()
+# Most order terms one ``curve`` call may sum: each of its samples re-sums
+# every order up to the top of the range.
+MAX_ORDER_TERMS = 10**7
 
 
 class CurveKind(str, enum.Enum):
@@ -105,23 +86,21 @@ class ProbabilityCurve:
         object.__setattr__(self, "ordinate", o)
 
 
-def propagating_orders(
-    alpha_t: float, sigma: float, rule: InclusionRule = DEFAULT_RULE
-) -> range:
+def propagating_orders(alpha_t: float, sigma: float) -> range:
     """Symmetric set {-n, ..., n} of orders admitted below truncation, as a range.
 
     Order j is admitted when j * pi * sigma, the expression ``order_alpha``
-    evaluates, is at most a cap: alpha_t + EPS_TIE when inclusive, the largest
-    float below alpha_t when strict. Positions never decrease with j, so the
-    two walks from the estimate cap / (pi sigma), which test that one
-    condition, stop at the last admitted order.
+    evaluates, is at most the cap alpha_t + EPS_TIE, so an order sitting
+    exactly at alpha_t counts. Positions never decrease with j, so the two
+    walks from the estimate cap / (pi sigma), which test that one condition,
+    stop at the last admitted order.
     """
     at = as_alpha(alpha_t)
     if at <= 0:
         raise ValueError(f"alpha_t must be positive, got {at!r}")
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma!r}")
-    cap = at + EPS_TIE if rule.mode == "inclusive" else math.nextafter(at, 0.0)
+    cap = at + EPS_TIE
     n = int(cap / (math.pi * sigma))
     while (n + 1) * math.pi * sigma <= cap:
         n += 1
@@ -130,8 +109,8 @@ def propagating_orders(
     return range(-n, n + 1)
 
 
-def _envelope_sum(alpha_t: float, sigma: float, rule: InclusionRule) -> float:
-    n = propagating_orders(alpha_t, sigma, rule)[-1]
+def _envelope_sum(alpha_t: float, sigma: float) -> float:
+    n = propagating_orders(alpha_t, sigma)[-1]
     return 1.0 + 2.0 * math.fsum(sinc_sq_at_order(j, sigma) for j in range(1, n + 1))
 
 
@@ -145,22 +124,15 @@ def output_probability(alpha_t: float, n_slits: int) -> float:
     return n_slits * sinc_sq_integral(Interval(-at, at))
 
 
-def resultant_sum(
-    alpha_t: float,
-    sigma: float,
-    n_slits: int,
-    rule: InclusionRule = DEFAULT_RULE,
-) -> float:
+def resultant_sum(alpha_t: float, sigma: float, n_slits: int) -> float:
     """Total resultant probability: strip sum pi sigma N sinc^2(alpha_j) over orders."""
     if n_slits < 1:
         raise ValueError(f"n_slits must be >= 1, got {n_slits!r}")
     at = as_alpha(alpha_t)
-    return math.pi * sigma * n_slits * _envelope_sum(at, sigma, rule)
+    return math.pi * sigma * n_slits * _envelope_sum(at, sigma)
 
 
-def normalized_resultant_probability(
-    alpha_t: float, sigma: float, rule: InclusionRule = DEFAULT_RULE
-) -> float:
+def normalized_resultant_probability(alpha_t: float, sigma: float) -> float:
     """Resultant probability normalized by output probability (N cancels).
 
     Requires alpha_t >= pi sigma, i.e. at least the 0th order propagating with
@@ -173,34 +145,27 @@ def normalized_resultant_probability(
             f"alpha_t={at!r} below pi*sigma={math.pi * sigma!r}; "
             "normalized resultant probability is defined for alpha_t >= pi*sigma"
         )
-    strip_sum = math.pi * sigma * _envelope_sum(at, sigma, rule)
+    strip_sum = math.pi * sigma * _envelope_sum(at, sigma)
     return strip_sum / sinc_sq_integral(Interval(-at, at))
 
 
-def order_probability(
-    j: int,
-    alpha_t: float,
-    sigma: float,
-    rule: InclusionRule = DEFAULT_RULE,
-) -> float:
+def order_probability(j: int, alpha_t: float, sigma: float) -> float:
     """Normalized resultant probability carried by the single order j."""
     at = as_alpha(alpha_t)
-    orders = propagating_orders(at, sigma, rule)
+    orders = propagating_orders(at, sigma)
     if j not in orders:
         raise ValueError(f"order j={j} is not propagating at alpha_t={at!r} (|j| <= {orders[-1]})")
     return math.pi * sigma * sinc_sq_at_order(j, sigma) / sinc_sq_integral(Interval(-at, at))
 
 
-def occupation_value(
-    alpha_t: float, sigma: float, rule: InclusionRule = DEFAULT_RULE
-) -> float:
+def occupation_value(alpha_t: float, sigma: float) -> float:
     """Energy-to-probability ratio of the propagating orders.
 
     With output energy conserved onto the resultants, this is the exact
     reciprocal of the normalized resultant probability: above 1 the orders are
     enriched, below 1 depleted, 1 is ordinary.
     """
-    return 1.0 / normalized_resultant_probability(alpha_t, sigma, rule)
+    return 1.0 / normalized_resultant_probability(alpha_t, sigma)
 
 
 def omega_from_delta_p(delta_p: float, p_o: float, sign: str) -> float:
@@ -223,9 +188,7 @@ def omega_from_delta_p(delta_p: float, p_o: float, sign: str) -> float:
     raise ValueError(f"sign must be 'created' or 'annihilated', got {sign!r}")
 
 
-def zero_order_share(
-    alpha_t: float, sigma: float, rule: InclusionRule = DEFAULT_RULE
-) -> float:
+def zero_order_share(alpha_t: float, sigma: float) -> float:
     """Fraction of the total resultant probability carried by the 0th order.
 
     Piecewise constant in alpha_t: the strip factors cancel, leaving
@@ -233,15 +196,10 @@ def zero_order_share(
     changes, and only at orders that are not envelope nulls.
     """
     at = as_alpha(alpha_t)
-    return 1.0 / _envelope_sum(at, sigma, rule)
+    return 1.0 / _envelope_sum(at, sigma)
 
 
-def zero_order_energy(
-    alpha_t: float,
-    sigma: float,
-    e_o: float = 1.0,
-    rule: InclusionRule = DEFAULT_RULE,
-) -> float:
+def zero_order_energy(alpha_t: float, sigma: float, e_o: float = 1.0) -> float:
     """Energy equilibrated onto the 0th order out of total output energy e_o.
 
     Energy distributes across the propagating orders in proportion to their
@@ -250,7 +208,7 @@ def zero_order_energy(
     """
     if not e_o > 0:
         raise ValueError(f"e_o must be positive, got {e_o!r}")
-    return e_o * zero_order_share(alpha_t, sigma, rule)
+    return e_o * zero_order_share(alpha_t, sigma)
 
 
 @dataclass(frozen=True)
@@ -272,7 +230,7 @@ class OrderTable:
     omega: float
 
 
-def order_table(spec: GratingSpec, rule: InclusionRule = DEFAULT_RULE) -> OrderTable:
+def order_table(spec: GratingSpec) -> OrderTable:
     """Tabulate every propagating order of the grating.
 
     Rows are symmetric in +-j; orders at envelope nulls are listed with zero
@@ -285,7 +243,7 @@ def order_table(spec: GratingSpec, rule: InclusionRule = DEFAULT_RULE) -> OrderT
     """
     at = truncation_alpha(spec)
     sigma = spec.duty_sigma
-    orders = propagating_orders(at, sigma, rule)
+    orders = propagating_orders(at, sigma)
     denom = sinc_sq_integral(Interval(-at, at))
     p_by_j = {j: math.pi * sigma * sinc_sq_at_order(j, sigma) / denom for j in orders}
     p_r = math.fsum(p_by_j.values())
@@ -303,6 +261,7 @@ _CURVE_FUNCS = {
     CurveKind.RESULTANT_PROBABILITY: normalized_resultant_probability,
     CurveKind.OCCUPATION: occupation_value,
     CurveKind.ZERO_ORDER_SHARE: zero_order_share,
+    CurveKind.ZERO_ORDER_ENERGY: zero_order_energy,  # at unit total output energy
 }
 
 
@@ -311,15 +270,13 @@ def curve(
     sigma: float,
     alpha_range: tuple[float, float],
     samples: int,
-    rule: InclusionRule = DEFAULT_RULE,
-    *,
-    e_o: float = 1.0,
 ) -> ProbabilityCurve:
     """Sample one of the alpha_t-dependent scalars on a dense grid.
 
     A pair of samples at alpha_j -+ 1e-6 is inserted around every order
     position inside the range so threshold discontinuities are resolved as
-    two-sided limits instead of being aliased by the background grid.
+    two-sided limits instead of being aliased by the background grid. A
+    request whose order sum would exceed MAX_ORDER_TERMS terms is refused.
     """
     kind = CurveKind(kind)
     if not 0.0 < sigma < 1.0:
@@ -336,11 +293,23 @@ def curve(
             f"{kind.value} curves require alpha_range within [pi*sigma, inf); "
             f"got lo={lo!r} < {math.pi * sigma!r}"
         )
+    # Every background sample and the two edge samples of each order in the
+    # range sum up to hi / (pi sigma) orders, and cost at least one term. The
+    # first test keeps an int too large for a float out of the product.
+    step = math.pi * sigma
+    orders_per_point = max(1.0, hi / step)
+    if (
+        samples > MAX_ORDER_TERMS
+        or (samples + 2.0 * (hi - lo) / step) * orders_per_point > MAX_ORDER_TERMS
+    ):
+        raise ValueError(
+            f"curve would sum more than {MAX_ORDER_TERMS:.3g} order terms; "
+            "narrow the range or use fewer samples"
+        )
 
     grid = np.linspace(lo, hi, samples)
     # Only orders near [lo, hi] are generated; j * pi * sigma rounds exactly
     # as order_alpha does, so the masks below see the true order positions.
-    step = math.pi * sigma
     j = np.arange(max(1, math.floor(lo / step)), math.ceil(hi / step) + 1)
     aj = j * math.pi * sigma
     aj = aj[(aj > lo) & (aj < hi)]
@@ -348,10 +317,6 @@ def curve(
     above = aj + EDGE_OFFSET
     pts = np.unique(np.concatenate([grid, below[below > lo], above[above < hi]]))
 
-    if kind is CurveKind.ZERO_ORDER_ENERGY:
-        f = lambda at: zero_order_energy(at, sigma, e_o, rule)
-    else:
-        base = _CURVE_FUNCS[kind]
-        f = lambda at: base(at, sigma, rule)
-    values = np.array([f(at) for at in pts])
+    f = _CURVE_FUNCS[kind]
+    values = np.array([f(at, sigma) for at in pts])
     return ProbabilityCurve(abscissa=pts, ordinate=values, kind=kind)

@@ -48,6 +48,26 @@ class TestParsers:
         assert cli.parse_sigma("1/8") == 0.125
         assert cli.parse_sigma("0.5") == 0.5
 
+    @pytest.mark.parametrize(
+        "parse,text",
+        [(cli.parse_sigma, "1/0"), (cli.parse_sigma, "0/0"), (cli.parse_alpha, "pi/0")],
+    )
+    def test_zero_divisor_is_value_error(self, parse, text):
+        with pytest.raises(ValueError, match="zero divisor"):
+            parse(text)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["omega", "--j-equiv", "3", "--sigma", "1/0"],
+            ["figure", "--id", "fig6", "--alpha-min", "pi/0"],
+        ],
+    )
+    def test_zero_divisor_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv, tmp_path, monkeypatch, capsys)
+        assert exc.value.code == 2
+
 
 class TestFigureCommand:
     def test_fig6_csv(self, tmp_path, monkeypatch, capsys):
@@ -204,7 +224,7 @@ class TestSweepCommand:
 
     def test_header_params(self, tmp_path, monkeypatch, capsys):
         code, _, _ = run(
-            ["sweep", "--j-min", "2", "--j-max", "6", "--samples", "50", "--rule", "strict_below"],
+            ["sweep", "--j-min", "2", "--j-max", "6", "--samples", "50"],
             tmp_path, monkeypatch, capsys,
         )
         assert code == 0
@@ -218,7 +238,7 @@ class TestSweepCommand:
             "# j_max: 6.0",
             "# j_min: 2.0",
             "# quantity: occupation",
-            "# rule: strict_below",
+            "# rule: inclusive",
             "# samples: 50",
             "# sigma: 0.5",
         ]
@@ -230,6 +250,14 @@ class TestSweepCommand:
         assert code == 2
         assert "j-min" in err
 
+    def test_order_term_budget(self, tmp_path, monkeypatch, capsys):
+        code, _, err = run(
+            ["sweep", "--j-min", "1", "--j-max", "1e12"], tmp_path, monkeypatch, capsys
+        )
+        assert code == 2
+        assert "order terms" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -239,6 +267,7 @@ class TestSweepCommand:
         ["table", "--w", "1250", "--eps-tie", "1e-9"],
         ["omega", "--j-equiv", "3", "--eps-tie", "1e-9"],
         ["sweep", "--j-min", "1", "--j-max", "2", "--eps-tie", "1e-9"],
+        ["sweep", "--j-min", "1", "--j-max", "2", "--rule", "inclusive"],
     ],
 )
 def test_removed_flags_are_usage_errors(argv, tmp_path, monkeypatch, capsys):

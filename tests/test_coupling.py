@@ -215,10 +215,6 @@ class TestBiasReport:
         assert any("insignificant" in line for line in lines)
         assert len(lines) == 5
 
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            bias_report(PAPER_SCENARIO, threshold=0.0)
-
 
 class TestClosedLoop:
     def test_theoretical_occupations_survive_both_bias_maps(self):

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from grating_orders.diffraction import GratingSpec, order_alpha, sinc_sq_at_order
 from grating_orders.orders import (
     EPS_TIE,
+    MAX_ORDER_TERMS,
     CurveKind,
-    InclusionRule,
     ProbabilityCurve,
     curve,
     normalized_resultant_probability,
@@ -26,7 +26,6 @@ from grating_orders.quadrature import Interval, adaptive_integrate
 
 LAMBDA = 633.0
 ALPHA_3 = float(order_alpha(3, 0.5))
-STRICT = InclusionRule(mode="strict_below")
 
 # Frozen from the 25-digit oracle (sum of sinc^2 strips over the Si-based
 # envelope integral), cross-checked against adaptive quadrature below.
@@ -46,26 +45,22 @@ class TestPropagatingOrders:
         assert propagating_orders(3.16 * math.pi / 2, 0.5) == range(-3, 4)
 
     def test_threshold_sides(self):
-        assert propagating_orders(ALPHA_3 - 1e-6, 0.5, STRICT) == range(-2, 3)
         assert propagating_orders(ALPHA_3 - 1e-6, 0.5) == range(-2, 3)
         assert propagating_orders(ALPHA_3 + 1e-6, 0.5) == range(-3, 4)
 
     def test_exact_threshold_tie(self):
-        # default rule counts an order sitting exactly at truncation
+        # an order sitting exactly at truncation counts
         assert propagating_orders(ALPHA_3, 0.5) == range(-3, 4)
-        assert propagating_orders(ALPHA_3, 0.5, STRICT) == range(-2, 3)
 
     def test_boundary_at_pi(self):
         # the +-2nd orders sit exactly at alpha_t = pi (and are envelope null)
         assert propagating_orders(math.pi, 0.5) == range(-2, 3)
-        assert propagating_orders(math.pi, 0.5, STRICT) == range(-1, 2)
 
     @pytest.mark.parametrize("sigma", [0.3, 1 / 3, 0.5, 0.125])
     def test_order_at_its_own_threshold(self, sigma):
-        # An order placed at order_alpha(j) is counted only by the inclusive rule.
+        # An order placed at order_alpha(j) is counted.
         for j in range(1, 20000):
             at = order_alpha(j, sigma)
-            assert propagating_orders(at, sigma, STRICT)[-1] == j - 1
             assert propagating_orders(at, sigma)[-1] == j
 
     def test_requires_positive_alpha_t(self):
@@ -357,10 +352,12 @@ class TestCurve:
         assert np.all(np.diff(c.ordinate) <= 1e-15)
         assert c.ordinate[0] == 1.0
 
-    def test_energy_curve_scales(self):
-        a = curve(CurveKind.ZERO_ORDER_ENERGY, 0.5, (1.0, 7.0), 50, e_o=1.0)
-        b = curve(CurveKind.ZERO_ORDER_ENERGY, 0.5, (1.0, 7.0), 50, e_o=2.0)
-        assert np.allclose(b.ordinate, 2.0 * a.ordinate, rtol=1e-15)
+    def test_energy_curve_is_share_curve(self):
+        # unit total output energy: the 0th-order energy is its probability share
+        e = curve(CurveKind.ZERO_ORDER_ENERGY, 0.5, (1.0, 7.0), 50)
+        s = curve(CurveKind.ZERO_ORDER_SHARE, 0.5, (1.0, 7.0), 50)
+        assert np.array_equal(e.abscissa, s.abscissa)
+        assert np.array_equal(e.ordinate, s.ordinate)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError, match="pi\\*sigma"):
@@ -369,6 +366,26 @@ class TestCurve:
             curve(CurveKind.ZERO_ORDER_SHARE, 0.5, (2.0, 1.0), 10)
         with pytest.raises(ValueError):
             curve(CurveKind.ZERO_ORDER_SHARE, 0.5, (1.0, 2.0), 1)
+
+    def test_order_term_budget(self):
+        # 10 samples near alpha_t = 1e6 would each re-sum ~6.4e5 orders
+        with pytest.raises(ValueError, match="order terms"):
+            curve(CurveKind.OCCUPATION, 0.5, (1e6, 1e6 + 10), 10)
+        # 2000 samples up to j = 1e12 would sum ~1e27 terms
+        with pytest.raises(ValueError, match="order terms"):
+            curve(CurveKind.OCCUPATION, 0.5, (0.5 * math.pi, 0.5e12 * math.pi), 2000)
+        # orders 1..1000: (8010 samples + 2 * 999 edges) * 1000 orders just
+        # exceeds the limit, which the background samples alone would not
+        step = 0.5 * math.pi
+        assert 8010 * 1000 < MAX_ORDER_TERMS < (8010 + 2 * 999) * 1000
+        with pytest.raises(ValueError, match="order terms"):
+            curve(CurveKind.ZERO_ORDER_SHARE, 0.5, (step, 1000 * step), 8010)
+        # below the first order every sample still costs one term
+        with pytest.raises(ValueError, match="order terms"):
+            curve(CurveKind.ZERO_ORDER_SHARE, 0.5, (0.01, 0.05), 10**8)
+        # a sample count too large for a float is refused, not overflowed
+        with pytest.raises(ValueError, match="order terms"):
+            curve(CurveKind.ZERO_ORDER_SHARE, 0.5, (1.0, 2.0), 10**400)
 
     def test_probability_curve_validation(self):
         with pytest.raises(ValueError, match="strictly increasing"):
