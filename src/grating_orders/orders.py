@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -53,8 +55,10 @@ EDGE_OFFSET = 1e-6
 # admitted, so an order placed at its own threshold ties inclusively.
 EPS_TIE = 1e-9
 
-# Most order terms one ``curve`` call may sum: each of its samples re-sums
-# every order up to the top of the range.
+# Most order terms one sum may take. ``propagating_orders`` refuses an alpha_t
+# that admits more orders, so no scalar function or ``order_table`` starts a
+# longer sum; ``curve`` refuses a request whose estimate, every order up to
+# the top of the range once per sample, exceeds it.
 MAX_ORDER_TERMS = 10**7
 
 
@@ -93,7 +97,9 @@ def propagating_orders(alpha_t: float, sigma: float) -> range:
     evaluates, is at most the cap alpha_t + EPS_TIE, so an order sitting
     exactly at alpha_t counts. Positions never decrease with j, so the two
     walks from the estimate cap / (pi sigma), which test that one condition,
-    stop at the last admitted order.
+    stop at the last admitted order. An alpha_t that admits order
+    MAX_ORDER_TERMS + 1 is refused before the walks, which past about 2**53
+    orders would no longer advance.
     """
     at = as_alpha(alpha_t)
     if at <= 0:
@@ -101,6 +107,11 @@ def propagating_orders(alpha_t: float, sigma: float) -> range:
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma!r}")
     cap = at + EPS_TIE
+    if (MAX_ORDER_TERMS + 1) * math.pi * sigma <= cap:
+        raise ValueError(
+            f"alpha_t={at!r} admits more than {MAX_ORDER_TERMS:.3g} order terms "
+            f"at sigma={sigma!r}"
+        )
     n = int(cap / (math.pi * sigma))
     while (n + 1) * math.pi * sigma <= cap:
         n += 1
@@ -112,6 +123,23 @@ def propagating_orders(alpha_t: float, sigma: float) -> range:
 def _envelope_sum(alpha_t: float, sigma: float) -> float:
     n = propagating_orders(alpha_t, sigma)[-1]
     return 1.0 + 2.0 * math.fsum(sinc_sq_at_order(j, sigma) for j in range(1, n + 1))
+
+
+def _order_terms(n: int, sigma: float) -> array:
+    """sinc^2 at orders 0..n, indexed by |j|, stored at 8 bytes each."""
+    return array("d", (sinc_sq_at_order(j, sigma) for j in range(n + 1)))
+
+
+def _normalized(at: float, sigma: float, envelope: float) -> float:
+    return math.pi * sigma * envelope / sinc_sq_integral(Interval(-at, at))
+
+
+def _occupation(at: float, sigma: float, envelope: float) -> float:
+    return 1.0 / _normalized(at, sigma, envelope)
+
+
+def _share(at: float, sigma: float, envelope: float) -> float:
+    return 1.0 / envelope
 
 
 def output_probability(alpha_t: float, n_slits: int) -> float:
@@ -145,8 +173,7 @@ def normalized_resultant_probability(alpha_t: float, sigma: float) -> float:
             f"alpha_t={at!r} below pi*sigma={math.pi * sigma!r}; "
             "normalized resultant probability is defined for alpha_t >= pi*sigma"
         )
-    strip_sum = math.pi * sigma * _envelope_sum(at, sigma)
-    return strip_sum / sinc_sq_integral(Interval(-at, at))
+    return _normalized(at, sigma, _envelope_sum(at, sigma))
 
 
 def order_probability(j: int, alpha_t: float, sigma: float) -> float:
@@ -196,7 +223,7 @@ def zero_order_share(alpha_t: float, sigma: float) -> float:
     changes, and only at orders that are not envelope nulls.
     """
     at = as_alpha(alpha_t)
-    return 1.0 / _envelope_sum(at, sigma)
+    return _share(at, sigma, _envelope_sum(at, sigma))
 
 
 def zero_order_energy(alpha_t: float, sigma: float, e_o: float = 1.0) -> float:
@@ -245,23 +272,26 @@ def order_table(spec: GratingSpec) -> OrderTable:
     sigma = spec.duty_sigma
     orders = propagating_orders(at, sigma)
     denom = sinc_sq_integral(Interval(-at, at))
-    p_by_j = {j: math.pi * sigma * sinc_sq_at_order(j, sigma) / denom for j in orders}
-    p_r = math.fsum(p_by_j.values())
+    # Each |j| is evaluated once; sinc^2 is even in j bit for bit.
+    p_abs = [math.pi * sigma * term / denom for term in _order_terms(orders[-1], sigma)]
+    p_r = math.fsum(p_abs[abs(j)] for j in orders)
     omega = 1.0 / p_r
     rows = []
     for j in orders:
-        p = p_by_j[j]
+        p = p_abs[abs(j)]
         share = p / p_r
         rows.append(OrderRow(j=j, p_rj=p, energy_share=share, omega_j=share / p if p > 0 else omega))
     e_r = math.fsum(r.energy_share for r in rows)
     return OrderTable(grating=spec, rows=tuple(rows), p_r=p_r, e_r=e_r, omega=omega)
 
 
+# Each kind as f(alpha_t, sigma, envelope), the arithmetic its public scalar
+# applies to the same envelope sum.
 _CURVE_FUNCS = {
-    CurveKind.RESULTANT_PROBABILITY: normalized_resultant_probability,
-    CurveKind.OCCUPATION: occupation_value,
-    CurveKind.ZERO_ORDER_SHARE: zero_order_share,
-    CurveKind.ZERO_ORDER_ENERGY: zero_order_energy,  # at unit total output energy
+    CurveKind.RESULTANT_PROBABILITY: _normalized,
+    CurveKind.OCCUPATION: _occupation,
+    CurveKind.ZERO_ORDER_SHARE: _share,
+    CurveKind.ZERO_ORDER_ENERGY: _share,  # at unit total output energy
 }
 
 
@@ -277,6 +307,10 @@ def curve(
     position inside the range so threshold discontinuities are resolved as
     two-sided limits instead of being aliased by the background grid. A
     request whose order sum would exceed MAX_ORDER_TERMS terms is refused.
+
+    Every ordinate equals the scalar function at its abscissa bit for bit:
+    each order's sinc^2 is evaluated once per call, and each distinct order
+    count n gets the scalar's correctly rounded sum of the first n terms.
     """
     kind = CurveKind(kind)
     if not 0.0 < sigma < 1.0:
@@ -317,6 +351,10 @@ def curve(
     above = aj + EDGE_OFFSET
     pts = np.unique(np.concatenate([grid, below[below > lo], above[above < hi]]))
 
+    alphas = pts.tolist()
+    counts = [propagating_orders(at, sigma)[-1] for at in alphas]
+    terms = _order_terms(max(counts), sigma)
+    envelopes = {n: 1.0 + 2.0 * math.fsum(islice(terms, 1, n + 1)) for n in set(counts)}
     f = _CURVE_FUNCS[kind]
-    values = np.array([f(at, sigma) for at in pts])
+    values = np.array([f(at, sigma, envelopes[n]) for at, n in zip(alphas, counts)])
     return ProbabilityCurve(abscissa=pts, ordinate=values, kind=kind)

@@ -121,7 +121,10 @@ def si(x: float) -> float:
 
 
 def _sinc_sq_primitive(x: float) -> float:
-    # d/dx [Si(2x) - sin^2(x)/x] = sinc^2(x); the primitive vanishes at 0.
+    # d/dx [Si(2x) - sin^2(x)/x] = sinc^2(x); the primitive vanishes at 0 and
+    # is odd, so a negative argument reuses the positive one.
+    if x < 0.0:
+        return -_sinc_sq_primitive(-x)
     if x == 0.0:
         return 0.0
     s = math.sin(x)
@@ -129,7 +132,12 @@ def _sinc_sq_primitive(x: float) -> float:
 
 
 def sinc_sq_integral(iv: Interval) -> float:
-    """Integral of sinc^2(alpha) over [lo, hi] via the Si closed form."""
+    """Integral of sinc^2(alpha) over [lo, hi] via the Si closed form.
+
+    A symmetric interval [-a, a] costs one primitive: p - (-p) is exactly 2p.
+    """
+    if iv.lo == -iv.hi:
+        return 2.0 * _sinc_sq_primitive(iv.hi)
     return _sinc_sq_primitive(iv.hi) - _sinc_sq_primitive(iv.lo)
 
 

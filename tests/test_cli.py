@@ -184,6 +184,16 @@ class TestOmegaCommand:
         assert "--w or --j-equiv" in err
 
 
+@pytest.mark.parametrize("subcommand", ["omega", "table"])
+def test_order_term_bound(subcommand, tmp_path, monkeypatch, capsys):
+    # ~6e299 propagating orders: refused at once instead of summed
+    code, out, err = run([subcommand, "--j-equiv", "1e300"], tmp_path, monkeypatch, capsys)
+    assert code == 2
+    assert "order terms" in err
+    assert out == ""
+    assert not (tmp_path / "table.csv").exists()
+
+
 class TestExperimentCommand:
     def test_synthetic_loop(self, tmp_path, monkeypatch, capsys):
         code, out, _ = run(

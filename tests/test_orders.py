@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from grating_orders.diffraction import GratingSpec, order_alpha, sinc_sq_at_order
 from grating_orders.orders import (
+    EDGE_OFFSET,
     EPS_TIE,
     MAX_ORDER_TERMS,
     CurveKind,
@@ -248,6 +249,39 @@ class TestZeroOrderShare:
             zero_order_energy(2.0, 0.5, 0.0)
 
 
+class TestOrderSumBound:
+    # The first count over the bound, and one far past any count that could
+    # finish: both are refused before a single term is summed.
+    TOO_MANY = [order_alpha(MAX_ORDER_TERMS + 1, 0.5), 1e300]
+
+    def test_last_admitted_count(self):
+        at = order_alpha(MAX_ORDER_TERMS, 0.5)
+        assert propagating_orders(at, 0.5)[-1] == MAX_ORDER_TERMS
+
+    @pytest.mark.parametrize("at", TOO_MANY)
+    @pytest.mark.parametrize(
+        "f",
+        [
+            normalized_resultant_probability,
+            occupation_value,
+            zero_order_share,
+            zero_order_energy,
+            lambda at, sigma: resultant_sum(at, sigma, 257),
+            lambda at, sigma: order_probability(0, at, sigma),
+            propagating_orders,
+        ],
+    )
+    def test_scalar_sums_are_bounded(self, f, at):
+        with pytest.raises(ValueError, match="order terms"):
+            f(at, 0.5)
+
+    @pytest.mark.parametrize("at", TOO_MANY)
+    def test_order_table_is_bounded(self, at):
+        spec = GratingSpec.from_truncation(at, LAMBDA, 0.5, 257)
+        with pytest.raises(ValueError, match="order terms"):
+            order_table(spec)
+
+
 class TestOrderTable:
     @pytest.fixture()
     def g316(self):
@@ -358,6 +392,27 @@ class TestCurve:
         s = curve(CurveKind.ZERO_ORDER_SHARE, 0.5, (1.0, 7.0), 50)
         assert np.array_equal(e.abscissa, s.abscissa)
         assert np.array_equal(e.ordinate, s.ordinate)
+
+    @pytest.mark.parametrize("sigma", [0.5, 1 / 3, 1 / 16, 1 / 48])
+    @pytest.mark.parametrize("kind", list(CurveKind))
+    def test_ordinates_equal_scalar(self, kind, sigma):
+        # The shared order table and the per-count sums give the scalar's
+        # float exactly, on both sides of every inserted threshold edge and,
+        # for the share kinds, below the first order.
+        scalar = {
+            CurveKind.RESULTANT_PROBABILITY: normalized_resultant_probability,
+            CurveKind.OCCUPATION: occupation_value,
+            CurveKind.ZERO_ORDER_SHARE: zero_order_share,
+            CurveKind.ZERO_ORDER_ENERGY: zero_order_energy,
+        }[kind]
+        step = math.pi * sigma
+        lo = step if kind in (CurveKind.RESULTANT_PROBABILITY, CurveKind.OCCUPATION) else 0.3 * step
+        c = curve(kind, sigma, (lo, 41.5 * step), 101)
+        alphas = c.abscissa.tolist()
+        for j in (2, 17, 41):
+            aj = order_alpha(j, sigma)
+            assert aj - EDGE_OFFSET in alphas and aj + EDGE_OFFSET in alphas
+        assert c.ordinate.tolist() == [scalar(at, sigma) for at in alphas]
 
     def test_domain_validation(self):
         with pytest.raises(ValueError, match="pi\\*sigma"):

@@ -4,10 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grating_orders.diffraction import grating_factor, sinc_sq
+from grating_orders.diffraction import grating_factor, order_alpha, sinc_sq
 from grating_orders.quadrature import (
     Interval,
     QuadratureError,
+    _sinc_sq_primitive,
     adaptive_integrate,
     grating_factor_subinterval_integral,
     si,
@@ -108,11 +109,55 @@ class TestSincSqIntegral:
             oracle = adaptive_integrate(sinc_sq_plain, Interval(lo, hi), 1e-10)
             assert abs(closed - oracle.value) <= 1e-8
 
+    def test_symmetric_interval_is_two_sided_difference(self):
+        # The odd primitive and the one-primitive symmetric integral give the
+        # floats the two-sided closed form gives, order edges included.
+        def two_sided(x):
+            s = math.sin(x)
+            return si(2.0 * x) - s * s / x
+
+        rng = random.Random(5)
+        edges = [order_alpha(j, sigma) for sigma in (0.5, 1 / 3, 1 / 16, 0.3) for j in range(1, 600)]
+        for x in edges + [rng.uniform(1e-3, 3e4) for _ in range(1000)]:
+            assert _sinc_sq_primitive(-x) == -_sinc_sq_primitive(x) == two_sided(-x)
+            assert sinc_sq_integral(Interval(-x, x)) == two_sided(x) - two_sided(-x)
+
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             Interval(2.0, 1.0)
         with pytest.raises(ValueError):
             Interval(0.0, float("inf"))
+
+
+class TestMpmathOracle:
+    # 50-digit references; the stated accuracy is 1e-10 absolute. The worst
+    # errors sit just below the x = 16 switch from series to continued
+    # fraction, where the alternating series cancels.
+    GRID = [k * 0.05 for k in range(1, 2401)] + [15.5 + k * 0.001 for k in range(1001)]
+
+    @pytest.fixture()
+    def mp(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            yield mpmath
+
+    def test_si(self, mp):
+        for x in self.GRID:
+            assert abs(si(x) - float(mp.si(x))) <= 1e-10, x
+            assert abs(si(-x) - float(mp.si(-x))) <= 1e-10, x
+
+    def test_envelope_integral(self, mp):
+        def primitive(x):
+            x = mp.mpf(x)
+            return mp.si(2 * x) - mp.sin(x) ** 2 / x
+
+        rng = random.Random(9)
+        for x in self.GRID:
+            a = x / 2.0
+            assert abs(sinc_sq_integral(Interval(-a, a)) - float(2 * primitive(a))) <= 1e-10, a
+            lo = rng.uniform(-60.0, a)
+            oracle = primitive(a) - primitive(lo)
+            assert abs(sinc_sq_integral(Interval(lo, a)) - float(oracle)) <= 1e-10, (lo, a)
 
 
 class TestAdaptiveIntegrate:

@@ -1,0 +1,44 @@
+"""The benchmark's tracer still finds and sees every attribute it wraps.
+
+bench/tracing.py times layers by replacing module attributes of the package
+(``orders.propagating_orders``, ``orders.sinc_sq_at_order``,
+``orders.sinc_sq_integral``, ``quadrature.si``, ...), which works only while
+the package looks those names up at call time. A rename or a call that binds
+the function early fails here rather than only in a traced benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from grating_orders import figures, orders, quadrature
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_sees_every_patch_point():
+    originals = (orders.propagating_orders, orders.sinc_sq_at_order,
+                 orders.sinc_sq_integral, orders.curve, quadrature.si, figures.curve)
+    untraced = orders.curve("occupation", 1 / 16, (1.0, 3.0), 40)
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        traced = orders.curve("occupation", 1 / 16, (1.0, 3.0), 40)
+        share = orders.zero_order_share(2.0, 1 / 16)
+    finally:
+        tracer.uninstall()
+    assert (orders.propagating_orders, orders.sinc_sq_at_order, orders.sinc_sq_integral,
+            orders.curve, quadrature.si, figures.curve) == originals
+    assert traced.abscissa.tobytes() == untraced.abscissa.tobytes()
+    assert traced.ordinate.tobytes() == untraced.ordinate.tobytes()
+    assert share == orders.zero_order_share(2.0, 1 / 16)
+    for name in ("orders.curve", "orders.propagating_orders", "diffraction.sinc_sq_at_order",
+                 "quadrature.sinc_sq_integral", "quadrature.si"):
+        assert tracer.stats[name][0] > 0, name
+    assert tracer.counts["orders.curve.points"] == traced.abscissa.size
