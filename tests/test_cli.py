@@ -194,6 +194,23 @@ def test_order_term_bound(subcommand, tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "table.csv").exists()
 
 
+def test_table_row_bound(tmp_path, monkeypatch, capsys):
+    # n = 500000 orders on each side: 1000001 rows, one over the bound,
+    # refused before a single order term is evaluated
+    from grating_orders import orders
+
+    def no_terms(j, sigma):
+        raise AssertionError("an order term was evaluated")
+
+    monkeypatch.setattr(orders, "sinc_sq_at_order", no_terms)
+    assert 2 * 500000 + 1 == orders.MAX_TABLE_ROWS + 1
+    code, out, err = run(["table", "--j-equiv", "500000"], tmp_path, monkeypatch, capsys)
+    assert code == 2
+    assert "rows" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestExperimentCommand:
     def test_synthetic_loop(self, tmp_path, monkeypatch, capsys):
         code, out, _ = run(

@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grating_orders import quadrature
 from grating_orders.diffraction import GratingSpec, order_alpha, sinc_sq_at_order
 from grating_orders.orders import (
     EDGE_OFFSET,
     EPS_TIE,
     MAX_ORDER_TERMS,
+    MAX_TABLE_ROWS,
+    _order_counts,
+    _si_continued_fraction_array,
+    _symmetric_sinc_sq_integrals,
     CurveKind,
     ProbabilityCurve,
     curve,
@@ -23,7 +28,7 @@ from grating_orders.orders import (
     zero_order_energy,
     zero_order_share,
 )
-from grating_orders.quadrature import Interval, adaptive_integrate
+from grating_orders.quadrature import Interval, adaptive_integrate, sinc_sq_integral
 
 LAMBDA = 633.0
 ALPHA_3 = float(order_alpha(3, 0.5))
@@ -64,6 +69,13 @@ class TestPropagatingOrders:
             at = order_alpha(j, sigma)
             assert propagating_orders(at, sigma)[-1] == j
 
+    @pytest.mark.parametrize("sigma", [1e-10, 1e-11])
+    def test_tie_stays_below_next_order(self, sigma):
+        # orders closer together than EPS_TIE: the tie shrinks to a quarter
+        # spacing, so an order at its own threshold admits no later order
+        for j in range(1, 2000):
+            assert propagating_orders(order_alpha(j, sigma), sigma)[-1] == j
+
     def test_requires_positive_alpha_t(self):
         with pytest.raises(ValueError):
             propagating_orders(0.0, 0.5)
@@ -76,6 +88,45 @@ class TestPropagatingOrders:
         assert orders == range(-n, n + 1)
         assert n * math.pi * sigma <= at + EPS_TIE
         assert (n + 1) * math.pi * sigma > at + EPS_TIE
+
+    @given(st.floats(1e-3, 1e4), st.floats(1e-3, 1e4), st.floats(1e-3, 0.99))
+    @settings(max_examples=300)
+    def test_count_never_decreases_with_alpha_t(self, a, b, sigma):
+        lo, hi = sorted((a, b))
+        assert propagating_orders(lo, sigma)[-1] <= propagating_orders(hi, sigma)[-1]
+
+
+SIGMAS = st.one_of(st.floats(1e-3, 0.99), st.floats(1e-11, 1e-8))
+
+
+class TestArrayOrderCounts:
+    """The array counts of ``curve`` against the scalar propagating_orders."""
+
+    @staticmethod
+    def near(x, steps):
+        # x and the floats up to ``steps`` ulps either side of it
+        pts = [x]
+        up = down = x
+        for _ in range(steps):
+            up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+            pts += [up, down]
+        return pts
+
+    @given(st.integers(1, 10**6), SIGMAS)
+    @settings(max_examples=300)
+    def test_equal_scalar_at_and_within_tie_of_threshold(self, j, sigma):
+        aj = order_alpha(j, sigma)
+        tie = min(EPS_TIE, math.pi * sigma / 4)
+        pts = [p for c in (aj, aj - tie, aj + tie, aj - EDGE_OFFSET, aj + EDGE_OFFSET)
+               for p in self.near(c, 3) if p > 0]
+        expected = [propagating_orders(p, sigma)[-1] for p in pts]
+        assert _order_counts(np.array(pts), sigma).tolist() == expected
+
+    @given(st.lists(st.floats(1e-3, 3e3), min_size=1, max_size=50), st.floats(1e-3, 0.99))
+    @settings(max_examples=200)
+    def test_equal_scalar_anywhere(self, alphas, sigma):
+        expected = [propagating_orders(p, sigma)[-1] for p in alphas]
+        assert _order_counts(np.array(alphas), sigma).tolist() == expected
 
 
 class TestOutputProbability:
@@ -187,6 +238,11 @@ class TestOccupationValue:
         product = occupation_value(at, sigma) * normalized_resultant_probability(at, sigma)
         assert abs(product - 1.0) <= 1e-12
 
+    @given(st.floats(1.8, 100.0), st.floats(0.01, 0.57))
+    @settings(max_examples=200)
+    def test_exact_reciprocal(self, at, sigma):
+        assert occupation_value(at, sigma) == 1.0 / normalized_resultant_probability(at, sigma)
+
 
 class TestOmegaFromDeltaP:
     def test_zero_excursion(self):
@@ -279,6 +335,14 @@ class TestOrderSumBound:
     def test_order_table_is_bounded(self, at):
         spec = GratingSpec.from_truncation(at, LAMBDA, 0.5, 257)
         with pytest.raises(ValueError, match="order terms"):
+            order_table(spec)
+
+    def test_order_table_row_bound(self):
+        # the last accepted row count is not built here; one row more is refused
+        n = (MAX_TABLE_ROWS - 1) // 2
+        assert propagating_orders(order_alpha(n, 0.5), 0.5)[-1] == n
+        spec = GratingSpec.from_truncation(order_alpha(n + 1, 0.5), LAMBDA, 0.5, 257)
+        with pytest.raises(ValueError, match="rows"):
             order_table(spec)
 
 
@@ -414,6 +478,43 @@ class TestCurve:
             assert aj - EDGE_OFFSET in alphas and aj + EDGE_OFFSET in alphas
         assert c.ordinate.tolist() == [scalar(at, sigma) for at in alphas]
 
+    @given(
+        st.sampled_from(list(CurveKind)),
+        st.floats(1e-3, 0.99),
+        st.floats(1.0, 100.0),
+        st.floats(0.01, 60.0),
+        st.integers(2, 40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_curves_equal_scalar(self, kind, sigma, j_lo, j_width, samples):
+        scalar = {
+            CurveKind.RESULTANT_PROBABILITY: normalized_resultant_probability,
+            CurveKind.OCCUPATION: occupation_value,
+            CurveKind.ZERO_ORDER_SHARE: zero_order_share,
+            CurveKind.ZERO_ORDER_ENERGY: zero_order_energy,
+        }[kind]
+        lo = j_lo * math.pi * sigma
+        hi = lo + j_width * math.pi * sigma
+        c = curve(kind, sigma, (lo, hi), samples)
+        alphas = c.abscissa.tolist()
+        assert c.ordinate.tolist() == [scalar(at, sigma) for at in alphas]
+        counts = [propagating_orders(at, sigma)[-1] for at in alphas]
+        assert _order_counts(c.abscissa, sigma).tolist() == counts
+
+    @pytest.mark.parametrize("sigma", [1e-6, 2e-7, 1e-7])
+    def test_edge_samples_admit_their_own_order(self, sigma):
+        # Orders here are pi*sigma <= 3.2e-6 apart; each edge sample stays
+        # within a quarter spacing of its order, on the side it labels.
+        step = math.pi * sigma
+        c = curve(CurveKind.ZERO_ORDER_SHARE, sigma, (100.33 * step, 110 * step), 2)
+        alphas = c.abscissa.tolist()
+        edge = min(EDGE_OFFSET, step / 4)
+        for j in range(101, 110):
+            aj = order_alpha(j, sigma)
+            assert aj - edge in alphas and aj + edge in alphas
+            assert propagating_orders(aj + edge, sigma)[-1] == j
+            assert propagating_orders(aj - edge, sigma)[-1] == j - 1
+
     def test_domain_validation(self):
         with pytest.raises(ValueError, match="pi\\*sigma"):
             curve(CurveKind.RESULTANT_PROBABILITY, 0.5, (math.pi / 4, math.pi), 10)
@@ -449,3 +550,47 @@ class TestCurve:
         with pytest.raises(ValueError, match="finite and positive"):
             ProbabilityCurve(np.array([1.0, 2.0]), np.array([1.0, -1.0]),
                              CurveKind.ZERO_ORDER_SHARE)
+
+
+class TestArraySi:
+    """The array continued fraction and envelope integral of ``curve``."""
+
+    def test_continued_fraction_equals_scalar(self):
+        rng = np.random.default_rng(20111)
+        above_cutoff = [16.0]
+        for _ in range(200):
+            above_cutoff.append(math.nextafter(above_cutoff[-1], math.inf))
+        x = np.concatenate([
+            rng.uniform(16.0, 2e5, 200_000),
+            rng.uniform(16.0, 60.0, 20_000),
+            np.array(above_cutoff[1:]),
+            16.0 + rng.uniform(0.0, 1e-6, 1000),
+            np.array([2e5]),
+        ])
+        assert x.min() > 16.0 and x.max() <= 2e5
+        got = _si_continued_fraction_array(x)
+        assert got.tolist() == [quadrature._si_continued_fraction(v) for v in x.tolist()]
+
+    def test_empty(self):
+        assert _si_continued_fraction_array(np.array([])).size == 0
+
+    def test_non_convergence_raises(self, monkeypatch):
+        x = np.array([17.0, 500.0, 1e5])
+        monkeypatch.setattr(quadrature, "_CF_MAX_ITER", 4)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            quadrature._si_continued_fraction(17.0)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            _si_continued_fraction_array(x)
+
+    def test_nan_does_not_converge(self):
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            quadrature._si_continued_fraction(math.nan)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            _si_continued_fraction_array(np.array([20.0, math.nan]))
+
+    def test_symmetric_integrals_equal_scalar(self):
+        rng = np.random.default_rng(48)
+        a = np.concatenate([rng.uniform(1e-3, 8.0, 1000), rng.uniform(8.0, 1e5, 3000),
+                            np.array([8.0, math.nextafter(8.0, math.inf)])])
+        expected = [sinc_sq_integral(Interval(-v, v)) for v in a.tolist()]
+        assert _symmetric_sinc_sq_integrals(a).tolist() == expected

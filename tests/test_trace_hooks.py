@@ -31,6 +31,9 @@ def test_tracer_sees_every_patch_point():
     try:
         traced = orders.curve("occupation", 1 / 16, (1.0, 3.0), 40)
         share = orders.zero_order_share(2.0, 1 / 16)
+        # curve evaluates the envelope integral in one array pass, so the
+        # scalar path is what reaches sinc_sq_integral and Si's patch points.
+        omega = orders.occupation_value(2.0, 1 / 16)
     finally:
         tracer.uninstall()
     assert (orders.propagating_orders, orders.sinc_sq_at_order, orders.sinc_sq_integral,
@@ -38,6 +41,7 @@ def test_tracer_sees_every_patch_point():
     assert traced.abscissa.tobytes() == untraced.abscissa.tobytes()
     assert traced.ordinate.tobytes() == untraced.ordinate.tobytes()
     assert share == orders.zero_order_share(2.0, 1 / 16)
+    assert omega == orders.occupation_value(2.0, 1 / 16)
     for name in ("orders.curve", "orders.propagating_orders", "diffraction.sinc_sq_at_order",
                  "quadrature.sinc_sq_integral", "quadrature.si"):
         assert tracer.stats[name][0] > 0, name
