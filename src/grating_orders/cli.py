@@ -1,7 +1,7 @@
 """Command-line interface: figure data, order tables, occupation queries, experiments.
 
 Exit codes: 0 success, 2 invalid usage or parameters (with a one-line
-diagnostic naming the violated precondition), 3 numerical failure.
+diagnostic naming the violated precondition).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .figures import (
     write_dataset,
 )
 from .orders import EDGE_OFFSET, CurveKind, occupation_value, order_table
-from .quadrature import QuadratureError
 
 OUTDIR_ENV = "GRATING_ORDERS_OUTDIR"
 
@@ -196,9 +195,7 @@ def _spec_from_args(args: argparse.Namespace) -> GratingSpec:
 def _run_table(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     table = order_table(spec)
-    dataset = dataset_from_order_table(
-        table, figure_id="table", extra_params={"j_equiv": equivalent_order(spec)}
-    )
+    dataset = dataset_from_order_table(table, equivalent_order(spec))
     _write(dataset, args, "table")
     print(f"grating j-equiv {equivalent_order(spec):.4f}: "
           f"P_r = {table.p_r:.6f}, E_r = {table.e_r:.6f}, omega = {table.omega:.6f}")
@@ -297,9 +294,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return run(args)
-    except QuadratureError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

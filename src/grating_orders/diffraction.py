@@ -121,9 +121,11 @@ def truncation_alpha(spec: GratingSpec) -> float:
 def order_alpha(j: int, sigma: float) -> float:
     """Position alpha_j = j pi sigma of the j-th principal interference order.
 
-    Evaluated as (j * pi) * sigma; ``orders.propagating_orders`` compares
-    orders against truncation with this same expression, so an order placed
-    at its own threshold ties exactly.
+    Evaluated as (j * pi) * sigma, for an int j or an int64 array of orders
+    (the same floats while |j| < 2**53). ``orders`` takes every order
+    position from here: the inclusion rule of ``propagating_orders``, and a
+    curve's order counts and edge samples. So an order placed at its own
+    threshold ties exactly.
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma!r}")

@@ -160,9 +160,16 @@ def write_dataset(dataset: FigureDataset, path: Path | str, fmt: str = "csv") ->
     return path
 
 
-def dataset_from_order_table(
-    table: OrderTable, figure_id: str = "table", extra_params: dict | None = None
-) -> FigureDataset:
+def _signed(column, n: int) -> np.ndarray:
+    """A column indexed by |j| at the orders -n..n, zero past its last order."""
+    values = np.zeros(n + 1)
+    values[: len(column)] = column
+    return values[np.abs(np.arange(-n, n + 1))]
+
+
+def dataset_from_order_table(table: OrderTable, j_equiv: float) -> FigureDataset:
+    """The ``table`` dataset: one row per signed order j, with the grating in the header."""
+    n = len(table.p_rj) - 1
     params = {
         "w_nm": table.grating.slit_width_w,
         "lambda_nm": table.grating.wavelength_lambda,
@@ -171,14 +178,14 @@ def dataset_from_order_table(
         "total_p_r": table.p_r,
         "total_e_r": table.e_r,
         "omega": table.omega,
+        "j_equiv": j_equiv,
     }
-    params.update(extra_params or {})
-    rows = [[r.j, r.p_rj, r.energy_share, r.omega_j] for r in table.rows]
+    columns = (table.p_rj, table.e_rj, table.omega_j)
     return FigureDataset(
-        figure_id=figure_id,
+        figure_id="table",
         params=params,
         columns=("j", "p_rj", "e_rj", "omega_j"),
-        rows=np.asarray(rows, dtype=float),
+        rows=np.column_stack([np.arange(-n, n + 1), *(_signed(c, n) for c in columns)]),
     )
 
 
@@ -295,15 +302,12 @@ def build_figure(
         for label, at in (("minus", a3 - EDGE_OFFSET), ("plus", a3 + EDGE_OFFSET)):
             spec = GratingSpec.from_truncation(at, WAVELENGTH_NM, sig, n)
             tables[label] = order_table(spec)
-        js = sorted({r.j for r in tables["plus"].rows} | {r.j for r in tables["minus"].rows})
-        by_j = {label: {r.j: r for r in t.rows} for label, t in tables.items()}
-        rows = []
-        for j in js:
-            row = [j]
-            for label in ("minus", "plus"):
-                r = by_j[label].get(j)
-                row.extend([r.p_rj, r.energy_share] if r else [0.0, 0.0])
-            rows.append(row)
+        # The order count never falls as alpha_t grows, so the plus table
+        # spans every order the minus table has; minus reads zero beyond it.
+        top = len(tables["plus"].p_rj) - 1
+        columns = [np.arange(-top, top + 1)]
+        for t in (tables["minus"], tables["plus"]):
+            columns += [_signed(t.p_rj, top), _signed(t.e_rj, top)]
         params = {
             "sigma": sig, "n_slits": n, "alpha_offset": EDGE_OFFSET, "lambda_nm": WAVELENGTH_NM
         }
@@ -320,7 +324,7 @@ def build_figure(
             figure_id="fig8",
             params=params,
             columns=("j", "p_rj_minus", "e_rj_minus", "p_rj_plus", "e_rj_plus"),
-            rows=np.asarray(rows, dtype=float),
+            rows=np.column_stack(columns),
         )
 
     # fig9: 0th-order energy step function (unit total output energy)

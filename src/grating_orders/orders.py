@@ -23,6 +23,7 @@ from . import quadrature
 from .diffraction import (
     GratingSpec,
     as_alpha,
+    order_alpha,
     sinc_sq_at_order,
     truncation_alpha,
 )
@@ -31,7 +32,6 @@ from .quadrature import Interval, sinc_sq_integral
 __all__ = [
     "CurveKind",
     "ProbabilityCurve",
-    "OrderRow",
     "OrderTable",
     "propagating_orders",
     "output_probability",
@@ -62,9 +62,11 @@ EPS_TIE = 1e-9
 # the top of the range once per sample, exceeds it.
 MAX_ORDER_TERMS = 10**7
 
-# Most rows ``order_table`` builds. A table row costs about 400 B of peak
-# memory through ``table`` (row object, dataset row and CSV text: 75 MB at
-# 1e5 rows, 195 MB at 4e5), so the largest accepted table needs about 450 MB.
+# Most signed orders (table rows) ``order_table`` accepts. Its columns hold
+# 24 B per |j|; through ``table`` a row costs about 270 B of peak memory,
+# mostly dataset row and CSV text. Peak RSS of a whole ``table`` process
+# (29 MB before the table; Python 3.11, numpy 2.4, x86-64 Linux) is 56 MB at
+# 1e5 rows, 116 MB at 4e5 and 298 MB at the largest accepted table.
 MAX_TABLE_ROWS = 10**6
 
 
@@ -77,16 +79,6 @@ def _tie(sigma: float) -> float:
 
 def _edge(sigma: float) -> float:
     return min(EDGE_OFFSET, math.pi * sigma / 4)
-
-
-def _admits(j, sigma: float, cap):
-    """The one inclusion rule: order j counts when j * pi * sigma <= cap.
-
-    j * pi * sigma is the expression ``order_alpha`` evaluates, and cap is
-    alpha_t plus the tie tolerance. j and cap may be an int and a float, or
-    an int64 and a float64 array (exact while j < 2**53); both round alike.
-    """
-    return j * math.pi * sigma <= cap
 
 
 class CurveKind(str, enum.Enum):
@@ -120,11 +112,11 @@ class ProbabilityCurve:
 def propagating_orders(alpha_t: float, sigma: float) -> range:
     """Symmetric set {-n, ..., n} of orders admitted below truncation, as a range.
 
-    Order j is admitted when j * pi * sigma, the expression ``order_alpha``
-    evaluates, is at most the cap alpha_t + EPS_TIE (``_admits``; the tie
-    shrinks to pi sigma / 4 for sigma below about 1.3e-9), so an order
-    sitting exactly at alpha_t counts. Positions never decrease with j, so
-    the two walks from the estimate cap / (pi sigma), which test that one
+    Order j is admitted when its position ``order_alpha(j, sigma)`` is at
+    most the cap alpha_t + EPS_TIE (the tie shrinks to pi sigma / 4 for
+    sigma below about 1.3e-9), so an order sitting exactly at alpha_t
+    counts. This is the one inclusion rule. Positions never decrease with j,
+    so the two walks from the estimate cap / (pi sigma), which test that one
     condition, stop at the last admitted order. An alpha_t that admits order
     MAX_ORDER_TERMS + 1 is refused before the walks, which past about 2**53
     orders would no longer advance.
@@ -135,15 +127,15 @@ def propagating_orders(alpha_t: float, sigma: float) -> range:
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma!r}")
     cap = at + _tie(sigma)
-    if _admits(MAX_ORDER_TERMS + 1, sigma, cap):
+    if order_alpha(MAX_ORDER_TERMS + 1, sigma) <= cap:
         raise ValueError(
             f"alpha_t={at!r} admits more than {MAX_ORDER_TERMS:.3g} order terms "
             f"at sigma={sigma!r}"
         )
     n = int(cap / (math.pi * sigma))
-    while _admits(n + 1, sigma, cap):
+    while order_alpha(n + 1, sigma) <= cap:
         n += 1
-    while not _admits(n, sigma, cap):  # stops at order 0, whose position 0.0 is within any cap
+    while order_alpha(n, sigma) > cap:  # stops at order 0, whose position 0.0 is within any cap
         n -= 1
     return range(-n, n + 1)
 
@@ -151,16 +143,14 @@ def propagating_orders(alpha_t: float, sigma: float) -> range:
 def _order_counts(alphas: np.ndarray, sigma: float) -> np.ndarray:
     """propagating_orders(at, sigma)[-1] at every alpha_t of a positive array.
 
-    The same estimate and the same two walks, one array step per walk step;
-    callers bound the counts by MAX_ORDER_TERMS.
+    The scalar rule gives the counts n_min and n_max at the two ends; every
+    cap lies in [pos(n_min), pos(n_max + 1)), and positions never decrease
+    with j, so the last position <= cap, found by one sorted search with
+    the scalar's own float comparison, is each point's count.
     """
-    cap = alphas + _tie(sigma)
-    n = (cap / (math.pi * sigma)).astype(np.int64)
-    while (up := _admits(n + 1, sigma, cap)).any():
-        n += up
-    while (down := ~_admits(n, sigma, cap)).any():
-        n -= down
-    return n
+    j = np.arange(propagating_orders(alphas.min(), sigma)[-1],
+                  propagating_orders(alphas.max(), sigma)[-1] + 2)
+    return j[np.searchsorted(order_alpha(j, sigma), alphas + _tie(sigma), side="right") - 1]
 
 
 def _envelope_sum(alpha_t: float, sigma: float) -> float:
@@ -284,19 +274,18 @@ def zero_order_energy(alpha_t: float, sigma: float, e_o: float = 1.0) -> float:
 
 
 @dataclass(frozen=True)
-class OrderRow:
-    j: int
-    p_rj: float
-    energy_share: float
-    omega_j: float
-
-
-@dataclass(frozen=True)
 class OrderTable:
-    """Per-order probability, energy share and occupation for one grating."""
+    """Per-order probability, energy share and occupation for one grating.
+
+    The columns hold orders 0..n indexed by |j|: orders +-j carry equal
+    values bit for bit, so each is stored once. The totals p_r and e_r sum
+    all 2n + 1 signed orders.
+    """
 
     grating: GratingSpec
-    rows: tuple[OrderRow, ...]
+    p_rj: array
+    e_rj: array
+    omega_j: array
     p_r: float
     e_r: float
     omega: float
@@ -305,14 +294,14 @@ class OrderTable:
 def order_table(spec: GratingSpec) -> OrderTable:
     """Tabulate every propagating order of the grating.
 
-    Rows are symmetric in +-j; orders at envelope nulls are listed with zero
-    probability rather than omitted. Energy shares are probability shares
-    (energy equilibrates in proportion to probability), so each row's
-    energy-to-probability ratio is the table occupation; null rows carry that
-    common value by convention. A grating with more than MAX_TABLE_ROWS rows
-    is refused before any row is built. Defined for any duty cycle, although
-    sigma away from 0.5 steps outside the square-wave-ruling setting the
-    table is normally read in.
+    Orders at envelope nulls are kept with zero probability rather than
+    omitted. Energy shares are probability shares (energy equilibrates in
+    proportion to probability), so each order's energy-to-probability ratio
+    is the table occupation; null orders carry that common value by
+    convention. A grating with more than MAX_TABLE_ROWS signed orders is
+    refused before any order is evaluated. Defined for any duty cycle,
+    although sigma away from 0.5 steps outside the square-wave-ruling
+    setting the table is normally read in.
     """
     at = truncation_alpha(spec)
     sigma = spec.duty_sigma
@@ -323,17 +312,13 @@ def order_table(spec: GratingSpec) -> OrderTable:
             "use omega for the totals"
         )
     denom = sinc_sq_integral(Interval(-at, at))
-    # Each |j| is evaluated once; sinc^2 is even in j bit for bit.
-    p_abs = [math.pi * sigma * term / denom for term in _order_terms(orders[-1], sigma)]
-    p_r = math.fsum(p_abs[abs(j)] for j in orders)
+    p_rj = array("d", (math.pi * sigma * term / denom for term in _order_terms(orders[-1], sigma)))
+    p_r = math.fsum(p_rj[abs(j)] for j in orders)
     omega = 1.0 / p_r
-    rows = []
-    for j in orders:
-        p = p_abs[abs(j)]
-        share = p / p_r
-        rows.append(OrderRow(j=j, p_rj=p, energy_share=share, omega_j=share / p if p > 0 else omega))
-    e_r = math.fsum(r.energy_share for r in rows)
-    return OrderTable(grating=spec, rows=tuple(rows), p_r=p_r, e_r=e_r, omega=omega)
+    e_rj = array("d", (p / p_r for p in p_rj))
+    omega_j = array("d", (e / p if p > 0 else omega for p, e in zip(p_rj, e_rj)))
+    e_r = math.fsum(e_rj[abs(j)] for j in orders)
+    return OrderTable(spec, p_rj, e_rj, omega_j, p_r, e_r, omega)
 
 
 def _cprod(ar, ai, br, bi):
@@ -445,9 +430,10 @@ def curve(
 
     Every ordinate equals the scalar function at its abscissa bit for bit,
     computed in one array pass rather than one scalar call per point: the
-    order counts come from the scalar's own inclusion test (``_admits``) on
-    an int64 array, each order's sinc^2 is evaluated once, each distinct
-    count n gets the scalar's correctly rounded fsum of the first n terms,
+    order counts come from ``propagating_orders`` at the ends of the range
+    and one sorted search over the ``order_alpha`` positions between them,
+    each order's sinc^2 is evaluated once, each distinct count n gets the
+    scalar's correctly rounded fsum of the first n terms,
     the per-kind arithmetic runs elementwise in the scalar's order, and the
     envelope integral uses the array Si continued fraction. On 64
     ``dense-sweep`` curves this halves the op CPU time (1.8-2x) against a
@@ -483,10 +469,9 @@ def curve(
         )
 
     grid = np.linspace(lo, hi, samples)
-    # Only orders near [lo, hi] are generated; j * pi * sigma rounds exactly
-    # as order_alpha does, so the masks below see the true order positions.
+    # Only orders near [lo, hi] are generated.
     j = np.arange(max(1, math.floor(lo / step)), math.ceil(hi / step) + 1)
-    aj = j * math.pi * sigma
+    aj = order_alpha(j, sigma)
     aj = aj[(aj > lo) & (aj < hi)]
     below = aj - _edge(sigma)
     above = aj + _edge(sigma)

@@ -213,13 +213,13 @@ def test_criterion_08_finite_reservoir_bias():
 def test_criterion_09_order_table_consistency():
     with _Budget("criterion 9 (order-table consistency)", 1.0):
         table = order_table(GratingSpec.ronchi(1000.0, LAMBDA, 257))
-        assert math.fsum(r.energy_share for r in table.rows) == pytest.approx(1.0, abs=1e-9)
+        orders = range(1 - len(table.p_rj), len(table.p_rj))
+        assert math.fsum(table.e_rj[abs(j)] for j in orders) == pytest.approx(1.0, abs=1e-9)
         assert table.e_r == pytest.approx(1.0, abs=1e-9)
-        for row in table.rows:
-            assert row.omega_j == pytest.approx(table.omega, abs=1e-9)
-        for row in table.rows:
-            if row.j % 2 == 0 and row.j != 0:
-                assert row.p_rj == 0.0
+        for omega_j in table.omega_j:
+            assert omega_j == pytest.approx(table.omega, abs=1e-9)
+        for j in range(2, len(table.p_rj), 2):
+            assert table.p_rj[j] == 0.0
 
 
 def test_criterion_10_cli_figures_are_deterministic(tmp_path, monkeypatch, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from grating_orders import __version__, cli
 from grating_orders.figures import load_dataset
-from grating_orders.quadrature import QuadratureError
 
 
 def run(argv, tmp_path, monkeypatch, capsys):
@@ -111,17 +110,6 @@ class TestFigureCommand:
         )
         assert code == 2
         assert "sigma" in err
-
-    def test_numerical_failure_exit_3(self, tmp_path, monkeypatch, capsys):
-        from grating_orders.quadrature import QuadratureResult
-
-        def boom(*a, **kw):
-            raise QuadratureError("forced", QuadratureResult(0.0, 1.0, 1))
-
-        monkeypatch.setattr(cli, "build_figure", boom)
-        code, _, err = run(["figure", "--id", "fig6"], tmp_path, monkeypatch, capsys)
-        assert code == 3
-        assert "numerical failure" in err
 
 
 class TestTableCommand:

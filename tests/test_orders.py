@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from grating_orders import quadrature
 from grating_orders.diffraction import GratingSpec, order_alpha, sinc_sq_at_order
+from grating_orders.figures import dataset_from_order_table
 from grating_orders.orders import (
     EDGE_OFFSET,
     EPS_TIE,
@@ -169,6 +170,17 @@ class TestResultantSum:
             dev = abs(normalized_resultant_probability(at, sigma) - 1.0)
             assert dev <= 2e-4 * sigma
 
+    @pytest.mark.parametrize("sigma", [1 / 2, 1 / 3, 0.3, 1 / 48])
+    def test_full_order_sum_closed_form(self, sigma):
+        # sum_{j>=1} sinc^2(j pi sigma) = (1 - sigma) / (2 sigma), from
+        # sum cos(j t) / j^2 = pi^2/6 - pi t/2 + t^2/4 on [0, 2 pi]; past
+        # order n the terms average 1 / (2 pi^2 sigma^2 j^2), a tail of
+        # about 1 / (2 pi^2 sigma^2 n)
+        n = 10**5
+        head = math.fsum(sinc_sq_at_order(j, sigma) for j in range(1, n + 1))
+        tail = 1.0 / (2.0 * math.pi**2 * sigma**2 * n)
+        assert head + tail == pytest.approx((1.0 - sigma) / (2.0 * sigma), abs=1e-7)
+
 
 class TestNormalizedResultantProbability:
     def test_dense_sampling_is_conserving(self):
@@ -296,6 +308,14 @@ class TestZeroOrderShare:
             aj = float(order_alpha(j, 0.5))
             assert zero_order_share(aj + 1e-6, 0.5) < zero_order_share(aj - 1e-6, 0.5)
 
+    @given(st.integers(1, 199), st.sampled_from([1 / 2, 1 / 3, 1 / 4, 0.3, 1 / 16]))
+    @settings(max_examples=200)
+    def test_steps_exactly_at_non_null_orders(self, j, sigma):
+        aj = order_alpha(j, sigma)
+        below = zero_order_share(aj - EDGE_OFFSET, sigma)
+        above = zero_order_share(aj + EDGE_OFFSET, sigma)
+        assert (above != below) == (sinc_sq_at_order(j, sigma) != 0.0)
+
     def test_energy_is_share_scaled(self):
         assert zero_order_energy(2.0, 0.5, 1.0) == zero_order_share(2.0, 0.5)
         assert zero_order_energy(2.0, 0.5, 2.0) == 2.0 * zero_order_share(2.0, 0.5)
@@ -353,33 +373,35 @@ class TestOrderTable:
 
     def test_energy_conserved(self, g316):
         assert g316.e_r == pytest.approx(1.0, abs=1e-9)
-        assert math.fsum(r.energy_share for r in g316.rows) == pytest.approx(1.0, abs=1e-9)
+        orders = range(1 - len(g316.e_rj), len(g316.e_rj))
+        assert math.fsum(g316.e_rj[abs(j)] for j in orders) == pytest.approx(1.0, abs=1e-9)
 
     def test_row_omegas_equal_table_omega(self, g316):
-        for row in g316.rows:
-            assert row.omega_j == pytest.approx(g316.omega, abs=1e-9)
+        assert len(g316.omega_j) == len(g316.p_rj) == len(g316.e_rj)
+        for omega_j in g316.omega_j:
+            assert omega_j == pytest.approx(g316.omega, abs=1e-9)
 
     def test_even_rows_null(self, g316):
-        for row in g316.rows:
-            if row.j % 2 == 0 and row.j != 0:
-                assert row.p_rj == 0.0
-                assert row.energy_share == 0.0
+        for j in range(2, len(g316.p_rj), 2):
+            assert g316.p_rj[j] == 0.0
+            assert g316.e_rj[j] == 0.0
 
     def test_symmetric_rows(self, g316):
-        by_j = {r.j: r for r in g316.rows}
+        ds = dataset_from_order_table(g316, 3.16)
+        by_j = {int(r[0]): r for r in ds.rows}
+        assert sorted(by_j) == list(range(1 - len(g316.p_rj), len(g316.p_rj)))
         for j in (1, 2, 3):
-            assert by_j[j].p_rj == by_j[-j].p_rj
-            assert by_j[j].energy_share == by_j[-j].energy_share
+            assert by_j[j][1:].tolist() == by_j[-j][1:].tolist()
+            assert by_j[j][1:].tolist() == [g316.p_rj[j], g316.e_rj[j], g316.omega_j[j]]
 
     def test_frozen_totals(self, g316):
         assert g316.p_r == pytest.approx(1.0133720, rel=1e-6)
         assert g316.omega == pytest.approx(0.9868044, rel=1e-6)
 
     def test_frozen_rows(self, g316):
-        by_j = {r.j: r for r in g316.rows}
-        assert by_j[0].p_rj == pytest.approx(0.533176133, rel=1e-8)
-        assert by_j[1].energy_share == pytest.approx(0.213236742, rel=1e-8)
-        assert by_j[3].energy_share == pytest.approx(0.0236929714, rel=1e-8)
+        assert g316.p_rj[0] == pytest.approx(0.533176133, rel=1e-8)
+        assert g316.e_rj[1] == pytest.approx(0.213236742, rel=1e-8)
+        assert g316.e_rj[3] == pytest.approx(0.0236929714, rel=1e-8)
 
     def test_threshold_pair_totals(self):
         lam = LAMBDA
@@ -389,10 +411,9 @@ class TestOrderTable:
         assert below.omega == pytest.approx(OMEGA_BELOW_3, rel=1e-7)
         assert above.p_r == pytest.approx(P_R_ABOVE_3, rel=1e-7)
         assert above.omega == pytest.approx(OMEGA_ABOVE_3, rel=1e-7)
-        assert [r.j for r in below.rows] == list(range(-2, 3))
-        assert [r.j for r in above.rows] == list(range(-3, 4))
-        by_j = {r.j: r for r in above.rows}
-        assert by_j[3].energy_share == pytest.approx(0.023692971, rel=1e-6)
+        assert len(below.p_rj) == 3  # orders -2..2
+        assert len(above.p_rj) == 4  # orders -3..3
+        assert above.e_rj[3] == pytest.approx(0.023692971, rel=1e-6)
 
 
 class TestCurve:

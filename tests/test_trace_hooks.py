@@ -46,3 +46,15 @@ def test_tracer_sees_every_patch_point():
                  "quadrature.sinc_sq_integral", "quadrature.si"):
         assert tracer.stats[name][0] > 0, name
     assert tracer.counts["orders.curve.points"] == traced.abscissa.size
+
+
+def test_traced_curve_reaches_the_scalar_rule():
+    # curve takes its order counts from propagating_orders, so the tracer's
+    # "orders" group is measured from a curve-only workload, not the census
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        orders.curve("zero_order_share", 1 / 16, (1.0, 3.0), 40)
+    finally:
+        tracer.uninstall()
+    assert tracer.stats["orders.propagating_orders"][0] > 0
