@@ -27,9 +27,9 @@ from .diffraction import (
 )
 from .orders import (
     EDGE_OFFSET,
-    EPS_TIE,
     CurveKind,
     OrderTable,
+    _tie,
     curve,
     order_table,
 )
@@ -205,7 +205,8 @@ def _intensity_rows(alpha_lo, alpha_hi, samples, sigma, n_slits, include_single=
 def _curve_dataset(figure_id, kind, sigma, lo, hi, samples, value_column, params=None):
     """Sample ``curve`` into (alpha_t, j_equiv, value) rows; figure params by default.
 
-    Whichever params are written also name the one inclusion rule.
+    Whichever params are written also name the one inclusion rule; the
+    default params carry the tie tolerance in effect at this sigma.
     """
     c = curve(kind, sigma, (lo, hi), samples)
     j_equiv = c.abscissa / (math.pi * sigma)
@@ -216,7 +217,7 @@ def _curve_dataset(figure_id, kind, sigma, lo, hi, samples, value_column, params
             "alpha_min": lo,
             "alpha_max": hi,
             "samples": samples,
-            "eps_tie": EPS_TIE,
+            "eps_tie": _tie(sigma),
         }
     return FigureDataset(
         figure_id=figure_id,

@@ -25,6 +25,8 @@ __all__ = [
 ]
 
 _SI_SERIES_CUTOFF = 16.0
+_SERIES_MAX_TERMS = 120
+_SERIES_TOL = 1e-20
 _CF_TOL = 1e-16
 _CF_MAX_ITER = 300
 
@@ -71,11 +73,11 @@ def _si_power_series(x: float) -> float:
     # and compensated-summed rather than accumulated naively.
     term_sin = x  # (-1)^k x^(2k+1) / (2k+1)!
     terms = [x]
-    for k in range(1, 120):
+    for k in range(1, _SERIES_MAX_TERMS):
         term_sin *= -x * x / ((2 * k) * (2 * k + 1))
         term = term_sin / (2 * k + 1)
         terms.append(term)
-        if abs(term) < 1e-20:
+        if abs(term) < _SERIES_TOL:
             return math.fsum(terms)
     raise ArithmeticError(f"sine-integral series did not converge for x={x!r}")
 

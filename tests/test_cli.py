@@ -91,6 +91,21 @@ class TestFigureCommand:
         run(argv + ["--out", str(tmp_path / "b.csv")], tmp_path, monkeypatch, capsys)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_header_writes_the_tie_in_effect(self, tmp_path, monkeypatch, capsys):
+        # Below sigma ~ 1.3e-9 the tie shrinks to a quarter of the order spacing.
+        code, _, _ = run(
+            ["figure", "--id", "fig9", "--sigma", "1e-10", "--alpha-min", "3.152e-8",
+             "--alpha-max", "3.4e-8", "--samples", "3"],
+            tmp_path, monkeypatch, capsys,
+        )
+        assert code == 0
+        lines = (tmp_path / "fig9.csv").read_text().splitlines()
+        assert f"# eps_tie: {math.pi * 1e-10 / 4!r}" in lines
+        assert "# eps_tie: 7.853981633974483e-11" in lines
+        run(["figure", "--id", "fig9", "--samples", "5", "--out", str(tmp_path / "d.csv")],
+            tmp_path, monkeypatch, capsys)
+        assert "# eps_tie: 1e-09" in (tmp_path / "d.csv").read_text().splitlines()
+
     def test_json_output(self, tmp_path, monkeypatch, capsys):
         code, _, _ = run(
             ["figure", "--id", "fig8", "--format", "json"], tmp_path, monkeypatch, capsys
