@@ -244,12 +244,12 @@ def _run_experiment(args: argparse.Namespace) -> int:
         print(f"classification: {_classify(value)}")
         return 0
     report = bias_report(scenario)
-    for line in report.summary_lines():
-        print(line)
     train = synthesize_pulse_train(
         scenario.omega_id, scenario, baseline_bias=args.baseline,
         cycles=args.cycles, noise_sd=args.noise_sd, seed=args.seed,
     )
+    for line in report.summary_lines():
+        print(line)
     print(f"synthetic pulse pair:   dv_g={train.pulses.dv_g:.6f} dv_gc={train.pulses.dv_gc:.6f}")
     print(f"recovered omega:        {train.omega_recovered:.6f}"
           f" (predicted {train.omega_predicted:.6f})")

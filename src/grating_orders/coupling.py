@@ -16,6 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .orders import MAX_POINTS
+
 # A bias whose underestimate is below this, in occupation units, is reported
 # as insignificant.
 SIGNIFICANCE_THRESHOLD = 0.001
@@ -257,6 +259,8 @@ def synthesize_pulse_train(
     """
     if cycles < 1:
         raise ValueError(f"cycles must be >= 1, got {cycles!r}")
+    if cycles * 2 * SAMPLES_PER_HALF_CYCLE > MAX_POINTS:
+        raise ValueError(f"cycles={cycles!r} would take more than {MAX_POINTS:.3g} samples")
     if noise_sd < 0:
         raise ValueError(f"noise_sd must be >= 0, got {noise_sd!r}")
     if not math.isfinite(baseline_bias):

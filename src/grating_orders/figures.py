@@ -27,6 +27,7 @@ from .diffraction import (
 )
 from .orders import (
     EDGE_OFFSET,
+    MAX_POINTS,
     CurveKind,
     OrderTable,
     _tie,
@@ -190,6 +191,8 @@ def dataset_from_order_table(table: OrderTable, j_equiv: float) -> FigureDataset
 
 
 def _intensity_rows(alpha_lo, alpha_hi, samples, sigma, n_slits, include_single=False):
+    if not 2 <= samples <= MAX_POINTS:
+        raise ValueError(f"samples must lie in [2, {MAX_POINTS:.3g}], got {samples!r}")
     pts = np.linspace(alpha_lo, alpha_hi, samples)
     rows = []
     for a in pts:

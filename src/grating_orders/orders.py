@@ -56,17 +56,19 @@ EDGE_OFFSET = 1e-6
 EPS_TIE = 1e-9
 
 # Most order terms one sum may take. ``propagating_orders`` refuses an alpha_t
-# that admits more orders, so no scalar function or ``order_table`` starts a
-# longer sum; ``curve`` refuses a request whose estimate, every order up to
-# the top of the range once per sample, exceeds it.
+# that admits more orders, so no scalar function, table or curve starts a
+# longer sum.
 MAX_ORDER_TERMS = 10**7
 
-# Most signed orders (table rows) ``order_table`` accepts. Its columns hold
-# 24 B per |j|; through ``table`` a row costs about 270 B of peak memory,
-# mostly dataset row and CSV text. Peak RSS of a whole ``table`` process
-# (29 MB before the table; Python 3.11, numpy 2.4, x86-64 Linux) is 56 MB at
-# 1e5 rows, 116 MB at 4e5 and 298 MB at the largest accepted table.
-MAX_TABLE_ROWS = 10**6
+# Most points one request may hold: the rows of an ``order_table`` (signed
+# orders), the points of a ``curve``, the rows of a fig3/4/5 intensity
+# section and the samples of a ``coupling`` pulse train. Peak RSS and CPU of
+# the largest admitted CLI request of each kind (Python 3.11, numpy 2.4,
+# 2-core x86-64 Linux): a 1e6-point curve 308 MB, 6.7 s (continued-fraction
+# Si; 283 MB, 8.1 s by the series), a 20-point curve at 1e7 orders 184 MB,
+# 12.4 s, a 1e6-row fig3 293 MB, 10.3 s, a 999,999-row table 298 MB, 6.9 s,
+# and a 31,250-cycle experiment 56 MB, 0.3 s.
+MAX_POINTS = 10**6
 
 
 # Neither the tie tolerance nor a curve's edge offset may reach the next
@@ -316,7 +318,7 @@ def order_table(spec: GratingSpec) -> OrderTable:
     omitted. Energy shares are probability shares (energy equilibrates in
     proportion to probability), so each order's energy-to-probability ratio
     is the table occupation; null orders carry that common value by
-    convention. A grating with more than MAX_TABLE_ROWS signed orders is
+    convention. A grating with more than MAX_POINTS signed orders is
     refused before any order is evaluated. Defined for any duty cycle,
     although sigma away from 0.5 steps outside the square-wave-ruling
     setting the table is normally read in.
@@ -324,9 +326,9 @@ def order_table(spec: GratingSpec) -> OrderTable:
     at = truncation_alpha(spec)
     sigma = spec.duty_sigma
     orders = propagating_orders(at, sigma)
-    if len(orders) > MAX_TABLE_ROWS:
+    if len(orders) > MAX_POINTS:
         raise ValueError(
-            f"table would have {len(orders)} rows, more than {MAX_TABLE_ROWS:.3g}; "
+            f"table would have {len(orders)} rows, more than {MAX_POINTS:.3g}; "
             "use omega for the totals"
         )
     denom = sinc_sq_integral(Interval(-at, at))
@@ -360,14 +362,13 @@ def _cquot(ar, ai, br, bi):
 def _si_continued_fraction_array(x: np.ndarray) -> np.ndarray:
     """``quadrature._si_continued_fraction`` at every x of an array, bit for bit.
 
-    A second copy of the Lentz loop, kept because Si is most of a dense
-    curve: the per-point scalar took 61-88% of the CPU time of 64
-    ``dense-sweep`` curves, and this copy is about 7x faster than the scalar
-    loop over 20k points in (16, 60]. Each complex operation of the scalar is
-    spelled out in real float64 arithmetic in the scalar's order, so every
-    point takes the same iterations and rounds alike; a point leaves the
-    active set on the iteration at which the scalar would return. np.sin and
-    np.cos are assumed to return what math.sin and math.cos do, which
+    A second copy of the Lentz loop, kept because it is about 7x faster than
+    per-point scalar calls over 20k points in (16, 60]. Each complex
+    operation of the scalar is spelled out in real float64 arithmetic in the
+    scalar's order, so every point takes the same iterations and rounds
+    alike; a point leaves the active set on the iteration at which the
+    scalar would return. np.sin and np.cos are assumed to return what
+    math.sin and math.cos do, which
     ``TestCurve::test_ordinates_equal_scalar`` and the output digests check.
     For a single point it is far slower than the scalar, which stays the
     only path of ``quadrature.si``.
@@ -430,17 +431,15 @@ def _small_terms(terms: np.ndarray) -> np.ndarray:
 def _si_power_series_array(x: np.ndarray) -> np.ndarray:
     """``quadrature._si_power_series`` at every x of an array, bit for bit.
 
-    A second copy of the series, kept because per-point scalar calls were
-    the largest cost of a dense curve once the continued fraction ran on
-    arrays: over the 15,721 series points of the 64 seed-1 ``dense-sweep``
-    curves they took 0.102 s CPU (6.5 us per point), this copy 0.038 s
-    (2.4 us); the scalar stays the only path of ``quadrature.si``. Each
-    row holds the scalar's terms up to the scalar's stopping term (later
-    columns are zeroed) and gets its own ``math.fsum``, so each sum is the
-    scalar's. Points go in blocks of _SERIES_BLOCK. A term's magnitude never
-    decreases with x, rounding included, so the block's largest x needs the
-    most terms and sets the block's column count. ``ArithmeticError`` is
-    raised where the scalar would raise it.
+    A second copy of the series, kept because it takes 2.4 us per point
+    against 6.5 us for per-point scalar calls on ``dense-sweep`` curves; the
+    scalar stays the only path of ``quadrature.si``. Each row holds the
+    scalar's terms up to the scalar's stopping term (later columns are
+    zeroed) and gets its own ``math.fsum``, so each sum is the scalar's.
+    Points go in blocks of _SERIES_BLOCK. A term's magnitude never decreases
+    with x, rounding included, so the block's largest x needs the most terms
+    and sets the block's column count. ``ArithmeticError`` is raised where
+    the scalar would raise it.
     """
     out = np.empty_like(x)
     for start in range(0, x.size, _SERIES_BLOCK):
@@ -496,8 +495,9 @@ def curve(
     position inside the range so threshold discontinuities are resolved as
     two-sided limits instead of being aliased by the background grid; for
     sigma below about 1.3e-6 the offset shrinks to a quarter of the order
-    spacing. A request whose order sum would exceed MAX_ORDER_TERMS terms is
-    refused.
+    spacing. A range whose top admits more than MAX_ORDER_TERMS orders, or
+    a curve of more than MAX_POINTS points, is refused before any array is
+    built.
 
     Every ordinate equals the scalar function at its abscissa bit for bit,
     computed in one array pass rather than one scalar call per point: the
@@ -507,12 +507,7 @@ def curve(
     fsum of the first n terms comes from one exact pass over the terms for
     all distinct counts n, the per-kind arithmetic runs elementwise in the
     scalar's order, and the envelope integral takes Si from the array
-    continued fraction and the array power series. Over the 64 seed-1
-    ``dense-sweep`` curves (47,974 points) the array power series cut Si's
-    series branch from 0.102 s to 0.038 s CPU, the exact pass cut the
-    prefix sums from 0.039 s to 0.016 s, and all 64 curves took 0.189 s
-    against 0.307 s with a scalar Si and an fsum per count (best of 7, 2-core
-    x86-64 VM, Python 3.11).
+    continued fraction and the array power series.
     """
     kind = CurveKind(kind)
     if not 0.0 < sigma < 1.0:
@@ -529,23 +524,20 @@ def curve(
             f"{kind.value} curves require alpha_range within [pi*sigma, inf); "
             f"got lo={lo!r} < {math.pi * sigma!r}"
         )
-    # Every background sample and the two edge samples of each order in the
-    # range sum up to hi / (pi sigma) orders, and cost at least one term. The
-    # first test keeps an int too large for a float out of the product.
-    step = math.pi * sigma
-    orders_per_point = max(1.0, hi / step)
-    if (
-        samples > MAX_ORDER_TERMS
-        or (samples + 2.0 * (hi - lo) / step) * orders_per_point > MAX_ORDER_TERMS
-    ):
+    # The scalar rule refuses a top that admits more than MAX_ORDER_TERMS
+    # orders. Every order in (lo, hi) lies in n_lo..n_hi and adds at most two
+    # edge samples; n_lo adds one only where it lies within the tie above lo,
+    # and is not counted, so a curve may exceed the count by one point.
+    n_hi = propagating_orders(hi, sigma)[-1]
+    n_lo = propagating_orders(lo, sigma)[-1]
+    if samples > MAX_POINTS or samples + 2 * (n_hi - n_lo) > MAX_POINTS:
         raise ValueError(
-            f"curve would sum more than {MAX_ORDER_TERMS:.3g} order terms; "
+            f"curve would have more than {MAX_POINTS:.3g} points; "
             "narrow the range or use fewer samples"
         )
 
     grid = np.linspace(lo, hi, samples)
-    # Only orders near [lo, hi] are generated.
-    j = np.arange(max(1, math.floor(lo / step)), math.ceil(hi / step) + 1)
+    j = np.arange(max(1, n_lo), n_hi + 1)
     aj = order_alpha(j, sigma)
     aj = aj[(aj > lo) & (aj < hi)]
     below = aj - _edge(sigma)

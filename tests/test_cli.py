@@ -206,10 +206,29 @@ def test_table_row_bound(tmp_path, monkeypatch, capsys):
         raise AssertionError("an order term was evaluated")
 
     monkeypatch.setattr(orders, "sinc_sq_at_order", no_terms)
-    assert 2 * 500000 + 1 == orders.MAX_TABLE_ROWS + 1
+    assert 2 * 500000 + 1 == orders.MAX_POINTS + 1
     code, out, err = run(["table", "--j-equiv", "500000"], tmp_path, monkeypatch, capsys)
     assert code == 2
     assert "rows" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("samples", ["0", "1000001"])
+def test_intensity_row_bound(samples, tmp_path, monkeypatch, capsys):
+    # an empty section and one row over MAX_POINTS, both refused before a
+    # single row is computed
+    from grating_orders import figures
+
+    def no_rows(alpha, sigma, n_slits):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(figures, "grating_intensity", no_rows)
+    code, out, err = run(
+        ["figure", "--id", "fig3", "--samples", samples], tmp_path, monkeypatch, capsys
+    )
+    assert code == 2
+    assert "samples" in err
     assert out == ""
     assert list(tmp_path.iterdir()) == []
 
@@ -237,6 +256,15 @@ class TestExperimentCommand:
         code, _, err = run(["experiment", "--dv-g", "1.0"], tmp_path, monkeypatch, capsys)
         assert code == 2
         assert "together" in err
+
+    def test_cycle_bound(self, tmp_path, monkeypatch, capsys):
+        # 3.2e13 samples per record: refused before the report is printed
+        code, out, err = run(
+            ["experiment", "--cycles", "1000000000000"], tmp_path, monkeypatch, capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cycles=") and err.count("\n") == 1
 
 
 class TestSweepCommand:

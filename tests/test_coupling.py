@@ -281,3 +281,6 @@ class TestSynthesizePulseTrain:
             synthesize_pulse_train(1.025, PAPER_SCENARIO, cycles=0)
         with pytest.raises(ValueError):
             synthesize_pulse_train(1.025, PAPER_SCENARIO, noise_sd=-0.1)
+        with pytest.raises(ValueError, match="samples"):
+            synthesize_pulse_train(1.025, PAPER_SCENARIO, cycles=31_251)
+        assert synthesize_pulse_train(1.025, PAPER_SCENARIO, cycles=31_250).blocked.size == 10**6

@@ -12,7 +12,7 @@ from grating_orders.orders import (
     EDGE_OFFSET,
     EPS_TIE,
     MAX_ORDER_TERMS,
-    MAX_TABLE_ROWS,
+    MAX_POINTS,
     _SERIES_BLOCK,
     _order_counts,
     _order_terms,
@@ -364,7 +364,7 @@ class TestOrderSumBound:
 
     def test_order_table_row_bound(self):
         # the last accepted row count is not built here; one row more is refused
-        n = (MAX_TABLE_ROWS - 1) // 2
+        n = (MAX_POINTS - 1) // 2
         assert propagating_orders(order_alpha(n, 0.5), 0.5)[-1] == n
         spec = GratingSpec.from_truncation(order_alpha(n + 1, 0.5), LAMBDA, 0.5, 257)
         with pytest.raises(ValueError, match="rows"):
@@ -550,24 +550,38 @@ class TestCurve:
             curve(CurveKind.ZERO_ORDER_SHARE, 0.5, (1.0, 2.0), 1)
 
     def test_order_term_budget(self):
-        # 10 samples near alpha_t = 1e6 would each re-sum ~6.4e5 orders
-        with pytest.raises(ValueError, match="order terms"):
-            curve(CurveKind.OCCUPATION, 0.5, (1e6, 1e6 + 10), 10)
-        # 2000 samples up to j = 1e12 would sum ~1e27 terms
+        # 2000 samples up to j = 1e12: the top admits more than MAX_ORDER_TERMS orders
         with pytest.raises(ValueError, match="order terms"):
             curve(CurveKind.OCCUPATION, 0.5, (0.5 * math.pi, 0.5e12 * math.pi), 2000)
-        # orders 1..1000: (8010 samples + 2 * 999 edges) * 1000 orders just
-        # exceeds the limit, which the background samples alone would not
-        step = 0.5 * math.pi
-        assert 8010 * 1000 < MAX_ORDER_TERMS < (8010 + 2 * 999) * 1000
-        with pytest.raises(ValueError, match="order terms"):
-            curve(CurveKind.ZERO_ORDER_SHARE, 0.5, (step, 1000 * step), 8010)
-        # below the first order every sample still costs one term
-        with pytest.raises(ValueError, match="order terms"):
+        # orders 1..1000 lie inside and add two edge samples each: one point
+        # over MAX_POINTS
+        hi = order_alpha(1000, 0.5) + 1.0
+        with pytest.raises(ValueError, match="points"):
+            curve(CurveKind.ZERO_ORDER_SHARE, 0.5, (0.01, hi), MAX_POINTS + 1 - 2 * 1000)
+        # below the first order the samples alone are over
+        with pytest.raises(ValueError, match="points"):
             curve(CurveKind.ZERO_ORDER_SHARE, 0.5, (0.01, 0.05), 10**8)
         # a sample count too large for a float is refused, not overflowed
-        with pytest.raises(ValueError, match="order terms"):
+        with pytest.raises(ValueError, match="points"):
             curve(CurveKind.ZERO_ORDER_SHARE, 0.5, (1.0, 2.0), 10**400)
+
+    @pytest.mark.parametrize(
+        "lo, hi, samples",
+        [
+            # 24 points, each admitting about 6.4e5 orders
+            (1e6, 1e6 + 10, 10),
+            # about 21k points just below the order-10,000 threshold
+            (0.5 * math.pi, order_alpha(10_000, 0.5) - 1e-3, 1001),
+        ],
+    )
+    def test_wide_order_ranges_answer(self, lo, hi, samples):
+        # Both were refused by the retired estimate, every order up to the
+        # top of the range once per point, which exceeds MAX_ORDER_TERMS here.
+        assert (samples + 2 * (hi - lo) / (0.5 * math.pi)) * hi / (0.5 * math.pi) > MAX_ORDER_TERMS
+        c = curve(CurveKind.OCCUPATION, 0.5, (lo, hi), samples)
+        assert c.abscissa[0] == lo and c.abscissa[-1] == hi
+        for i in (0, c.abscissa.size // 2, c.abscissa.size - 1):
+            assert c.ordinate[i] == occupation_value(float(c.abscissa[i]), 0.5)
 
     def test_probability_curve_validation(self):
         with pytest.raises(ValueError, match="strictly increasing"):
