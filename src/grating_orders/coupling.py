@@ -84,8 +84,10 @@ class PulsePair:
     dv_gc: float
 
     def __post_init__(self) -> None:
-        if not (self.dv_g > 0 and self.dv_gc > 0):
-            raise ValueError(f"pulse heights must be positive, got {self.dv_g!r}, {self.dv_gc!r}")
+        if not all(math.isfinite(v) and v > 0 for v in (self.dv_g, self.dv_gc)):
+            raise ValueError(
+                f"pulse heights must be finite and positive, got {self.dv_g!r}, {self.dv_gc!r}"
+            )
 
 
 def omega_ex(pulses: PulsePair) -> float:
@@ -261,8 +263,8 @@ def synthesize_pulse_train(
         raise ValueError(f"cycles must be >= 1, got {cycles!r}")
     if cycles * 2 * SAMPLES_PER_HALF_CYCLE > MAX_POINTS:
         raise ValueError(f"cycles={cycles!r} would take more than {MAX_POINTS:.3g} samples")
-    if noise_sd < 0:
-        raise ValueError(f"noise_sd must be >= 0, got {noise_sd!r}")
+    if not (math.isfinite(noise_sd) and noise_sd >= 0):
+        raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd!r}")
     if not math.isfinite(baseline_bias):
         raise ValueError(f"baseline_bias must be finite, got {baseline_bias!r}")
 

@@ -89,8 +89,7 @@ def emit(dataset: FigureDataset, fmt: str = "csv") -> bytes:
         for key in sorted(dataset.params):
             lines.append(f"# {key}: {_format_value(dataset.params[key])}")
         lines.append(",".join(dataset.columns))
-        for row in dataset.rows:
-            lines.append(",".join(repr(float(v)) for v in row))
+        lines.extend(",".join(map(repr, row)) for row in dataset.rows.tolist())
         return ("\n".join(lines) + "\n").encode("ascii")
     if fmt == "json":
         payload = {
@@ -98,7 +97,7 @@ def emit(dataset: FigureDataset, fmt: str = "csv") -> bytes:
             "version": dataset.version,
             "params": {k: dataset.params[k] for k in sorted(dataset.params)},
             "columns": list(dataset.columns),
-            "rows": [[float(v) for v in row] for row in dataset.rows],
+            "rows": dataset.rows.tolist(),
         }
         return (json.dumps(payload, indent=1) + "\n").encode("ascii")
     raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
@@ -127,12 +126,11 @@ def load_dataset(data: bytes, fmt: str = "csv") -> FigureDataset:
                 except ValueError:
                     params[key] = value
         columns = tuple(lines[idx].split(","))
-        rows = [[float(v) for v in line.split(",")] for line in lines[idx + 1 :] if line]
         return FigureDataset(
             figure_id=figure_id,
             params=params,
             columns=columns,
-            rows=np.asarray(rows, dtype=float).reshape(len(rows), len(columns)),
+            rows=[[float(v) for v in line.split(",")] for line in lines[idx + 1 :] if line],
             version=version,
         )
     if fmt == "json":
@@ -141,9 +139,7 @@ def load_dataset(data: bytes, fmt: str = "csv") -> FigureDataset:
             figure_id=payload["figure"],
             params=payload["params"],
             columns=tuple(payload["columns"]),
-            rows=np.asarray(payload["rows"], dtype=float).reshape(
-                len(payload["rows"]), len(payload["columns"])
-            ),
+            rows=payload["rows"],
             version=payload["version"],
         )
     raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")

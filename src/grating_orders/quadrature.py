@@ -1,9 +1,12 @@
 """Sine-integral kernels and adaptive quadrature.
 
 The closed forms built on Si(x) are the production path for every envelope
-integral in the package. ``adaptive_integrate`` is a deliberately independent
-second route (plain adaptive Simpson) kept alongside so that each path checks
-the other; the test suite compares them everywhere it matters.
+integral in the package, in two forms that give the same float at every
+point: the scalars ``si`` and ``sinc_sq_integral`` make no numpy call, and
+``symmetric_sinc_sq_integrals`` copies them for the many points of a curve.
+``adaptive_integrate`` is a deliberately independent second route (plain
+adaptive Simpson) kept alongside so that each path checks the other; the
+test suite compares them everywhere it matters.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .diffraction import grating_factor, grating_intensity, order_alpha
 
@@ -20,6 +25,7 @@ __all__ = [
     "QuadratureError",
     "si",
     "sinc_sq_integral",
+    "symmetric_sinc_sq_integrals",
     "adaptive_integrate",
     "grating_factor_subinterval_integral",
 ]
@@ -141,6 +147,134 @@ def sinc_sq_integral(iv: Interval) -> float:
     if iv.lo == -iv.hi:
         return 2.0 * _sinc_sq_primitive(iv.hi)
     return _sinc_sq_primitive(iv.hi) - _sinc_sq_primitive(iv.lo)
+
+
+def _cprod(ar, ai, br, bi):
+    # CPython's complex product (_Py_c_prod), one float64 operation at a time.
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _cquot(ar, ai, br, bi):
+    # CPython's complex quotient (_Py_c_quot): Smith's method, scaled by the
+    # larger component of the divisor. numpy's complex divide multiplies by a
+    # reciprocal instead and rounds differently, so it is not used.
+    real_major = np.abs(br) >= np.abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(real_major, bi / br, br / bi)
+        denom = np.where(real_major, br + bi * ratio, br * ratio + bi)
+        qr = np.where(real_major, ar + ai * ratio, ar * ratio + ai) / denom
+        qi = np.where(real_major, ai - ar * ratio, ai * ratio - ar) / denom
+    return qr, qi
+
+
+def _si_continued_fraction_array(x: np.ndarray) -> np.ndarray:
+    """``_si_continued_fraction`` at every x of an array, bit for bit.
+
+    Kept beside the scalar because it is faster over a curve's points and
+    far slower for one point. Each complex operation of the scalar is
+    spelled out in real float64 arithmetic in the scalar's order, so every
+    point takes the same iterations and rounds alike; a point leaves the
+    active set on the iteration at which the scalar would return. np.sin and
+    np.cos are assumed to return what math.sin and math.cos do, which
+    ``TestCurve::test_ordinates_equal_scalar`` and the output digests check.
+    """
+    out = np.empty_like(x)
+    idx = np.arange(x.size)
+    br = np.ones_like(x)  # b = 1 + ix; b.imag stays x, since x + 0.0 is x
+    cr, ci = np.full_like(x, 1e300), np.zeros_like(x)
+    dr, di = _cquot(1.0, 0.0, br, x)
+    hr, hi = dr, di
+    for i in range(2, _CF_MAX_ITER):
+        if not idx.size:
+            break
+        a = float(-((i - 1) ** 2))
+        br = br + 2.0
+        pr, pi_ = _cprod(a, 0.0, dr, di)
+        dr, di = _cquot(1.0, 0.0, pr + br, pi_ + x)
+        qr, qi = _cquot(a, 0.0, cr, ci)
+        cr, ci = br + qr, x + qi
+        er, ei = _cprod(cr, ci, dr, di)
+        hr, hi = _cprod(hr, hi, er, ei)
+        done = np.abs(er - 1.0) + np.abs(ei) < _CF_TOL
+        if done.any():
+            xd = x[done]
+            _, turned = _cprod(hr[done], hi[done], np.cos(xd), -np.sin(xd))
+            out[idx[done]] = math.pi / 2.0 + turned
+            keep = ~done
+            idx, x, br = idx[keep], x[keep], br[keep]
+            cr, ci, dr, di, hr, hi = cr[keep], ci[keep], dr[keep], di[keep], hr[keep], hi[keep]
+    if idx.size:
+        raise ArithmeticError(
+            f"sine-integral continued fraction did not converge for x={float(x[0])!r}"
+        )
+    return out
+
+
+# Points per block of the array power series: its term table holds a block's
+# rows only, so memory stays flat in the curve's length.
+_SERIES_BLOCK = 256
+
+
+def _series_terms(x: np.ndarray, columns: int) -> np.ndarray:
+    # Terms 0..columns-1 of ``_si_power_series`` for every x, one row
+    # each. The running product accumulates left to right, so term_sin
+    # takes the scalar's factors in the scalar's order and rounds alike.
+    k = np.arange(1, columns)
+    factors = np.empty((x.size, columns))
+    factors[:, 0] = x
+    factors[:, 1:] = (-x * x)[:, None] / ((2 * k) * (2 * k + 1))
+    terms = np.multiply.accumulate(factors, axis=1)
+    terms[:, 1:] /= 2 * k + 1
+    return terms
+
+
+def _small_terms(terms: np.ndarray) -> np.ndarray:
+    # Where a term past the first is below the tolerance that ends the series.
+    return np.abs(terms[:, 1:]) < _SERIES_TOL
+
+
+def _si_power_series_array(x: np.ndarray) -> np.ndarray:
+    """``_si_power_series`` at every x of an array, bit for bit.
+
+    Kept beside the scalar because it is faster over a curve's points and
+    far slower for one point. Each row holds the scalar's terms up to the
+    scalar's stopping term (later columns are zeroed) and gets its own
+    ``math.fsum``, so each sum is the scalar's. Points go in blocks of
+    _SERIES_BLOCK. A term's magnitude never decreases with x, rounding
+    included, so the block's largest x needs the most terms and sets the
+    block's column count. ``ArithmeticError`` is raised where the scalar
+    would raise it.
+    """
+    out = np.empty_like(x)
+    for start in range(0, x.size, _SERIES_BLOCK):
+        xb = x[start:start + _SERIES_BLOCK]
+        top = _small_terms(_series_terms(xb.max(keepdims=True), _SERIES_MAX_TERMS))[0]
+        terms = _series_terms(xb, top.argmax() + 2 if top.any() else _SERIES_MAX_TERMS)
+        small = _small_terms(terms)
+        stops = small.any(axis=1)
+        if not stops.all():
+            raise ArithmeticError(
+                f"sine-integral series did not converge for x={float(xb[~stops][0])!r}"
+            )
+        terms[np.arange(terms.shape[1]) > small.argmax(axis=1)[:, None] + 1] = 0.0
+        out[start:start + xb.size] = [math.fsum(row.tolist()) for row in terms]
+    return out
+
+
+def symmetric_sinc_sq_integrals(a: np.ndarray) -> np.ndarray:
+    """sinc_sq_integral(Interval(-at, at)) at every at > 0, bit for bit.
+
+    2 * (Si(2a) - sin^2(a) / a), as ``sinc_sq_integral`` evaluates it, with
+    Si from the array continued fraction past the series cutoff and from the
+    array power series below it.
+    """
+    x = 2.0 * a
+    si_2a = np.empty_like(a)
+    cf = x > _SI_SERIES_CUTOFF
+    si_2a[cf] = _si_continued_fraction_array(x[cf])
+    si_2a[~cf] = _si_power_series_array(x[~cf])
+    s = np.sin(a)
+    return 2.0 * (si_2a - s * s / a)
 
 
 def adaptive_integrate(

@@ -257,6 +257,19 @@ class TestExperimentCommand:
         assert code == 2
         assert "together" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--noise-sd", "nan"],
+        ["--noise-sd", "inf"],
+        ["--dv-g", "inf", "--dv-gc", "1"],
+        ["--dv-g", "1", "--dv-gc", "nan"],
+    ])
+    def test_non_finite_inputs_exit_2(self, argv, tmp_path, monkeypatch, capsys):
+        code, out, err = run(["experiment", *argv], tmp_path, monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite" in err
+
     def test_cycle_bound(self, tmp_path, monkeypatch, capsys):
         # 3.2e13 samples per record: refused before the report is printed
         code, out, err = run(

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -70,6 +71,11 @@ class TestOmegaEx:
     def test_positive_heights_required(self):
         with pytest.raises(ValueError):
             PulsePair(0.0, 1.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite and positive"):
+                PulsePair(bad, 1.0)
+            with pytest.raises(ValueError, match="finite and positive"):
+                PulsePair(1.0, bad)
 
 
 class TestEquilibratedOmega:
@@ -279,8 +285,9 @@ class TestSynthesizePulseTrain:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             synthesize_pulse_train(1.025, PAPER_SCENARIO, cycles=0)
-        with pytest.raises(ValueError):
-            synthesize_pulse_train(1.025, PAPER_SCENARIO, noise_sd=-0.1)
+        for bad in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="noise_sd"):
+                synthesize_pulse_train(1.025, PAPER_SCENARIO, noise_sd=bad)
         with pytest.raises(ValueError, match="samples"):
             synthesize_pulse_train(1.025, PAPER_SCENARIO, cycles=31_251)
         assert synthesize_pulse_train(1.025, PAPER_SCENARIO, cycles=31_250).blocked.size == 10**6

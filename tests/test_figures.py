@@ -33,6 +33,19 @@ class TestDatasetAndEmit:
         with pytest.raises(ValueError, match="columns"):
             FigureDataset("fig6", {}, ("a", "b"), np.zeros((2, 3)))
 
+    def test_load_checks_width(self):
+        # Rows of one width under a header of another fail the dataset's
+        # own check, in either format; an empty table loads as (0, ncols).
+        message = r"rows must be 2-D with 3 columns, got shape \(2, 2\)"
+        with pytest.raises(ValueError, match=message):
+            load_dataset(b"# figure: fig6\na,b,c\n1.0,2.0\n3.0,4.0\n", "csv")
+        with pytest.raises(ValueError, match=message):
+            load_dataset(b'{"figure": "fig6", "version": "0", "params": {}, '
+                         b'"columns": ["a", "b", "c"], "rows": [[1.0, 2.0], [3.0, 4.0]]}', "json")
+        for fmt in ("csv", "json"):
+            empty = FigureDataset("fig6", {}, ("a", "b", "c"), np.zeros((0, 3)))
+            assert load_dataset(emit(empty, fmt), fmt).rows.shape == (0, 3)
+
     def test_csv_layout(self, small_dataset):
         text = emit(small_dataset, "csv").decode()
         lines = text.splitlines()

@@ -1,18 +1,25 @@
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grating_orders import quadrature
 from grating_orders.diffraction import grating_factor, order_alpha, sinc_sq
 from grating_orders.quadrature import (
+    _SERIES_BLOCK,
     Interval,
     QuadratureError,
+    _si_continued_fraction_array,
+    _si_power_series_array,
     _sinc_sq_primitive,
     adaptive_integrate,
     grating_factor_subinterval_integral,
     si,
     sinc_sq_integral,
+    symmetric_sinc_sq_integrals,
 )
 
 # Reference values frozen from a 25-digit evaluation, cross-checked below
@@ -62,6 +69,18 @@ class TestSi:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             si(float("inf"))
+
+    def test_scalar_path_makes_no_numpy_call(self, monkeypatch):
+        # The array copies share the module; one scalar evaluation stays pure
+        # math, which is far cheaper than a one-point array.
+        def values():
+            xs = (1e-300, 0.5, 8.0, 16.0, 16.5, 200.0, 1e5)
+            return [(si(x), sinc_sq_integral(Interval(-x, x)),
+                     sinc_sq_integral(Interval(x / 3, x))) for x in xs]
+
+        expected = values()
+        monkeypatch.setattr(quadrature, "np", None)
+        assert values() == expected
 
     def test_against_quadrature_oracle(self):
         # the acceptance gate runs the 50-point version of this check
@@ -241,3 +260,120 @@ class TestGratingFactorSubinterval:
         ).value
         assert lobe == pytest.approx(n_slits * math.pi * sigma, rel=0.10)
         assert lobe < 0.95 * n_slits * math.pi * sigma
+
+
+class TestArraySi:
+    """The array continued fraction, power series and envelope integral of ``curve``."""
+
+    def test_power_series_equals_scalar(self):
+        rng = np.random.default_rng(20112)
+        below_cutoff = [16.0]
+        for _ in range(200):
+            below_cutoff.append(math.nextafter(below_cutoff[-1], 0.0))
+        x = np.concatenate([
+            rng.uniform(0.0, 16.0, 150_000),
+            10.0 ** rng.uniform(-300.0, math.log10(16.0), 50_000),
+            np.array(below_cutoff),
+            np.array([5e-324, 16.0]),
+        ])
+        x = x[x > 0.0]
+        assert x.size >= 200_000 and x.max() == 16.0 and x.min() == 5e-324
+        expected = [quadrature._si_power_series(v) for v in x.tolist()]
+        assert _si_power_series_array(x).tolist() == expected
+        for size in (0, 1, _SERIES_BLOCK - 1, _SERIES_BLOCK, _SERIES_BLOCK + 1):
+            assert _si_power_series_array(x[-size:] if size else x[:0]).tolist() == (
+                expected[-size:] if size else []
+            )
+
+    def test_power_series_rows_stop_at_their_own_term(self, monkeypatch):
+        # With a coarse tolerance the terms a row would take past its own
+        # stop, up to the block's longest row, change its sum visibly.
+        monkeypatch.setattr(quadrature, "_SERIES_TOL", 1e-4)
+        x = np.random.default_rng(5).uniform(0.0, 16.0, 2 * _SERIES_BLOCK)
+        expected = [quadrature._si_power_series(v) for v in x.tolist()]
+        assert _si_power_series_array(x).tolist() == expected
+
+    def test_series_non_convergence_raises(self, monkeypatch):
+        # The scalar at x = 15 stops at term k; with k + 1 terms allowed both
+        # copies converge alike, with k they both raise, also when 15 is the
+        # one failing point of a second block.
+        k = 1
+        term = 15.0
+        while abs(term) >= quadrature._SERIES_TOL:
+            term = 15.0 ** (2 * k + 1) / ((2 * k + 1) * math.factorial(2 * k + 1))
+            k += 1
+        x = np.concatenate([np.full(_SERIES_BLOCK, 0.5), [1.0, 15.0]])
+        raised = []
+        for limit in range(k - 3, k + 3):
+            monkeypatch.setattr(quadrature, "_SERIES_MAX_TERMS", limit)
+            try:
+                expected = quadrature._si_power_series(15.0)
+            except ArithmeticError:
+                raised.append(limit)
+                with pytest.raises(ArithmeticError, match="did not converge for x=15.0"):
+                    _si_power_series_array(x)
+            else:
+                assert _si_power_series_array(x)[-1] == expected
+        assert raised == list(range(k - 3, raised[-1] + 1)) and raised[-1] < k + 2
+        monkeypatch.setattr(quadrature, "_SERIES_MAX_TERMS", 4)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            quadrature._si_power_series(1.0)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            _si_power_series_array(np.array([1e-30, 1.0]))
+        monkeypatch.undo()
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            _si_power_series_array(np.array([1.0, math.nan]))
+
+    def test_power_series_memory_is_bounded(self):
+        # Blocks of _SERIES_BLOCK points keep the term table small, and
+        # only the block holding x = 16 needs the series' longest rows. One
+        # table over every point would take those columns for all 1e5.
+        x = np.append(np.random.default_rng(7).uniform(0.0, 1e-7, 10**5 - 1), 16.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _si_power_series_array(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    def test_continued_fraction_equals_scalar(self):
+        rng = np.random.default_rng(20111)
+        above_cutoff = [16.0]
+        for _ in range(200):
+            above_cutoff.append(math.nextafter(above_cutoff[-1], math.inf))
+        x = np.concatenate([
+            rng.uniform(16.0, 2e5, 200_000),
+            rng.uniform(16.0, 60.0, 20_000),
+            np.array(above_cutoff[1:]),
+            16.0 + rng.uniform(0.0, 1e-6, 1000),
+            np.array([2e5]),
+        ])
+        assert x.min() > 16.0 and x.max() <= 2e5
+        got = _si_continued_fraction_array(x)
+        assert got.tolist() == [quadrature._si_continued_fraction(v) for v in x.tolist()]
+
+    def test_empty(self):
+        assert _si_continued_fraction_array(np.array([])).size == 0
+
+    def test_non_convergence_raises(self, monkeypatch):
+        x = np.array([17.0, 500.0, 1e5])
+        monkeypatch.setattr(quadrature, "_CF_MAX_ITER", 4)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            quadrature._si_continued_fraction(17.0)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            _si_continued_fraction_array(x)
+
+    def test_nan_does_not_converge(self):
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            quadrature._si_continued_fraction(math.nan)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            _si_continued_fraction_array(np.array([20.0, math.nan]))
+
+    def test_symmetric_integrals_equal_scalar(self):
+        rng = np.random.default_rng(48)
+        a = np.concatenate([rng.uniform(1e-3, 8.0, 1000), rng.uniform(8.0, 1e5, 3000),
+                            np.array([8.0, math.nextafter(8.0, math.inf)])])
+        expected = [sinc_sq_integral(Interval(-v, v)) for v in a.tolist()]
+        assert symmetric_sinc_sq_integrals(a).tolist() == expected
