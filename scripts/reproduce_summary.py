@@ -42,7 +42,7 @@ def main() -> int:
     for w, seed0 in ((833.0, 100), (1000.0, 200), (1250.0, 300)):
         spec = GratingSpec.ronchi(w, WAVELENGTH_NM, 257)
         j_w = equivalent_order(spec)
-        omega_th = occupation_value(float(truncation_alpha(spec)), 0.5)
+        omega_th = occupation_value(truncation_alpha(spec), 0.5)
         scenario = replace(REFERENCE_COUPLING, omega_id=omega_th)
         omega_biased = composed_apparent_omega(scenario)
         mean, sd = recovered_stats(omega_th, seed0)
@@ -52,7 +52,7 @@ def main() -> int:
         )
 
     print()
-    a3 = float(order_alpha(3, 0.5))
+    a3 = order_alpha(3, 0.5)
     below = occupation_value(a3 - 1e-6, 0.5)
     above = occupation_value(a3 + 1e-6, 0.5)
     print(f"third-order threshold pair: omega = {below:.4f} (just below) / {above:.4f} (just above)")
@@ -62,7 +62,7 @@ def main() -> int:
     print("0th-order energy staircase (unit output energy):")
     print(f"  0th order alone:               E_r0 = {zero_order_share(0.5, 0.5):.4f}")
     for j in (1, 3, 5, 7):
-        at = float(order_alpha(j, 0.5)) + 0.5
+        at = order_alpha(j, 0.5) + 0.5
         print(f"  after the +-{j} orders appear:   E_r0 = {zero_order_share(at, 0.5):.4f}")
     return 0
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .coupling import CouplingScenario, PulsePair, bias_report, omega_ex, synthesize_pulse_train
-from .diffraction import GratingSpec, equivalent_order, truncation_alpha
+from .diffraction import GratingSpec, equivalent_order, order_alpha, truncation_alpha
 from .figures import (
     FIGURE_IDS,
     FigureDataset,
@@ -108,6 +108,16 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
                    help=f"output path (default <name>.<fmt> under ${OUTDIR_ENV} or cwd)")
 
 
+def _add_grating_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--w", type=parse_length_nm, default=None,
+                   help="slit width (nm, or metres if < 1e-2)")
+    p.add_argument("--lambda", dest="wavelength", type=parse_length_nm, default=WAVELENGTH_NM,
+                   help="wavelength (nm, or metres if < 1e-2; default 633 nm)")
+    p.add_argument("--j-equiv", type=parse_j_equiv, default=None,
+                   help="alternative to --w: j-equivalent truncation (supports 3- / 3+)")
+    p.add_argument("--sigma", type=parse_sigma, default=0.5)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grating-orders",
@@ -117,6 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("figure", help="write one of the standard figure datasets")
+    p.set_defaults(run=_run_figure)
     p.add_argument("--id", required=True, choices=FIGURE_IDS, dest="figure_id")
     p.add_argument("--sigma", type=parse_sigma, default=None, help="duty cycle, e.g. 0.5 or 1/8")
     p.add_argument("--n-slits", type=int, default=None)
@@ -126,24 +137,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
 
     p = sub.add_parser("table", help="per-order probability/energy table for one grating")
-    p.add_argument("--w", type=parse_length_nm, default=None,
-                   help="slit width (nm, or metres if < 1e-2)")
-    p.add_argument("--lambda", dest="wavelength", type=parse_length_nm, default=WAVELENGTH_NM,
-                   help="wavelength (nm, or metres if < 1e-2; default 633 nm)")
-    p.add_argument("--j-equiv", type=parse_j_equiv, default=None,
-                   help="alternative to --w: j-equivalent truncation (supports 3- / 3+)")
-    p.add_argument("--sigma", type=parse_sigma, default=0.5)
+    p.set_defaults(run=_run_table)
+    _add_grating_flags(p)
     p.add_argument("--n-slits", type=int, default=257)
     _add_output_flags(p)
 
     p = sub.add_parser("omega", help="occupation value at a truncation point")
-    p.add_argument("--j-equiv", type=parse_j_equiv, default=None,
-                   help="j-equivalent truncation (supports 3- / 3+)")
-    p.add_argument("--w", type=parse_length_nm, default=None)
-    p.add_argument("--lambda", dest="wavelength", type=parse_length_nm, default=WAVELENGTH_NM)
-    p.add_argument("--sigma", type=parse_sigma, default=0.5)
+    p.set_defaults(run=_run_omega)
+    _add_grating_flags(p)
 
     p = sub.add_parser("experiment", help="bias report and synthetic pulse-train measurement")
+    p.set_defaults(run=_run_experiment)
     p.add_argument("--omega-id", type=float, default=1.025)
     p.add_argument("--p-ratio", type=float, default=100.0)
     p.add_argument("--f-g", type=float, default=0.4)
@@ -159,6 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="measured pulse height, coupling active")
 
     p = sub.add_parser("sweep", help="sample a truncation-dependent quantity over a j range")
+    p.set_defaults(run=_run_sweep)
     p.add_argument("--quantity", choices=[k.value for k in CurveKind],
                    default=CurveKind.OCCUPATION.value)
     p.add_argument("--j-min", type=float, required=True)
@@ -185,7 +190,7 @@ def _run_figure(args: argparse.Namespace) -> int:
 
 def _spec_from_args(args: argparse.Namespace) -> GratingSpec:
     if args.j_equiv is not None:
-        at = args.j_equiv * math.pi * args.sigma
+        at = order_alpha(args.j_equiv, args.sigma)
         return GratingSpec.from_truncation(at, args.wavelength, args.sigma, args.n_slits)
     if args.w is None:
         raise ValueError("either --w or --j-equiv is required")
@@ -210,7 +215,7 @@ def _classify(omega: float) -> str:
 
 def _run_omega(args: argparse.Namespace) -> int:
     if args.j_equiv is not None:
-        at = args.j_equiv * math.pi * args.sigma
+        at = order_alpha(args.j_equiv, args.sigma)
         j_equiv = args.j_equiv
     elif args.w is not None:
         spec = GratingSpec(args.w, args.sigma, args.wavelength)
@@ -266,8 +271,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
         "j_max": args.j_max,
         "samples": args.samples,
     }
-    lo = args.j_min * math.pi * args.sigma
-    hi = args.j_max * math.pi * args.sigma
+    lo = order_alpha(args.j_min, args.sigma)
+    hi = order_alpha(args.j_max, args.sigma)
     dataset = _curve_dataset(
         "sweep", args.quantity, args.sigma, lo, hi, args.samples, args.quantity, params
     )
@@ -275,25 +280,11 @@ def _run_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-_RUNNERS = {
-    "figure": _run_figure,
-    "table": _run_table,
-    "omega": _run_omega,
-    "experiment": _run_experiment,
-    "sweep": _run_sweep,
-}
-
-
-def run(args: argparse.Namespace) -> int:
-    """Dispatch parsed arguments to their subcommand runner."""
-    return _RUNNERS[args.subcommand](args)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return run(args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -151,8 +151,8 @@ class BiasReport:
     """Idealized versus apparent occupation values and their underestimates.
 
     Underestimates are idealized modulation magnitude minus apparent
-    modulation magnitude, in occupation units; the ``*_pp`` fields express
-    them in percentage points. A bias is flagged insignificant when the
+    modulation magnitude, in occupation units; the summary lines give them
+    in percentage points. A bias is flagged insignificant when the
     magnitude of its underestimate is below ``SIGNIFICANCE_THRESHOLD``.
     """
 
@@ -167,18 +167,6 @@ class BiasReport:
     underestimate_composed: float
 
     @property
-    def underestimate_finite_pp(self) -> float:
-        return 100.0 * self.underestimate_finite
-
-    @property
-    def underestimate_annular_pp(self) -> float:
-        return 100.0 * self.underestimate_annular
-
-    @property
-    def underestimate_composed_pp(self) -> float:
-        return 100.0 * self.underestimate_composed
-
-    @property
     def finite_insignificant(self) -> bool:
         return abs(self.underestimate_finite) < SIGNIFICANCE_THRESHOLD
 
@@ -191,22 +179,23 @@ class BiasReport:
         return abs(self.underestimate_composed) < SIGNIFICANCE_THRESHOLD
 
     def summary_lines(self) -> list[str]:
-        def flag(ok: bool) -> str:
-            return "insignificant" if ok else "SIGNIFICANT"
-
-        return [
+        lines = [
             f"idealized omega:        {self.omega_idealized:.6f}",
             f"equilibrated omega:     {self.omega_equilibrated:.6f}",
-            f"apparent (reservoir):   {self.omega_finite_reservoir:.6f}"
-            f"  underestimate {self.underestimate_finite_pp:+.4f} pp"
-            f" [{flag(self.finite_insignificant)}]",
-            f"apparent (annular):     {self.omega_annular:.6f}"
-            f"  underestimate {self.underestimate_annular_pp:+.4f} pp"
-            f" [{flag(self.annular_insignificant)}]",
-            f"apparent (composed):    {self.omega_composed:.6f}"
-            f"  underestimate {self.underestimate_composed_pp:+.4f} pp"
-            f" [{flag(self.composed_insignificant)}]",
         ]
+        for label, omega, under, ok in (
+            ("apparent (reservoir):", self.omega_finite_reservoir, self.underestimate_finite,
+             self.finite_insignificant),
+            ("apparent (annular):", self.omega_annular, self.underestimate_annular,
+             self.annular_insignificant),
+            ("apparent (composed):", self.omega_composed, self.underestimate_composed,
+             self.composed_insignificant),
+        ):
+            lines.append(
+                f"{label:<24}{omega:.6f}  underestimate {100.0 * under:+.4f} pp"
+                f" [{'insignificant' if ok else 'SIGNIFICANT'}]"
+            )
+        return lines
 
 
 def bias_report(scenario: CouplingScenario) -> BiasReport:

@@ -118,11 +118,12 @@ def truncation_alpha(spec: GratingSpec) -> float:
     return math.pi * spec.slit_width_w / spec.wavelength_lambda
 
 
-def order_alpha(j: int, sigma: float) -> float:
+def order_alpha(j: float, sigma: float) -> float:
     """Position alpha_j = j pi sigma of the j-th principal interference order.
 
     Evaluated as (j * pi) * sigma, for an int j or an int64 array of orders
-    (the same floats while |j| < 2**53). ``orders`` takes every order
+    (the same floats while |j| < 2**53), or for a continuum order, the
+    j-equivalent of a truncation point. ``orders`` takes every order
     position from here: the inclusion rule of ``propagating_orders``, and a
     curve's order counts and edge samples. So an order placed at its own
     threshold ties exactly.

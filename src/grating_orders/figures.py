@@ -45,7 +45,27 @@ __all__ = [
     "dataset_from_order_table",
 ]
 
-FIGURE_IDS = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9")
+# Each figure's parameters with their defaults: build_figure's overrides and
+# the header fields it writes for them.
+_FIGURES = {
+    "fig3": {"sigma": 0.125, "n_slits": 4, "alpha_min": -25.0 * math.pi / 16.0,
+             "alpha_max": 25.0 * math.pi / 16.0, "samples": 2001},
+    "fig4": {"sigma": 0.125, "n_slits": 4, "samples": 1001},
+    "fig5": {"sigma": 0.5, "n_slits": 4, "alpha_min": -3.0 * math.pi,
+             "alpha_max": 3.0 * math.pi, "samples": 2001},
+    "fig6": {"sigma": 0.5, "alpha_min": math.pi, "alpha_max": 3.0 * math.pi, "samples": 2000},
+    "fig7": {"sigma": 0.5, "alpha_min": math.pi, "alpha_max": 3.0 * math.pi, "samples": 2000},
+    "fig8": {"sigma": 0.5, "n_slits": 257},
+    "fig9": {"sigma": 0.5, "alpha_min": math.pi / 4.0, "alpha_max": 4.0 * math.pi,
+             "samples": 2000},
+}
+# The curve figures: the quantity sampled and its value column.
+_CURVES = {
+    "fig6": (CurveKind.RESULTANT_PROBABILITY, "p_r"),
+    "fig7": (CurveKind.OCCUPATION, "omega"),
+    "fig9": (CurveKind.ZERO_ORDER_ENERGY, "e_r0"),
+}
+FIGURE_IDS = tuple(_FIGURES)
 
 WAVELENGTH_NM = 633.0  # HeNe line used for all j-equivalent conversions
 
@@ -61,7 +81,14 @@ class FigureDataset:
     version: str = __version__
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=float)
+        try:
+            rows = np.asarray(self.rows, dtype=float)
+        except ValueError:
+            shapes = sorted({np.shape(row) for row in self.rows})
+            if len(shapes) < 2:
+                raise
+            raise ValueError(f"rows must be 2-D with {len(self.columns)} columns, "
+                             f"got ragged rows of shapes {shapes}") from None
         if rows.size == 0:
             rows = rows.reshape(0, len(self.columns))
         if rows.ndim != 2 or rows.shape[1] != len(self.columns):
@@ -189,6 +216,9 @@ def dataset_from_order_table(table: OrderTable, j_equiv: float) -> FigureDataset
 def _intensity_rows(alpha_lo, alpha_hi, samples, sigma, n_slits, include_single=False):
     if not 2 <= samples <= MAX_POINTS:
         raise ValueError(f"samples must lie in [2, {MAX_POINTS:.3g}], got {samples!r}")
+    if not (math.isfinite(alpha_lo) and math.isfinite(alpha_hi) and alpha_lo < alpha_hi):
+        raise ValueError(f"alpha range must be finite with alpha_min < alpha_max, "
+                         f"got ({alpha_lo!r}, {alpha_hi!r})")
     pts = np.linspace(alpha_lo, alpha_hi, samples)
     rows = []
     for a in pts:
@@ -201,106 +231,71 @@ def _intensity_rows(alpha_lo, alpha_hi, samples, sigma, n_slits, include_single=
     return np.asarray(rows, dtype=float)
 
 
-def _curve_dataset(figure_id, kind, sigma, lo, hi, samples, value_column, params=None):
-    """Sample ``curve`` into (alpha_t, j_equiv, value) rows; figure params by default.
+def _curve_dataset(figure_id, kind, sigma, lo, hi, samples, value_column, params):
+    """Sample ``curve`` into (alpha_t, j_equiv, value) rows under a header of ``params``.
 
-    Whichever params are written also name the one inclusion rule; the
-    default params carry the tie tolerance in effect at this sigma.
+    Every header also names the one inclusion rule.
     """
     c = curve(kind, sigma, (lo, hi), samples)
     j_equiv = c.abscissa / (math.pi * sigma)
-    rows = np.column_stack([c.abscissa, j_equiv, c.ordinate])
-    if params is None:
-        params = {
-            "sigma": sigma,
-            "alpha_min": lo,
-            "alpha_max": hi,
-            "samples": samples,
-            "eps_tie": _tie(sigma),
-        }
     return FigureDataset(
         figure_id=figure_id,
         params={**params, "rule": "inclusive"},
         columns=("alpha_t", "j_equiv", value_column),
-        rows=rows,
+        rows=np.column_stack([c.abscissa, j_equiv, c.ordinate]),
     )
 
 
-def build_figure(
-    figure_id: str,
-    *,
-    sigma: float | None = None,
-    n_slits: int | None = None,
-    alpha_min: float | None = None,
-    alpha_max: float | None = None,
-    samples: int | None = None,
-) -> FigureDataset:
+def build_figure(figure_id: str, **overrides) -> FigureDataset:
     """Build one of the standard figure datasets.
 
     fig3/fig5: envelope-plus-orders intensity sections (sigma = 1/8 and 1/2);
     fig4: one-subinterval detail with its Riemann strip value; fig6/fig7:
     normalized resultant probability and occupation versus truncation;
     fig8: per-order tables for the pair of gratings straddling the third-order
-    threshold; fig9: 0th-order energy step function. Every default can be
-    overridden where it makes sense for that figure.
+    threshold; fig9: 0th-order energy step function. An override left None
+    keeps the default; one the figure does not take in ``_FIGURES`` is refused.
     """
-    if figure_id not in FIGURE_IDS:
+    if figure_id not in _FIGURES:
         raise ValueError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
+    p = dict(_FIGURES[figure_id])
+    for key, value in overrides.items():
+        if value is None:
+            continue
+        if key not in p:
+            raise ValueError(f"{figure_id} takes no {key}; it takes {', '.join(p)}")
+        p[key] = value
+    sig = p["sigma"]
 
-    if figure_id in ("fig3", "fig5"):
-        sig = sigma if sigma is not None else (0.125 if figure_id == "fig3" else 0.5)
-        n = n_slits if n_slits is not None else 4
-        span = 25.0 * math.pi / 16.0 if figure_id == "fig3" else 3.0 * math.pi
-        lo = alpha_min if alpha_min is not None else -span
-        hi = alpha_max if alpha_max is not None else span
-        m = samples if samples is not None else 2001
-        rows = _intensity_rows(lo, hi, m, sig, n)
-        return FigureDataset(
-            figure_id=figure_id,
-            params={"sigma": sig, "n_slits": n, "alpha_min": lo, "alpha_max": hi, "samples": m},
-            columns=("alpha", "collective_output", "resultant"),
-            rows=rows,
-        )
+    if figure_id in _CURVES:
+        # The header also carries the tie tolerance in effect at this sigma.
+        kind, column = _CURVES[figure_id]
+        return _curve_dataset(figure_id, kind, sig, p["alpha_min"], p["alpha_max"],
+                              p["samples"], column, {**p, "eps_tie": _tie(sig)})
 
     if figure_id == "fig4":
-        sig = sigma if sigma is not None else 0.125
-        n = n_slits if n_slits is not None else 4
-        j = 12
-        m = samples if samples is not None else 1001
+        n, j = p["n_slits"], 12
         aj = order_alpha(j, sig)
         half = math.pi * sig / 2.0
-        rows = _intensity_rows(aj - half, aj + half, m, sig, n, include_single=True)
+        rows = _intensity_rows(aj - half, aj + half, p["samples"], sig, n, include_single=True)
         return FigureDataset(
             figure_id=figure_id,
             params={
-                "sigma": sig,
-                "n_slits": n,
+                **p,
                 "j": j,
                 "subinterval_width": math.pi * sig,
                 "peak_base_width": 2.0 * math.pi * sig / n,
                 "riemann_strip": math.pi * sig * n * sinc_sq_at_order(j, sig),
-                "samples": m,
             },
             columns=("alpha", "single_slit", "collective_output", "resultant"),
             rows=rows,
         )
 
-    if figure_id in ("fig6", "fig7"):
-        sig = sigma if sigma is not None else 0.5
-        lo = alpha_min if alpha_min is not None else math.pi
-        hi = alpha_max if alpha_max is not None else 3.0 * math.pi
-        m = samples if samples is not None else 2000
-        kind = CurveKind.RESULTANT_PROBABILITY if figure_id == "fig6" else CurveKind.OCCUPATION
-        col = "p_r" if figure_id == "fig6" else "omega"
-        return _curve_dataset(figure_id, kind, sig, lo, hi, m, col)
-
     if figure_id == "fig8":
-        sig = sigma if sigma is not None else 0.5
-        n = n_slits if n_slits is not None else 257
         a3 = order_alpha(3, sig)
         tables = {}
         for label, at in (("minus", a3 - EDGE_OFFSET), ("plus", a3 + EDGE_OFFSET)):
-            spec = GratingSpec.from_truncation(at, WAVELENGTH_NM, sig, n)
+            spec = GratingSpec.from_truncation(at, WAVELENGTH_NM, sig, p["n_slits"])
             tables[label] = order_table(spec)
         # The order count never falls as alpha_t grows, so the plus table
         # spans every order the minus table has; minus reads zero beyond it.
@@ -308,9 +303,7 @@ def build_figure(
         columns = [np.arange(-top, top + 1)]
         for t in (tables["minus"], tables["plus"]):
             columns += [_signed(t.p_rj, top), _signed(t.e_rj, top)]
-        params = {
-            "sigma": sig, "n_slits": n, "alpha_offset": EDGE_OFFSET, "lambda_nm": WAVELENGTH_NM
-        }
+        params = {**p, "alpha_offset": EDGE_OFFSET, "lambda_nm": WAVELENGTH_NM}
         for label, t in tables.items():
             params.update(
                 {
@@ -327,9 +320,11 @@ def build_figure(
             rows=np.column_stack(columns),
         )
 
-    # fig9: 0th-order energy step function (unit total output energy)
-    sig = sigma if sigma is not None else 0.5
-    lo = alpha_min if alpha_min is not None else math.pi / 4.0
-    hi = alpha_max if alpha_max is not None else 4.0 * math.pi
-    m = samples if samples is not None else 2000
-    return _curve_dataset(figure_id, CurveKind.ZERO_ORDER_ENERGY, sig, lo, hi, m, "e_r0")
+    # fig3/fig5
+    rows = _intensity_rows(p["alpha_min"], p["alpha_max"], p["samples"], sig, p["n_slits"])
+    return FigureDataset(
+        figure_id=figure_id,
+        params=p,
+        columns=("alpha", "collective_output", "resultant"),
+        rows=rows,
+    )

@@ -127,6 +127,79 @@ class TestFigureCommand:
         assert "sigma" in err
 
 
+# The flags each figure takes, written out here rather than read from the
+# package; every other (figure, flag) pair is refused.
+FIGURE_FLAGS = {
+    "fig3": ("--sigma", "--n-slits", "--alpha-min", "--alpha-max", "--samples"),
+    "fig4": ("--sigma", "--n-slits", "--samples"),
+    "fig5": ("--sigma", "--n-slits", "--alpha-min", "--alpha-max", "--samples"),
+    "fig6": ("--sigma", "--alpha-min", "--alpha-max", "--samples"),
+    "fig7": ("--sigma", "--alpha-min", "--alpha-max", "--samples"),
+    "fig8": ("--sigma", "--n-slits"),
+    "fig9": ("--sigma", "--alpha-min", "--alpha-max", "--samples"),
+}
+# One value per flag that every figure taking the flag accepts.
+FLAG_VALUES = {
+    "--sigma": "0.375", "--n-slits": "3", "--alpha-min": "2", "--alpha-max": "5", "--samples": "5"
+}
+REFUSED_PAIRS = [
+    ("fig4", "--alpha-min"), ("fig4", "--alpha-max"),
+    ("fig6", "--n-slits"), ("fig7", "--n-slits"), ("fig9", "--n-slits"),
+    ("fig8", "--alpha-min"), ("fig8", "--alpha-max"), ("fig8", "--samples"),
+]
+
+
+@pytest.mark.parametrize("flag", list(FLAG_VALUES))
+@pytest.mark.parametrize("fid", list(FIGURE_FLAGS))
+def test_figure_takes_only_its_flags(fid, flag, tmp_path, monkeypatch, capsys):
+    code, out, err = run(
+        ["figure", "--id", fid, flag, FLAG_VALUES[flag]], tmp_path, monkeypatch, capsys
+    )
+    refused = (fid, flag) in REFUSED_PAIRS
+    assert refused != (flag in FIGURE_FLAGS[fid])
+    if refused:
+        name = {f: f[2:].replace("-", "_") for f in FLAG_VALUES}
+        takes = ", ".join(name[f] for f in FIGURE_FLAGS[fid])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {fid} takes no {name[flag]}; it takes {takes}\n"
+        assert not (tmp_path / f"{fid}.csv").exists()
+    else:
+        assert code == 0
+        assert (tmp_path / f"{fid}.csv").exists()
+
+
+@pytest.mark.parametrize("fid", ["fig3", "fig5"])
+@pytest.mark.parametrize(
+    "bounds", [("1", "0"), ("1", "1"), ("nan", "1"), ("-1", "nan")],
+    ids=["reversed", "equal", "nan-min", "nan-max"],
+)
+def test_intensity_range_must_increase(fid, bounds, tmp_path, monkeypatch, capsys):
+    code, out, err = run(
+        ["figure", "--id", fid, "--alpha-min", bounds[0], "--alpha-max", bounds[1]],
+        tmp_path, monkeypatch, capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "finite with alpha_min < alpha_max" in err
+    assert "np.float64" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["omega", "--j-equiv", "3"],
+        ["table", "--j-equiv", "3"],
+        ["sweep", "--j-min", "1", "--j-max", "2"],
+    ],
+)
+def test_bad_sigma_is_named(argv, tmp_path, monkeypatch, capsys):
+    code, _, err = run([*argv, "--sigma", "nan"], tmp_path, monkeypatch, capsys)
+    assert code == 2
+    assert err == "error: sigma must lie in (0, 1), got nan\n"
+
+
 class TestTableCommand:
     def test_si_unit_widths(self, tmp_path, monkeypatch, capsys):
         code, out, _ = run(

@@ -42,6 +42,13 @@ class TestDatasetAndEmit:
         with pytest.raises(ValueError, match=message):
             load_dataset(b'{"figure": "fig6", "version": "0", "params": {}, '
                          b'"columns": ["a", "b", "c"], "rows": [[1.0, 2.0], [3.0, 4.0]]}', "json")
+        # Ragged rows get the same check, not numpy's inhomogeneous-shape error.
+        ragged = r"rows must be 2-D with 2 columns, got ragged rows"
+        with pytest.raises(ValueError, match=ragged):
+            load_dataset(b"a,b\n1.0,2.0\n3.0\n", "csv")
+        with pytest.raises(ValueError, match=ragged):
+            load_dataset(b'{"figure": "fig6", "version": "0", "params": {}, '
+                         b'"columns": ["a", "b"], "rows": [[1.0, 2.0], [3.0]]}', "json")
         for fmt in ("csv", "json"):
             empty = FigureDataset("fig6", {}, ("a", "b", "c"), np.zeros((0, 3)))
             assert load_dataset(emit(empty, fmt), fmt).rows.shape == (0, 3)
