@@ -16,10 +16,10 @@ import numpy as np
 
 from grating_orders.coupling import CouplingScenario, composed_apparent_omega, synthesize_pulse_train
 from grating_orders.diffraction import GratingSpec, equivalent_order, order_alpha, truncation_alpha
+from grating_orders.figures import WAVELENGTH_NM
 from grating_orders.orders import occupation_value, zero_order_share
 
-WAVELENGTH_NM = 633.0
-REFERENCE_COUPLING = CouplingScenario(p_ratio=100.0, f_g=0.4, f_r=0.01)
+REFERENCE_COUPLING = CouplingScenario()
 NOISE_SD = 0.024  # gives ~0.003 dispersion on 100-cycle recoveries
 REPS = 60
 
@@ -40,7 +40,7 @@ def main() -> int:
     print()
     print("grating      j(w)     omega_th   omega_biased   synthetic recovery")
     for w, seed0 in ((833.0, 100), (1000.0, 200), (1250.0, 300)):
-        spec = GratingSpec.ronchi(w, WAVELENGTH_NM, 257)
+        spec = GratingSpec.ronchi(w, WAVELENGTH_NM)
         j_w = equivalent_order(spec)
         omega_th = occupation_value(truncation_alpha(spec), 0.5)
         scenario = replace(REFERENCE_COUPLING, omega_id=omega_th)

@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import re
 import sys
 from pathlib import Path
 
 from . import __version__
 from .coupling import CouplingScenario, PulsePair, bias_report, omega_ex, synthesize_pulse_train
-from .diffraction import GratingSpec, equivalent_order, order_alpha, truncation_alpha
+from .diffraction import (
+    DEFAULT_SLIT_COUNT, GratingSpec, equivalent_order, order_alpha, truncation_alpha,
+)
 from .figures import (
     FIGURE_IDS,
     FigureDataset,
@@ -32,31 +33,36 @@ OUTDIR_ENV = "GRATING_ORDERS_OUTDIR"
 # Control-grating band: |omega - 1| below this is reported as ordinary.
 ORDINARY_BAND = 0.005
 
-_PI_FORM = re.compile(r"^(?P<coef>[-+]?[0-9]*\.?[0-9]*)\s*pi\s*(?:/\s*(?P<div>[0-9]+\.?[0-9]*))?$")
+# experiment's model flags by the keyword each fills: a CouplingScenario
+# field, else a synthesize_pulse_train keyword. None has a default here; only
+# the flags given are passed on, so each default is declared in coupling alone.
+_MODEL_FLAGS = {
+    "omega_id": ("--omega-id", float), "p_ratio": ("--p-ratio", float),
+    "f_g": ("--f-g", float), "f_r": ("--f-r", float), "eta": ("--eta", float),
+    "cycles": ("--cycles", int), "noise_sd": ("--noise-sd", float),
+    "baseline_bias": ("--baseline", float), "seed": ("--seed", int),
+}
 
 
-def _divide(num: float, den: str) -> float:
-    """num / float(den), with a zero divisor rejected as a ValueError."""
-    d = float(den)
-    if d == 0:
-        raise ValueError(f"zero divisor {den!r}")
-    return num / d
+def parse_number(text: str) -> float:
+    """Parse a number or a multiple of pi, either optionally divided by a number.
 
-
-def parse_alpha(text: str) -> float:
-    """Parse an alpha value: plain float or symbolic multiple of pi.
-
-    Accepts forms like '3.1', 'pi', '3pi', '3pi/2', '-pi/4'.
+    Accepts forms like '2.25', '1/8', 'pi', '3pi', '-pi/4', '0.5pi', '3pi/2';
+    a zero divisor is a ValueError.
     """
-    s = text.strip().lower()
-    m = _PI_FORM.match(s)
-    if m:
-        coef = m.group("coef")
-        value = math.pi * (float(coef) if coef not in ("", "+", "-") else float(coef + "1"))
-        if m.group("div"):
-            value = _divide(value, m.group("div"))
-        return value
-    return float(s)
+    num, slash, den = text.lower().partition("/")
+    num = num.strip()
+    coef = num.removesuffix("pi").strip()
+    if coef == num:
+        value = float(num)
+    else:
+        value = math.pi * float(coef + "1" if coef in ("", "+", "-") else coef)
+    if slash:
+        d = float(den.strip())
+        if d == 0:
+            raise ValueError(f"zero divisor {den!r}")
+        value /= d
+    return value
 
 
 def parse_j_equiv(text: str) -> float:
@@ -87,15 +93,6 @@ def parse_length_nm(text: str) -> float:
     return v * 1e9 if v < 1e-2 else v
 
 
-def parse_sigma(text: str) -> float:
-    """Parse a duty cycle: decimal ('0.125') or fraction ('1/8')."""
-    s = text.strip()
-    if "/" in s:
-        num, _, den = s.partition("/")
-        return _divide(float(num), den)
-    return float(s)
-
-
 def _write(dataset: FigureDataset, args: argparse.Namespace, name: str) -> None:
     out = args.out or Path(os.environ.get(OUTDIR_ENV, ".")) / f"{name}.{args.fmt}"
     write_dataset(dataset, out, args.fmt)
@@ -109,13 +106,14 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_grating_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--w", type=parse_length_nm, default=None,
-                   help="slit width (nm, or metres if < 1e-2)")
+    truncation = p.add_mutually_exclusive_group(required=True)
+    truncation.add_argument("--w", type=parse_length_nm,
+                            help="slit width (nm, or metres if < 1e-2)")
+    truncation.add_argument("--j-equiv", type=parse_j_equiv,
+                            help="j-equivalent truncation (supports 3- / 3+)")
     p.add_argument("--lambda", dest="wavelength", type=parse_length_nm, default=WAVELENGTH_NM,
                    help="wavelength (nm, or metres if < 1e-2; default 633 nm)")
-    p.add_argument("--j-equiv", type=parse_j_equiv, default=None,
-                   help="alternative to --w: j-equivalent truncation (supports 3- / 3+)")
-    p.add_argument("--sigma", type=parse_sigma, default=0.5)
+    p.add_argument("--sigma", type=parse_number, default=0.5)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,17 +127,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="write one of the standard figure datasets")
     p.set_defaults(run=_run_figure)
     p.add_argument("--id", required=True, choices=FIGURE_IDS, dest="figure_id")
-    p.add_argument("--sigma", type=parse_sigma, default=None, help="duty cycle, e.g. 0.5 or 1/8")
+    p.add_argument("--sigma", type=parse_number, default=None, help="duty cycle, e.g. 0.5 or 1/8")
     p.add_argument("--n-slits", type=int, default=None)
-    p.add_argument("--alpha-min", type=parse_alpha, default=None, help="e.g. pi or 3pi/2")
-    p.add_argument("--alpha-max", type=parse_alpha, default=None)
+    p.add_argument("--alpha-min", type=parse_number, default=None, help="e.g. pi or 3pi/2")
+    p.add_argument("--alpha-max", type=parse_number, default=None)
     p.add_argument("--samples", type=int, default=None)
     _add_output_flags(p)
 
     p = sub.add_parser("table", help="per-order probability/energy table for one grating")
     p.set_defaults(run=_run_table)
     _add_grating_flags(p)
-    p.add_argument("--n-slits", type=int, default=257)
+    p.add_argument("--n-slits", type=int, default=DEFAULT_SLIT_COUNT)
     _add_output_flags(p)
 
     p = sub.add_parser("omega", help="occupation value at a truncation point")
@@ -148,15 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="bias report and synthetic pulse-train measurement")
     p.set_defaults(run=_run_experiment)
-    p.add_argument("--omega-id", type=float, default=1.025)
-    p.add_argument("--p-ratio", type=float, default=100.0)
-    p.add_argument("--f-g", type=float, default=0.4)
-    p.add_argument("--f-r", type=float, default=0.01)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--cycles", type=int, default=100)
-    p.add_argument("--noise-sd", type=float, default=0.0)
-    p.add_argument("--baseline", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
+    for dest, (flag, kind) in _MODEL_FLAGS.items():
+        p.add_argument(flag, dest=dest, type=kind)
     p.add_argument("--dv-g", type=float, default=None,
                    help="measured pulse height, reference blocked (with --dv-gc)")
     p.add_argument("--dv-gc", type=float, default=None,
@@ -169,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j-min", type=float, required=True)
     p.add_argument("--j-max", type=float, required=True)
     p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--sigma", type=parse_sigma, default=0.5)
+    p.add_argument("--sigma", type=parse_number, default=0.5)
     _add_output_flags(p)
 
     return parser
@@ -188,21 +179,16 @@ def _run_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _spec_from_args(args: argparse.Namespace) -> GratingSpec:
-    if args.j_equiv is not None:
-        at = order_alpha(args.j_equiv, args.sigma)
-        return GratingSpec.from_truncation(at, args.wavelength, args.sigma, args.n_slits)
-    if args.w is None:
-        raise ValueError("either --w or --j-equiv is required")
-    return GratingSpec(args.w, args.sigma, args.wavelength, args.n_slits)
-
-
 def _run_table(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
+    if args.w is None:
+        at = order_alpha(args.j_equiv, args.sigma)
+        spec = GratingSpec.from_truncation(at, args.wavelength, args.sigma, args.n_slits)
+    else:
+        spec = GratingSpec(args.w, args.sigma, args.wavelength, args.n_slits)
     table = order_table(spec)
-    dataset = dataset_from_order_table(table, equivalent_order(spec))
-    _write(dataset, args, "table")
-    print(f"grating j-equiv {equivalent_order(spec):.4f}: "
+    j_equiv = equivalent_order(spec)
+    _write(dataset_from_order_table(table, j_equiv), args, "table")
+    print(f"grating j-equiv {j_equiv:.4f}: "
           f"P_r = {table.p_r:.6f}, E_r = {table.e_r:.6f}, omega = {table.omega:.6f}")
     return 0
 
@@ -214,15 +200,11 @@ def _classify(omega: float) -> str:
 
 
 def _run_omega(args: argparse.Namespace) -> int:
-    if args.j_equiv is not None:
-        at = order_alpha(args.j_equiv, args.sigma)
-        j_equiv = args.j_equiv
-    elif args.w is not None:
-        spec = GratingSpec(args.w, args.sigma, args.wavelength)
-        at = truncation_alpha(spec)
-        j_equiv = equivalent_order(spec)
+    if args.w is None:
+        at, j_equiv = order_alpha(args.j_equiv, args.sigma), args.j_equiv
     else:
-        raise ValueError("either --w or --j-equiv is required")
+        spec = GratingSpec(args.w, args.sigma, args.wavelength)
+        at, j_equiv = truncation_alpha(spec), equivalent_order(spec)
     omega = occupation_value(at, args.sigma)
     print(f"j_equiv: {j_equiv:.6f}")
     print(f"alpha_t: {at!r}")
@@ -235,24 +217,20 @@ def _run_omega(args: argparse.Namespace) -> int:
 def _run_experiment(args: argparse.Namespace) -> int:
     if (args.dv_g is None) != (args.dv_gc is None):
         raise ValueError("--dv-g and --dv-gc must be given together")
-    pair = PulsePair(dv_g=args.dv_g, dv_gc=args.dv_gc) if args.dv_g is not None else None
-    scenario = CouplingScenario(
-        omega_id=args.omega_id,
-        p_ratio=args.p_ratio,
-        f_g=args.f_g,
-        f_r=args.f_r,
-        eta=args.eta,
-    )
-    if pair is not None:
-        value = omega_ex(pair)
+    given = {k: getattr(args, k) for k in _MODEL_FLAGS if getattr(args, k) is not None}
+    if args.dv_g is not None:
+        if given:
+            flag = _MODEL_FLAGS[next(iter(given))][0]
+            raise ValueError(f"{flag} is not taken with --dv-g/--dv-gc")
+        value = omega_ex(PulsePair(dv_g=args.dv_g, dv_gc=args.dv_gc))
         print(f"omega_ex: {value:.6f}")
         print(f"classification: {_classify(value)}")
         return 0
+    fields = CouplingScenario.__dataclass_fields__
+    scenario = CouplingScenario(**{k: v for k, v in given.items() if k in fields})
     report = bias_report(scenario)
-    train = synthesize_pulse_train(
-        scenario.omega_id, scenario, baseline_bias=args.baseline,
-        cycles=args.cycles, noise_sd=args.noise_sd, seed=args.seed,
-    )
+    train = synthesize_pulse_train(scenario.omega_id, scenario,
+                                   **{k: v for k, v in given.items() if k not in fields})
     for line in report.summary_lines():
         print(line)
     print(f"synthetic pulse pair:   dv_g={train.pulses.dv_g:.6f} dv_gc={train.pulses.dv_gc:.6f}")

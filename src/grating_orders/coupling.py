@@ -157,7 +157,6 @@ class BiasReport:
     """
 
     scenario: CouplingScenario
-    omega_idealized: float
     omega_equilibrated: float
     omega_finite_reservoir: float
     omega_annular: float
@@ -180,7 +179,7 @@ class BiasReport:
 
     def summary_lines(self) -> list[str]:
         lines = [
-            f"idealized omega:        {self.omega_idealized:.6f}",
+            f"idealized omega:        {self.scenario.omega_id:.6f}",
             f"equilibrated omega:     {self.omega_equilibrated:.6f}",
         ]
         for label, omega, under, ok in (
@@ -206,7 +205,6 @@ def bias_report(scenario: CouplingScenario) -> BiasReport:
     comp = composed_apparent_omega(scenario)
     return BiasReport(
         scenario=scenario,
-        omega_idealized=scenario.omega_id,
         omega_equilibrated=equilibrated_omega(scenario),
         omega_finite_reservoir=fin,
         omega_annular=ann,

@@ -99,7 +99,13 @@ class GratingSpec:
         at = as_alpha(alpha_t)
         if at <= 0:
             raise ValueError(f"alpha_t must be positive, got {at!r}")
-        return cls(wavelength_lambda * at / math.pi, duty_sigma, wavelength_lambda, slit_count_n)
+        w = wavelength_lambda * at / math.pi
+        # Name the truncation asked for, not the width derived from it; a width
+        # that is not positive is left to the length check.
+        if 0 < w < wavelength_lambda:
+            raise ValueError(f"alpha_t={at!r} (j-equivalent {at / order_alpha(1, duty_sigma):.6f} "
+                             f"at sigma={duty_sigma!r}) is below pi: sub-wavelength slit rejected")
+        return cls(w, duty_sigma, wavelength_lambda, slit_count_n)
 
 
 def alpha_from_theta(spec: GratingSpec, theta_deg: float) -> float:

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .diffraction import (
+    DEFAULT_SLIT_COUNT,
     GratingSpec,
     grating_intensity,
     order_alpha,
@@ -55,7 +56,7 @@ _FIGURES = {
              "alpha_max": 3.0 * math.pi, "samples": 2001},
     "fig6": {"sigma": 0.5, "alpha_min": math.pi, "alpha_max": 3.0 * math.pi, "samples": 2000},
     "fig7": {"sigma": 0.5, "alpha_min": math.pi, "alpha_max": 3.0 * math.pi, "samples": 2000},
-    "fig8": {"sigma": 0.5, "n_slits": 257},
+    "fig8": {"sigma": 0.5, "n_slits": DEFAULT_SLIT_COUNT},
     "fig9": {"sigma": 0.5, "alpha_min": math.pi / 4.0, "alpha_max": 4.0 * math.pi,
              "samples": 2000},
 }

@@ -27,7 +27,7 @@ class TestParsers:
         ],
     )
     def test_parse_alpha(self, text, expected):
-        assert cli.parse_alpha(text) == pytest.approx(expected, rel=1e-15)
+        assert cli.parse_number(text) == pytest.approx(expected, rel=1e-15)
 
     def test_parse_j_equiv_threshold_forms(self):
         assert cli.parse_j_equiv("2.63") == 2.63
@@ -44,16 +44,18 @@ class TestParsers:
         assert cli.parse_length_nm("1000") == 1000.0
 
     def test_parse_sigma_fraction(self):
-        assert cli.parse_sigma("1/8") == 0.125
-        assert cli.parse_sigma("0.5") == 0.5
+        assert cli.parse_number("1/8") == 0.125
+        assert cli.parse_number("0.5") == 0.5
 
-    @pytest.mark.parametrize(
-        "parse,text",
-        [(cli.parse_sigma, "1/0"), (cli.parse_sigma, "0/0"), (cli.parse_alpha, "pi/0")],
-    )
-    def test_zero_divisor_is_value_error(self, parse, text):
+    def test_cross_forms(self):
+        # a duty cycle as a multiple of pi, an alpha as a plain fraction
+        assert cli.parse_number("pi/8") == math.pi / 8
+        assert cli.parse_number("1/2") == 0.5
+
+    @pytest.mark.parametrize("text", ["1/0", "0/0", "pi/0"])
+    def test_zero_divisor_is_value_error(self, text):
         with pytest.raises(ValueError, match="zero divisor"):
-            parse(text)
+            cli.parse_number(text)
 
     @pytest.mark.parametrize(
         "argv",
@@ -224,9 +226,11 @@ class TestTableCommand:
         assert "omega = 1.028507" in out
 
     def test_missing_width_is_error(self, tmp_path, monkeypatch, capsys):
-        code, _, err = run(["table"], tmp_path, monkeypatch, capsys)
-        assert code == 2
-        assert "--w or --j-equiv" in err
+        with pytest.raises(SystemExit) as exc:
+            run(["table"], tmp_path, monkeypatch, capsys)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--w" in err and "--j-equiv" in err
 
 
 class TestOmegaCommand:
@@ -254,10 +258,48 @@ class TestOmegaCommand:
         assert "j_equiv: 2.6319" in out
 
     def test_missing_width_is_error(self, tmp_path, monkeypatch, capsys):
-        code, out, err = run(["omega"], tmp_path, monkeypatch, capsys)
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            run(["omega"], tmp_path, monkeypatch, capsys)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
         assert out == ""
-        assert "--w or --j-equiv" in err
+        assert "--w" in err and "--j-equiv" in err
+
+
+@pytest.mark.parametrize("subcommand", ["omega", "table"])
+def test_width_and_j_equiv_exclude_each_other(subcommand, tmp_path, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([subcommand, "--w", "2000", "--j-equiv", "3-"], tmp_path, monkeypatch, capsys)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "not allowed with" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["figure", "--id", "fig8", "--sigma", "0.25"], ("alpha_t=", "sigma=0.25")),
+        (["table", "--j-equiv", "1.5"], ("alpha_t=", "j-equivalent 1.500000")),
+    ],
+)
+def test_truncation_below_pi_is_named(argv, named, tmp_path, monkeypatch, capsys):
+    code, out, err = run(argv, tmp_path, monkeypatch, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "w=" not in err
+    for text in named:
+        assert text in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_omega_below_pi_still_answers(tmp_path, monkeypatch, capsys):
+    # omega builds no grating, so a truncation below pi has an answer
+    code, out, _ = run(["omega", "--j-equiv", "1.5"], tmp_path, monkeypatch, capsys)
+    assert code == 0
+    assert "j_equiv: 1.500000" in out
 
 
 @pytest.mark.parametrize("subcommand", ["omega", "table"])
@@ -324,6 +366,21 @@ class TestExperimentCommand:
         assert code == 0
         assert "omega_ex: 1.015000" in out
         assert "enriched" in out
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--omega-id", "1.05"), ("--p-ratio", "50"), ("--f-g", "0.5"), ("--f-r", "0.02"),
+        ("--eta", "0.5"), ("--cycles", "200"), ("--noise-sd", "0.01"), ("--baseline", "0.1"),
+        ("--seed", "3"),
+    ])
+    def test_measured_pair_takes_no_model_flag(self, flag, value, tmp_path, monkeypatch, capsys):
+        argv = ["experiment", "--dv-g", "1.0", "--dv-gc", "0.97"]
+        code, out, _ = run(argv, tmp_path, monkeypatch, capsys)
+        assert code == 0
+        assert "omega_ex: 1.030928" in out
+        code, out, err = run([*argv, flag, value], tmp_path, monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} is not taken with --dv-g/--dv-gc\n"
 
     def test_half_pair_is_error(self, tmp_path, monkeypatch, capsys):
         code, _, err = run(["experiment", "--dv-g", "1.0"], tmp_path, monkeypatch, capsys)
