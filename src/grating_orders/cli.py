@@ -17,15 +17,8 @@ from .coupling import CouplingScenario, PulsePair, bias_report, omega_ex, synthe
 from .diffraction import (
     DEFAULT_SLIT_COUNT, GratingSpec, equivalent_order, order_alpha, truncation_alpha,
 )
-from .figures import (
-    FIGURE_IDS,
-    FigureDataset,
-    WAVELENGTH_NM,
-    _curve_dataset,
-    build_figure,
-    dataset_from_order_table,
-    write_dataset,
-)
+from .figures import (FIGURE_IDS, WAVELENGTH_NM, _curve_dataset, build_figure,
+                      write_dataset, write_order_table)
 from .orders import EDGE_OFFSET, CurveKind, occupation_value, order_table
 
 OUTDIR_ENV = "GRATING_ORDERS_OUTDIR"
@@ -88,15 +81,31 @@ def parse_length_nm(text: str) -> float:
     1e-2 m, so the two unit conventions cannot collide.
     """
     v = float(text)
-    if v <= 0:
-        raise ValueError(f"length must be positive, got {text!r}")
+    if not (math.isfinite(v) and v > 0):
+        raise ValueError(f"length must be positive and finite, got {text!r}")
     return v * 1e9 if v < 1e-2 else v
 
 
-def _write(dataset: FigureDataset, args: argparse.Namespace, name: str) -> None:
+def _flag_type(parse, forms: str):
+    """``parse`` as an argparse type whose refusal names the text and the accepted forms."""
+    def flag_type(text: str) -> float:
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}; expected {forms}") from None
+    return flag_type
+
+
+_NUMBER = _flag_type(parse_number, "a number or multiple of pi, or a ratio: 0.5, 1/8, 3pi/2")
+_J_EQUIV = _flag_type(parse_j_equiv, "an order, or a whole order with - or +: 3, 3.94, 3-, 3+")
+_LENGTH = _flag_type(parse_length_nm, "a positive finite length in nm, or metres below 1e-2")
+
+
+def _write(args: argparse.Namespace, name: str, rows: int, write, *data) -> None:
+    """Write ``data`` with ``write`` to --out, else <name>.<fmt> under $OUTDIR_ENV or cwd."""
     out = args.out or Path(os.environ.get(OUTDIR_ENV, ".")) / f"{name}.{args.fmt}"
-    write_dataset(dataset, out, args.fmt)
-    print(f"wrote {out} ({dataset.rows.shape[0]} rows)")
+    write(*data, out, args.fmt)
+    print(f"wrote {out} ({rows} rows)")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -107,13 +116,13 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_grating_flags(p: argparse.ArgumentParser) -> None:
     truncation = p.add_mutually_exclusive_group(required=True)
-    truncation.add_argument("--w", type=parse_length_nm,
+    truncation.add_argument("--w", type=_LENGTH,
                             help="slit width (nm, or metres if < 1e-2)")
-    truncation.add_argument("--j-equiv", type=parse_j_equiv,
+    truncation.add_argument("--j-equiv", type=_J_EQUIV,
                             help="j-equivalent truncation (supports 3- / 3+)")
-    p.add_argument("--lambda", dest="wavelength", type=parse_length_nm, default=WAVELENGTH_NM,
+    p.add_argument("--lambda", dest="wavelength", type=_LENGTH, default=WAVELENGTH_NM,
                    help="wavelength (nm, or metres if < 1e-2; default 633 nm)")
-    p.add_argument("--sigma", type=parse_number, default=0.5)
+    p.add_argument("--sigma", type=_NUMBER, default=0.5)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,10 +136,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="write one of the standard figure datasets")
     p.set_defaults(run=_run_figure)
     p.add_argument("--id", required=True, choices=FIGURE_IDS, dest="figure_id")
-    p.add_argument("--sigma", type=parse_number, default=None, help="duty cycle, e.g. 0.5 or 1/8")
+    p.add_argument("--sigma", type=_NUMBER, default=None, help="duty cycle, e.g. 0.5 or 1/8")
     p.add_argument("--n-slits", type=int, default=None)
-    p.add_argument("--alpha-min", type=parse_number, default=None, help="e.g. pi or 3pi/2")
-    p.add_argument("--alpha-max", type=parse_number, default=None)
+    p.add_argument("--alpha-min", type=_NUMBER, default=None, help="e.g. pi or 3pi/2")
+    p.add_argument("--alpha-max", type=_NUMBER, default=None)
     p.add_argument("--samples", type=int, default=None)
     _add_output_flags(p)
 
@@ -160,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j-min", type=float, required=True)
     p.add_argument("--j-max", type=float, required=True)
     p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--sigma", type=parse_number, default=0.5)
+    p.add_argument("--sigma", type=_NUMBER, default=0.5)
     _add_output_flags(p)
 
     return parser
@@ -175,7 +184,7 @@ def _run_figure(args: argparse.Namespace) -> int:
         alpha_max=args.alpha_max,
         samples=args.samples,
     )
-    _write(dataset, args, args.figure_id)
+    _write(args, args.figure_id, dataset.rows.shape[0], write_dataset, dataset)
     return 0
 
 
@@ -187,7 +196,7 @@ def _run_table(args: argparse.Namespace) -> int:
         spec = GratingSpec(args.w, args.sigma, args.wavelength, args.n_slits)
     table = order_table(spec)
     j_equiv = equivalent_order(spec)
-    _write(dataset_from_order_table(table, j_equiv), args, "table")
+    _write(args, "table", 2 * len(table.p_rj) - 1, write_order_table, table, j_equiv)
     print(f"grating j-equiv {j_equiv:.4f}: "
           f"P_r = {table.p_r:.6f}, E_r = {table.e_r:.6f}, omega = {table.omega:.6f}")
     return 0
@@ -254,7 +263,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
     dataset = _curve_dataset(
         "sweep", args.quantity, args.sigma, lo, hi, args.samples, args.quantity, params
     )
-    _write(dataset, args, "sweep")
+    _write(args, "sweep", dataset.rows.shape[0], write_dataset, dataset)
     return 0
 
 

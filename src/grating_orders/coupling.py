@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .orders import MAX_POINTS
 
 # A bias whose underestimate is below this, in occupation units, is reported
@@ -246,6 +244,7 @@ def synthesize_pulse_train(
     the recovered occupation equals ``composed_apparent_omega`` of the
     scenario to machine precision.
     """
+    import numpy as np
     if cycles < 1:
         raise ValueError(f"cycles must be >= 1, got {cycles!r}")
     if cycles * 2 * SAMPLES_PER_HALF_CYCLE > MAX_POINTS:

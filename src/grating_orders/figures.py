@@ -15,8 +15,6 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .diffraction import (
     DEFAULT_SLIT_COUNT,
@@ -43,7 +41,7 @@ __all__ = [
     "load_dataset",
     "write_dataset",
     "build_figure",
-    "dataset_from_order_table",
+    "write_order_table",
 ]
 
 # Each figure's parameters with their defaults: build_figure's overrides and
@@ -82,6 +80,7 @@ class FigureDataset:
     version: str = __version__
 
     def __post_init__(self) -> None:
+        import numpy as np
         try:
             rows = np.asarray(self.rows, dtype=float)
         except ValueError:
@@ -104,31 +103,42 @@ class FigureDataset:
         object.__setattr__(self, "columns", tuple(self.columns))
 
 
-def _format_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+# Rows encoded per piece, so no list of every row is held at once.
+_BLOCK = 4096
+
+
+def _encode(figure_id, version, params, columns, blocks, fmt):
+    """The CSV or JSON text of a dataset: the header, then one piece per block of rows.
+
+    ``blocks`` yields non-empty lists of float rows; JSON matches ``json.dumps(indent=1)``.
+    """
+    if fmt == "csv":
+        head = [f"# figure: {figure_id}", f"# version: {version}"]
+        head += [f"# {key}: {params[key]}" for key in sorted(params)]
+        yield "\n".join([*head, ",".join(columns)]) + "\n"
+        for block in blocks:
+            yield "".join([",".join(map(repr, row)) + "\n" for row in block])
+    elif fmt == "json":
+        payload = {"figure": figure_id, "version": version,
+                   "params": {k: params[k] for k in sorted(params)},
+                   "columns": list(columns), "rows": []}
+        yield json.dumps(payload, indent=1).removesuffix("[]\n}")
+        sep = "["
+        for block in blocks:
+            yield sep + ",".join(["\n  [\n   " + ",\n   ".join(map(repr, row)) + "\n  ]"
+                                  for row in block])
+            sep = ","
+        yield "[]\n}\n" if sep == "[" else "\n ]\n}\n"
+    else:
+        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
 
 
 def emit(dataset: FigureDataset, fmt: str = "csv") -> bytes:
     """Serialize a dataset to CSV or JSON bytes (deterministic)."""
-    if fmt == "csv":
-        lines = [f"# figure: {dataset.figure_id}", f"# version: {dataset.version}"]
-        for key in sorted(dataset.params):
-            lines.append(f"# {key}: {_format_value(dataset.params[key])}")
-        lines.append(",".join(dataset.columns))
-        lines.extend(",".join(map(repr, row)) for row in dataset.rows.tolist())
-        return ("\n".join(lines) + "\n").encode("ascii")
-    if fmt == "json":
-        payload = {
-            "figure": dataset.figure_id,
-            "version": dataset.version,
-            "params": {k: dataset.params[k] for k in sorted(dataset.params)},
-            "columns": list(dataset.columns),
-            "rows": dataset.rows.tolist(),
-        }
-        return (json.dumps(payload, indent=1) + "\n").encode("ascii")
-    raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+    rows = dataset.rows
+    blocks = (rows[i:i + _BLOCK].tolist() for i in range(0, len(rows), _BLOCK))
+    return "".join(_encode(dataset.figure_id, dataset.version, dataset.params,
+                           dataset.columns, blocks, fmt)).encode("ascii")
 
 
 def load_dataset(data: bytes, fmt: str = "csv") -> FigureDataset:
@@ -173,27 +183,39 @@ def load_dataset(data: bytes, fmt: str = "csv") -> FigureDataset:
     raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
 
 
-def write_dataset(dataset: FigureDataset, path: Path | str, fmt: str = "csv") -> Path:
-    """Write a dataset atomically (temp file in place, then rename)."""
+def _write_atomic(path: Path | str, pieces) -> Path:
+    # Temp file beside path, then rename; a failed write leaves path as it was.
     path = Path(path)
-    payload = emit(dataset, fmt)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(pieces)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
+
+
+def write_dataset(dataset: FigureDataset, path: Path | str, fmt: str = "csv") -> Path:
+    """Write a dataset atomically (temp file in place, then rename)."""
+    return _write_atomic(path, [emit(dataset, fmt)])
 
 
 def _signed(column, n: int) -> np.ndarray:
     """A column indexed by |j| at the orders -n..n, zero past its last order."""
+    import numpy as np
     values = np.zeros(n + 1)
     values[: len(column)] = column
     return values[np.abs(np.arange(-n, n + 1))]
 
 
-def dataset_from_order_table(table: OrderTable, j_equiv: float) -> FigureDataset:
-    """The ``table`` dataset: one row per signed order j, with the grating in the header."""
+def write_order_table(table: OrderTable, j_equiv: float, path: Path | str,
+                      fmt: str = "csv") -> Path:
+    """Write the ``table`` dataset atomically: one row per signed order j, as a float.
+
+    The grating and totals go in the header; rows are encoded block by block.
+    """
     n = len(table.p_rj) - 1
     params = {
         "w_nm": table.grating.slit_width_w,
@@ -205,16 +227,14 @@ def dataset_from_order_table(table: OrderTable, j_equiv: float) -> FigureDataset
         "omega": table.omega,
         "j_equiv": j_equiv,
     }
-    columns = (table.p_rj, table.e_rj, table.omega_j)
-    return FigureDataset(
-        figure_id="table",
-        params=params,
-        columns=("j", "p_rj", "e_rj", "omega_j"),
-        rows=np.column_stack([np.arange(-n, n + 1), *(_signed(c, n) for c in columns)]),
-    )
+    blocks = ([[float(j), table.p_rj[abs(j)], table.e_rj[abs(j)], table.omega_j[abs(j)]]
+               for j in range(lo, min(lo + _BLOCK, n + 1))] for lo in range(-n, n + 1, _BLOCK))
+    pieces = _encode("table", __version__, params, ("j", "p_rj", "e_rj", "omega_j"), blocks, fmt)
+    return _write_atomic(path, (piece.encode("ascii") for piece in pieces))
 
 
 def _intensity_rows(alpha_lo, alpha_hi, samples, sigma, n_slits, include_single=False):
+    import numpy as np
     if not 2 <= samples <= MAX_POINTS:
         raise ValueError(f"samples must lie in [2, {MAX_POINTS:.3g}], got {samples!r}")
     if not (math.isfinite(alpha_lo) and math.isfinite(alpha_hi) and alpha_lo < alpha_hi):
@@ -237,6 +257,7 @@ def _curve_dataset(figure_id, kind, sigma, lo, hi, samples, value_column, params
 
     Every header also names the one inclusion rule.
     """
+    import numpy as np
     c = curve(kind, sigma, (lo, hi), samples)
     j_equiv = c.abscissa / (math.pi * sigma)
     return FigureDataset(
@@ -257,6 +278,7 @@ def build_figure(figure_id: str, **overrides) -> FigureDataset:
     threshold; fig9: 0th-order energy step function. An override left None
     keeps the default; one the figure does not take in ``_FIGURES`` is refused.
     """
+    import numpy as np
     if figure_id not in _FIGURES:
         raise ValueError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
     p = dict(_FIGURES[figure_id])

@@ -16,8 +16,6 @@ import math
 from array import array
 from dataclasses import dataclass
 
-import numpy as np
-
 from .diffraction import (
     GratingSpec,
     as_alpha,
@@ -62,11 +60,11 @@ MAX_ORDER_TERMS = 10**7
 # Most points one request may hold: the rows of an ``order_table`` (signed
 # orders), the points of a ``curve``, the rows of a fig3/4/5 intensity
 # section and the samples of a ``coupling`` pulse train. Peak RSS and CPU of
-# the largest admitted CLI request of each kind (Python 3.11, numpy 2.4,
-# 2-core x86-64 Linux): a 1e6-point curve 308 MB, 6.7 s (continued-fraction
-# Si; 283 MB, 8.1 s by the series), a 20-point curve at 1e7 orders 184 MB,
-# 12.4 s, a 1e6-row fig3 293 MB, 10.3 s, a 999,999-row table 298 MB, 6.9 s,
-# and a 31,250-cycle experiment 56 MB, 0.3 s.
+# the largest admitted CLI request of each kind, CSV/JSON (Python 3.11, numpy
+# 2.4, 2-core x86-64 Linux): a 1e6-point curve 261 MB, 7.4/7.8 s (continued-
+# fraction Si; 186/228 MB, 6.9/8.9 s by the series), a 20-point curve at 1e7
+# orders 184 MB, 14.4/12.5 s, a 1e6-row fig3 292 MB, 9.7/9.3 s, a 999,999-row
+# table 30/31 MB, 5.5/6.2 s, and a 31,250-cycle experiment 55 MB, 0.5 s.
 MAX_POINTS = 10**6
 
 
@@ -97,6 +95,7 @@ class ProbabilityCurve:
     kind: CurveKind
 
     def __post_init__(self) -> None:
+        import numpy as np
         a = np.asarray(self.abscissa, dtype=float)
         o = np.asarray(self.ordinate, dtype=float)
         if a.shape != o.shape or a.ndim != 1 or a.size < 1:
@@ -148,6 +147,7 @@ def _order_counts(alphas: np.ndarray, sigma: float) -> np.ndarray:
     with j, so the last position <= cap, found by one sorted search with
     the scalar's own float comparison, is each point's count.
     """
+    import numpy as np
     j = np.arange(propagating_orders(alphas.min(), sigma)[-1],
                   propagating_orders(alphas.max(), sigma)[-1] + 2)
     return j[np.searchsorted(order_alpha(j, sigma), alphas + _tie(sigma), side="right") - 1]
@@ -376,6 +376,7 @@ def curve(
     scalar's order, and the envelope integral comes from
     ``symmetric_sinc_sq_integrals``, the array copy of ``sinc_sq_integral``.
     """
+    import numpy as np
     kind = CurveKind(kind)
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma!r}")

@@ -4,6 +4,8 @@ The closed forms built on Si(x) are the production path for every envelope
 integral in the package, in two forms that give the same float at every
 point: the scalars ``si`` and ``sinc_sq_integral`` make no numpy call, and
 ``symmetric_sinc_sq_integrals`` copies them for the many points of a curve.
+No module of the package imports numpy at load, so ``omega``, ``table``,
+``experiment --dv-g/--dv-gc`` and every refused CLI call run without it.
 ``adaptive_integrate`` is a deliberately independent second route (plain
 adaptive Simpson) kept alongside so that each path checks the other; the
 test suite compares them everywhere it matters.
@@ -14,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .diffraction import grating_factor, grating_intensity, order_alpha
 
@@ -158,6 +158,7 @@ def _cquot(ar, ai, br, bi):
     # CPython's complex quotient (_Py_c_quot): Smith's method, scaled by the
     # larger component of the divisor. numpy's complex divide multiplies by a
     # reciprocal instead and rounds differently, so it is not used.
+    import numpy as np
     real_major = np.abs(br) >= np.abs(bi)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(real_major, bi / br, br / bi)
@@ -178,6 +179,7 @@ def _si_continued_fraction_array(x: np.ndarray) -> np.ndarray:
     np.cos are assumed to return what math.sin and math.cos do, which
     ``TestCurve::test_ordinates_equal_scalar`` and the output digests check.
     """
+    import numpy as np
     out = np.empty_like(x)
     idx = np.arange(x.size)
     br = np.ones_like(x)  # b = 1 + ix; b.imag stays x, since x + 0.0 is x
@@ -219,6 +221,7 @@ def _series_terms(x: np.ndarray, columns: int) -> np.ndarray:
     # Terms 0..columns-1 of ``_si_power_series`` for every x, one row
     # each. The running product accumulates left to right, so term_sin
     # takes the scalar's factors in the scalar's order and rounds alike.
+    import numpy as np
     k = np.arange(1, columns)
     factors = np.empty((x.size, columns))
     factors[:, 0] = x
@@ -230,6 +233,7 @@ def _series_terms(x: np.ndarray, columns: int) -> np.ndarray:
 
 def _small_terms(terms: np.ndarray) -> np.ndarray:
     # Where a term past the first is below the tolerance that ends the series.
+    import numpy as np
     return np.abs(terms[:, 1:]) < _SERIES_TOL
 
 
@@ -245,6 +249,7 @@ def _si_power_series_array(x: np.ndarray) -> np.ndarray:
     block's column count. ``ArithmeticError`` is raised where the scalar
     would raise it.
     """
+    import numpy as np
     out = np.empty_like(x)
     for start in range(0, x.size, _SERIES_BLOCK):
         xb = x[start:start + _SERIES_BLOCK]
@@ -268,6 +273,7 @@ def symmetric_sinc_sq_integrals(a: np.ndarray) -> np.ndarray:
     Si from the array continued fraction past the series cutoff and from the
     array power series below it.
     """
+    import numpy as np
     x = 2.0 * a
     si_2a = np.empty_like(a)
     cf = x > _SI_SERIES_CUTOFF

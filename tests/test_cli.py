@@ -1,10 +1,27 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from grating_orders import __version__, cli
 from grating_orders.figures import load_dataset
+
+# The invocations that need no array: every omega and table of the benchmark
+# catalogue, the measured pulse pair and the four refused calls.
+NUMPY_FREE = [
+    "omega --j-equiv 3-", "omega --j-equiv 3+", "omega --w 833",
+    "omega --j-equiv 6.5 --sigma 1/3",
+    "table --j-equiv 3- --out table.csv", "table --j-equiv 3+ --out table.csv",
+    "table --w 1250 --out table.csv", "table --w 2000 --format json --out table.json",
+    "experiment --dv-g 1.0 --dv-gc 0.97",
+    "omega --w 500", "omega --j-equiv 3 --sigma 1.0",
+    "sweep --j-min 5 --j-max 2 --out sweep.csv", "figure --id fig99 --out fig99.csv",
+]
+LENGTH_FORMS = "expected a positive finite length in nm, or metres below 1e-2"
 
 
 def run(argv, tmp_path, monkeypatch, capsys):
@@ -68,6 +85,71 @@ class TestParsers:
         with pytest.raises(SystemExit) as exc:
             run(argv, tmp_path, monkeypatch, capsys)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv,flag,text,forms", [
+        (["omega", "--j-equiv", "3", "--sigma", "abc"], "--sigma", "abc", "0.5, 1/8, 3pi/2"),
+        (["omega", "--j-equiv", "3.5-"], "--j-equiv", "3.5-", "3, 3.94, 3-, 3+"),
+        (["omega", "--w", "abc"], "--w", "abc", LENGTH_FORMS),
+        (["omega", "--w", "1000", "--lambda", "-1"], "--lambda", "-1", LENGTH_FORMS),
+    ])
+    def test_refusal_names_flag_text_and_forms(self, argv, flag, text, forms, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: ") and all(line[0] == " " for line in err[1:-1])
+        assert err[-1].startswith(f"grating-orders omega: error: argument {flag}: "
+                                  f"invalid value {text!r}; expected ")
+        assert err[-1].endswith(forms) and "parse_" not in err[-1]
+
+    @pytest.mark.parametrize("subcommand", ["omega", "table"])
+    @pytest.mark.parametrize("flag", ["--w", "--lambda"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_length_is_usage_error(self, subcommand, flag, text, tmp_path,
+                                              monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        width = ["--j-equiv", "3"] if flag == "--lambda" else []
+        with pytest.raises(SystemExit) as exc:
+            cli.main([subcommand, *width, f"{flag}={text}"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"grating-orders {subcommand}: error: argument {flag}: "
+            f"invalid value {text!r}; {LENGTH_FORMS}"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+
+def child_env() -> dict:
+    # The environment of a child Python that imports this checkout's package.
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop(cli.OUTDIR_ENV, None)
+    return env
+
+
+class TestNumpyFreeStart:
+    # A child process runs the CLI with or without numpy made unimportable.
+    def run_cli(self, argv, cwd, block_numpy):
+        cwd.mkdir()
+        code = ("import sys, runpy; sys.modules['numpy'] = None; "
+                "runpy.run_module('grating_orders.cli', run_name='__main__')")
+        prefix = ["-c", code] if block_numpy else ["-m", "grating_orders.cli"]
+        proc = subprocess.run([sys.executable, *prefix, *argv], cwd=cwd, env=child_env(),
+                              capture_output=True)
+        files = {p.name: p.read_bytes() for p in cwd.iterdir()}
+        return proc.returncode, proc.stdout, proc.stderr, files
+
+    @pytest.mark.parametrize("key", NUMPY_FREE)
+    def test_same_bytes_without_numpy(self, key, tmp_path):
+        normal = self.run_cli(key.split(), tmp_path / "normal", block_numpy=False)
+        blocked = self.run_cli(key.split(), tmp_path / "blocked", block_numpy=True)
+        assert blocked == normal
+        assert normal[0] == (2 if normal[2] else 0)
+
+    def test_import_leaves_numpy_unloaded(self):
+        code = "import sys, grating_orders.cli; print('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True)
+        assert proc.stdout == b"False\n", proc.stderr
 
 
 class TestFigureCommand:

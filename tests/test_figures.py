@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from grating_orders.diffraction import order_alpha, sinc_sq
+from grating_orders.diffraction import GratingSpec, order_alpha, sinc_sq
 from grating_orders.figures import (
     FIGURE_IDS,
     FigureDataset,
@@ -11,7 +11,9 @@ from grating_orders.figures import (
     emit,
     load_dataset,
     write_dataset,
+    write_order_table,
 )
+from grating_orders.orders import order_table
 
 
 @pytest.fixture()
@@ -90,6 +92,14 @@ class TestDatasetAndEmit:
         p2 = write_dataset(small_dataset, tmp_path / "b.csv")
         assert p1.read_bytes() == p2.read_bytes()
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_failed_streamed_write_leaves_no_file(self, tmp_path):
+        # The table is encoded while its file is open, so the format is
+        # refused mid-write; neither the temp file nor the target remains.
+        table = order_table(GratingSpec(1000.0, 0.5, 633.0))
+        with pytest.raises(ValueError, match="format"):
+            write_order_table(table, 3.16, tmp_path / "table.xml", "xml")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBuilders:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grating_orders.diffraction import GratingSpec, order_alpha, sinc_sq_at_order
-from grating_orders.figures import dataset_from_order_table
+from grating_orders.figures import load_dataset, write_order_table
 from grating_orders.orders import (
     EDGE_OFFSET,
     EPS_TIE,
@@ -385,8 +385,8 @@ class TestOrderTable:
             assert g316.p_rj[j] == 0.0
             assert g316.e_rj[j] == 0.0
 
-    def test_symmetric_rows(self, g316):
-        ds = dataset_from_order_table(g316, 3.16)
+    def test_symmetric_rows(self, g316, tmp_path):
+        ds = load_dataset(write_order_table(g316, 3.16, tmp_path / "table.csv").read_bytes())
         by_j = {int(r[0]): r for r in ds.rows}
         assert sorted(by_j) == list(range(1 - len(g316.p_rj), len(g316.p_rj)))
         for j in (1, 2, 3):

@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,17 +74,23 @@ class TestSi:
         with pytest.raises(ValueError):
             si(float("inf"))
 
-    def test_scalar_path_makes_no_numpy_call(self, monkeypatch):
+    def test_scalar_path_makes_no_numpy_call(self):
         # The array copies share the module; one scalar evaluation stays pure
-        # math, which is far cheaper than a one-point array.
-        def values():
-            xs = (1e-300, 0.5, 8.0, 16.0, 16.5, 200.0, 1e5)
-            return [(si(x), sinc_sq_integral(Interval(-x, x)),
-                     sinc_sq_integral(Interval(x / 3, x))) for x in xs]
-
-        expected = values()
-        monkeypatch.setattr(quadrature, "np", None)
-        assert values() == expected
+        # math, which is far cheaper than a one-point array. A child process
+        # with numpy unimportable must give the same floats.
+        code = ("import sys; sys.modules['numpy'] = None\n"
+                "from grating_orders.quadrature import Interval, si, sinc_sq_integral\n"
+                "for x in (1e-300, 0.5, 8.0, 16.0, 16.5, 200.0, 1e5):\n"
+                "    print(repr((si(x), sinc_sq_integral(Interval(-x, x)),"
+                " sinc_sq_integral(Interval(x / 3, x)))))\n")
+        src = str(Path(quadrature.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            repr((si(x), sinc_sq_integral(Interval(-x, x)), sinc_sq_integral(Interval(x / 3, x))))
+            for x in (1e-300, 0.5, 8.0, 16.0, 16.5, 200.0, 1e5)
+        ]
 
     def test_against_quadrature_oracle(self):
         # the acceptance gate runs the 50-point version of this check
