@@ -26,17 +26,6 @@ OUTDIR_ENV = "GRATING_ORDERS_OUTDIR"
 # Control-grating band: |omega - 1| below this is reported as ordinary.
 ORDINARY_BAND = 0.005
 
-# experiment's model flags by the keyword each fills: a CouplingScenario
-# field, else a synthesize_pulse_train keyword. None has a default here; only
-# the flags given are passed on, so each default is declared in coupling alone.
-_MODEL_FLAGS = {
-    "omega_id": ("--omega-id", float), "p_ratio": ("--p-ratio", float),
-    "f_g": ("--f-g", float), "f_r": ("--f-r", float), "eta": ("--eta", float),
-    "cycles": ("--cycles", int), "noise_sd": ("--noise-sd", float),
-    "baseline_bias": ("--baseline", float), "seed": ("--seed", int),
-}
-
-
 def parse_number(text: str) -> float:
     """Parse a number or a multiple of pi, either optionally divided by a number.
 
@@ -71,7 +60,10 @@ def parse_j_equiv(text: str) -> float:
         sign = 1.0 if s[-1] == "+" else -1.0
         alpha = j * math.pi * 0.5 + sign * EDGE_OFFSET
         return alpha / (math.pi * 0.5)
-    return float(s)
+    j = float(s)
+    if not math.isfinite(j):
+        raise ValueError(f"j-equivalent must be finite, got {text!r}")
+    return j
 
 
 def parse_length_nm(text: str) -> float:
@@ -99,6 +91,18 @@ def _flag_type(parse, forms: str):
 _NUMBER = _flag_type(parse_number, "a number or multiple of pi, or a ratio: 0.5, 1/8, 3pi/2")
 _J_EQUIV = _flag_type(parse_j_equiv, "an order, or a whole order with - or +: 3, 3.94, 3-, 3+")
 _LENGTH = _flag_type(parse_length_nm, "a positive finite length in nm, or metres below 1e-2")
+_FLOAT = _flag_type(float, "a decimal number: 2, 0.5, 1e-3")
+_INT = _flag_type(int, "a whole number: 4, 2001")
+
+# experiment's model flags by the keyword each fills: a CouplingScenario
+# field, else a synthesize_pulse_train keyword. None has a default here; only
+# the flags given are passed on, so each default is declared in coupling alone.
+_MODEL_FLAGS = {
+    "omega_id": ("--omega-id", _FLOAT), "p_ratio": ("--p-ratio", _FLOAT),
+    "f_g": ("--f-g", _FLOAT), "f_r": ("--f-r", _FLOAT), "eta": ("--eta", _FLOAT),
+    "cycles": ("--cycles", _INT), "noise_sd": ("--noise-sd", _FLOAT),
+    "baseline_bias": ("--baseline", _FLOAT), "seed": ("--seed", _INT),
+}
 
 
 def _write(args: argparse.Namespace, name: str, rows: int, write, *data) -> None:
@@ -137,16 +141,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_figure)
     p.add_argument("--id", required=True, choices=FIGURE_IDS, dest="figure_id")
     p.add_argument("--sigma", type=_NUMBER, default=None, help="duty cycle, e.g. 0.5 or 1/8")
-    p.add_argument("--n-slits", type=int, default=None)
+    p.add_argument("--n-slits", type=_INT, default=None)
     p.add_argument("--alpha-min", type=_NUMBER, default=None, help="e.g. pi or 3pi/2")
     p.add_argument("--alpha-max", type=_NUMBER, default=None)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=_INT, default=None)
     _add_output_flags(p)
 
     p = sub.add_parser("table", help="per-order probability/energy table for one grating")
     p.set_defaults(run=_run_table)
     _add_grating_flags(p)
-    p.add_argument("--n-slits", type=int, default=DEFAULT_SLIT_COUNT)
+    p.add_argument("--n-slits", type=_INT, default=DEFAULT_SLIT_COUNT)
     _add_output_flags(p)
 
     p = sub.add_parser("omega", help="occupation value at a truncation point")
@@ -157,18 +161,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_experiment)
     for dest, (flag, kind) in _MODEL_FLAGS.items():
         p.add_argument(flag, dest=dest, type=kind)
-    p.add_argument("--dv-g", type=float, default=None,
+    p.add_argument("--dv-g", type=_FLOAT, default=None,
                    help="measured pulse height, reference blocked (with --dv-gc)")
-    p.add_argument("--dv-gc", type=float, default=None,
+    p.add_argument("--dv-gc", type=_FLOAT, default=None,
                    help="measured pulse height, coupling active")
 
     p = sub.add_parser("sweep", help="sample a truncation-dependent quantity over a j range")
     p.set_defaults(run=_run_sweep)
     p.add_argument("--quantity", choices=[k.value for k in CurveKind],
                    default=CurveKind.OCCUPATION.value)
-    p.add_argument("--j-min", type=float, required=True)
-    p.add_argument("--j-max", type=float, required=True)
-    p.add_argument("--samples", type=int, default=500)
+    p.add_argument("--j-min", type=_FLOAT, required=True)
+    p.add_argument("--j-max", type=_FLOAT, required=True)
+    p.add_argument("--samples", type=_INT, default=500)
     p.add_argument("--sigma", type=_NUMBER, default=0.5)
     _add_output_flags(p)
 

@@ -148,12 +148,33 @@ def equivalent_order(spec: GratingSpec) -> float:
     return spec.slit_width_w / (spec.wavelength_lambda * spec.duty_sigma)
 
 
-def sinc_sq(alpha: float) -> float:
+def _alphas(alpha):
+    """A float64 array of alpha coordinates, each refused as ``as_alpha`` refuses it."""
+    import numpy as np
+    a = np.asarray(alpha, dtype=float)
+    finite = np.isfinite(a)
+    if not finite.all():
+        as_alpha(float(a[~finite][0]))  # the scalar's refusal
+    return a
+
+
+def sinc_sq(alpha):
     """Single-slit intensity envelope (sin(alpha)/alpha)^2, in [0, 1].
 
     The removable singularity at alpha = 0 is evaluated by series inside a
-    +-1e-6 window.
+    +-1e-6 window. A float gives a float by ``math`` alone; anything else is
+    taken as an array of alphas and gives the same floats elementwise, in the
+    same order of operations.
     """
+    if not isinstance(alpha, (int, float)):
+        import numpy as np
+        a = _alphas(alpha)
+        # Both branches run at every point: the series overflows far out, and
+        # the closed form divides by zero at 0; np.where keeps the right one.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            a2 = a * a
+            s = np.sin(a) / a
+            return np.where(abs(a) < _SERIES_WINDOW, 1.0 - a2 / 3.0 + 2.0 * a2 * a2 / 45.0, s * s)
     a = as_alpha(alpha)
     if abs(a) < _SERIES_WINDOW:
         a2 = a * a
@@ -180,24 +201,41 @@ def sinc_sq_at_order(j: int, sigma: float) -> float:
     return (s / (math.pi * t)) ** 2
 
 
-def grating_factor(alpha: float, sigma: float, n_slits: int) -> float:
+def grating_factor(alpha, sigma: float, n_slits: int):
     """N-slit interference factor (sin(N alpha/sigma) / sin(alpha/sigma))^2.
 
     Principal maxima sit at alpha = j pi sigma where both sines vanish; the
     removable singularity there evaluates to N^2. The argument is reduced
     modulo pi before evaluation so the factor stays accurate arbitrarily far
-    from the origin.
+    from the origin. Takes a float or an array of alphas, as ``sinc_sq`` does.
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma!r}")
     if not (isinstance(n_slits, int) and n_slits >= 1):
         raise ValueError(f"n_slits must be an integer >= 1, got {n_slits!r}")
-    beta = as_alpha(alpha) / sigma
     n = n_slits
+    window = min(_SERIES_WINDOW / sigma, 1e-3 / n)
     # sin(N beta)/sin(beta) is invariant (up to sign) under beta -> beta - k pi
     # for integer N and k, and the square kills the sign.
+    if not isinstance(alpha, (int, float)):
+        import numpy as np
+        a = _alphas(alpha)
+        with np.errstate(over="ignore"):
+            beta = a / sigma
+        overflow = np.isinf(beta)
+        if overflow.any():
+            grating_factor(float(a[overflow][0]), sigma, n)  # the scalar's refusal
+        u = beta - np.rint(beta / math.pi) * math.pi
+        # As in sinc_sq: the closed form divides by zero at the maxima, and far
+        # out, where beta's ulp exceeds pi, u is not small and the series overflows.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            u2 = u * u
+            r = np.sin(n * u) / np.sin(u)
+            return np.where(abs(u) < window, n * n * (1.0 - (n * n - 1.0) * u2 / 3.0), r * r)
+    beta = as_alpha(alpha) / sigma
+    if math.isinf(beta):
+        raise ValueError(f"alpha/sigma overflows a float at alpha={alpha!r}, sigma={sigma!r}")
     u = beta - round(beta / math.pi) * math.pi
-    window = min(_SERIES_WINDOW / sigma, 1e-3 / n)
     if abs(u) < window:
         u2 = u * u
         return n * n * (1.0 - (n * n - 1.0) * u2 / 3.0)
@@ -205,6 +243,9 @@ def grating_factor(alpha: float, sigma: float, n_slits: int) -> float:
     return r * r
 
 
-def grating_intensity(alpha: float, sigma: float, n_slits: int) -> float:
-    """Resultant intensity of the N-slit grating: envelope times grating factor."""
+def grating_intensity(alpha, sigma: float, n_slits: int):
+    """Resultant intensity of the N-slit grating: envelope times grating factor.
+
+    Takes a float or an array of alphas, as ``sinc_sq`` does.
+    """
     return sinc_sq(alpha) * grating_factor(alpha, sigma, n_slits)

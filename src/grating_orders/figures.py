@@ -110,23 +110,27 @@ _BLOCK = 4096
 def _encode(figure_id, version, params, columns, blocks, fmt):
     """The CSV or JSON text of a dataset: the header, then one piece per block of rows.
 
-    ``blocks`` yields non-empty lists of float rows; JSON matches ``json.dumps(indent=1)``.
+    ``blocks`` yields non-empty flat lists of floats, row after row, and each is
+    formatted by one ``%`` of a repeated row template; ``%r`` writes a float as
+    ``repr`` does. JSON matches ``json.dumps(indent=1)``.
     """
+    fields = ["%r"] * len(columns)
     if fmt == "csv":
         head = [f"# figure: {figure_id}", f"# version: {version}"]
         head += [f"# {key}: {params[key]}" for key in sorted(params)]
         yield "\n".join([*head, ",".join(columns)]) + "\n"
+        row = ",".join(fields) + "\n"
         for block in blocks:
-            yield "".join([",".join(map(repr, row)) + "\n" for row in block])
+            yield (row * (len(block) // len(fields))) % tuple(block)
     elif fmt == "json":
         payload = {"figure": figure_id, "version": version,
                    "params": {k: params[k] for k in sorted(params)},
                    "columns": list(columns), "rows": []}
         yield json.dumps(payload, indent=1).removesuffix("[]\n}")
+        row = "\n  [\n   " + ",\n   ".join(fields) + "\n  ]"
         sep = "["
         for block in blocks:
-            yield sep + ",".join(["\n  [\n   " + ",\n   ".join(map(repr, row)) + "\n  ]"
-                                  for row in block])
+            yield sep + ",".join([row] * (len(block) // len(fields))) % tuple(block)
             sep = ","
         yield "[]\n}\n" if sep == "[" else "\n ]\n}\n"
     else:
@@ -136,7 +140,7 @@ def _encode(figure_id, version, params, columns, blocks, fmt):
 def emit(dataset: FigureDataset, fmt: str = "csv") -> bytes:
     """Serialize a dataset to CSV or JSON bytes (deterministic)."""
     rows = dataset.rows
-    blocks = (rows[i:i + _BLOCK].tolist() for i in range(0, len(rows), _BLOCK))
+    blocks = (rows[i:i + _BLOCK].ravel().tolist() for i in range(0, len(rows), _BLOCK))
     return "".join(_encode(dataset.figure_id, dataset.version, dataset.params,
                            dataset.columns, blocks, fmt)).encode("ascii")
 
@@ -227,8 +231,10 @@ def write_order_table(table: OrderTable, j_equiv: float, path: Path | str,
         "omega": table.omega,
         "j_equiv": j_equiv,
     }
-    blocks = ([[float(j), table.p_rj[abs(j)], table.e_rj[abs(j)], table.omega_j[abs(j)]]
-               for j in range(lo, min(lo + _BLOCK, n + 1))] for lo in range(-n, n + 1, _BLOCK))
+    p_rj, e_rj, omega_j = table.p_rj, table.e_rj, table.omega_j
+    blocks = ([value for j in range(lo, min(lo + _BLOCK, n + 1))
+               for value in (float(j), p_rj[abs(j)], e_rj[abs(j)], omega_j[abs(j)])]
+              for lo in range(-n, n + 1, _BLOCK))
     pieces = _encode("table", __version__, params, ("j", "p_rj", "e_rj", "omega_j"), blocks, fmt)
     return _write_atomic(path, (piece.encode("ascii") for piece in pieces))
 
@@ -237,19 +243,15 @@ def _intensity_rows(alpha_lo, alpha_hi, samples, sigma, n_slits, include_single=
     import numpy as np
     if not 2 <= samples <= MAX_POINTS:
         raise ValueError(f"samples must lie in [2, {MAX_POINTS:.3g}], got {samples!r}")
-    if not (math.isfinite(alpha_lo) and math.isfinite(alpha_hi) and alpha_lo < alpha_hi):
+    # The width too must be finite, or linspace's step overflows.
+    if not (math.isfinite(alpha_hi - alpha_lo) and alpha_lo < alpha_hi):
         raise ValueError(f"alpha range must be finite with alpha_min < alpha_max, "
                          f"got ({alpha_lo!r}, {alpha_hi!r})")
     pts = np.linspace(alpha_lo, alpha_hi, samples)
-    rows = []
-    for a in pts:
-        row = [a]
-        if include_single:
-            row.append(sinc_sq(a))
-        row.append(n_slits * sinc_sq(a))
-        row.append(grating_intensity(a, sigma, n_slits))
-        rows.append(row)
-    return np.asarray(rows, dtype=float)
+    # Both kernels are looked up here as module globals, where a tracer can wrap them.
+    envelope = sinc_sq(pts)
+    columns = [pts, envelope] if include_single else [pts]
+    return np.column_stack([*columns, n_slits * envelope, grating_intensity(pts, sigma, n_slits)])
 
 
 def _curve_dataset(figure_id, kind, sigma, lo, hi, samples, value_column, params):
@@ -272,7 +274,8 @@ def build_figure(figure_id: str, **overrides) -> FigureDataset:
     """Build one of the standard figure datasets.
 
     fig3/fig5: envelope-plus-orders intensity sections (sigma = 1/8 and 1/2);
-    fig4: one-subinterval detail with its Riemann strip value; fig6/fig7:
+    fig4: one-subinterval detail with its Riemann strip value (fig3/4/5 rows
+    are one array pass through the kernels, the scalars' floats); fig6/fig7:
     normalized resultant probability and occupation versus truncation;
     fig8: per-order tables for the pair of gratings straddling the third-order
     threshold; fig9: 0th-order energy step function. An override left None

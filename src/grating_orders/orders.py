@@ -61,10 +61,11 @@ MAX_ORDER_TERMS = 10**7
 # orders), the points of a ``curve``, the rows of a fig3/4/5 intensity
 # section and the samples of a ``coupling`` pulse train. Peak RSS and CPU of
 # the largest admitted CLI request of each kind, CSV/JSON (Python 3.11, numpy
-# 2.4, 2-core x86-64 Linux): a 1e6-point curve 261 MB, 7.4/7.8 s (continued-
-# fraction Si; 186/228 MB, 6.9/8.9 s by the series), a 20-point curve at 1e7
-# orders 184 MB, 14.4/12.5 s, a 1e6-row fig3 292 MB, 9.7/9.3 s, a 999,999-row
-# table 30/31 MB, 5.5/6.2 s, and a 31,250-cycle experiment 55 MB, 0.5 s.
+# 2.4, 2-core x86-64 Linux): a 1e6-point curve 260 MB, 8.0/7.5 s (continued-
+# fraction Si; 168/241 MB, 7.9/8.1 s by the series), a 20-point curve at 1e7
+# orders 184 MB, 14.4/12.5 s, a 1e6-row fig3 190/234 MB, 5.3/5.4 s (4 s of it
+# is repr of the 3e6 floats), a 999,999-row table 29/30 MB, 5.9/4.6 s, and a
+# 31,250-cycle experiment 55 MB, 0.5 s.
 MAX_POINTS = 10**6
 
 

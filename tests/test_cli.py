@@ -22,6 +22,9 @@ NUMPY_FREE = [
     "sweep --j-min 5 --j-max 2 --out sweep.csv", "figure --id fig99 --out fig99.csv",
 ]
 LENGTH_FORMS = "expected a positive finite length in nm, or metres below 1e-2"
+DECIMAL_FORMS = "expected a decimal number: 2, 0.5, 1e-3"
+WHOLE_FORMS = "expected a whole number: 4, 2001"
+J_EQUIV_FORMS = "expected an order, or a whole order with - or +: 3, 3.94, 3-, 3+"
 
 
 def run(argv, tmp_path, monkeypatch, capsys):
@@ -101,6 +104,31 @@ class TestParsers:
         assert err[-1].startswith(f"grating-orders omega: error: argument {flag}: "
                                   f"invalid value {text!r}; expected ")
         assert err[-1].endswith(forms) and "parse_" not in err[-1]
+
+    @pytest.mark.parametrize("argv,flag,text,forms", [
+        (["sweep", "--j-min", "abc", "--j-max", "2"], "--j-min", "abc", DECIMAL_FORMS),
+        (["sweep", "--j-min", "1", "--j-max", "2x"], "--j-max", "2x", DECIMAL_FORMS),
+        (["sweep", "--j-min", "1", "--j-max", "2", "--samples", "1.5"], "--samples", "1.5",
+         WHOLE_FORMS),
+        (["figure", "--id", "fig3", "--samples", "1e3"], "--samples", "1e3", WHOLE_FORMS),
+        (["figure", "--id", "fig3", "--n-slits", "1.5"], "--n-slits", "1.5", WHOLE_FORMS),
+        (["table", "--j-equiv", "3", "--n-slits", "four"], "--n-slits", "four", WHOLE_FORMS),
+        *[(["experiment", flag, "abc"], flag, "abc", DECIMAL_FORMS)
+          for flag in ("--omega-id", "--p-ratio", "--f-g", "--f-r", "--eta", "--noise-sd",
+                       "--baseline")],
+        *[(["experiment", flag, "1.5"], flag, "1.5", WHOLE_FORMS) for flag in ("--cycles", "--seed")],
+        (["experiment", "--dv-g", "abc", "--dv-gc", "1"], "--dv-g", "abc", DECIMAL_FORMS),
+        (["experiment", "--dv-g", "1", "--dv-gc", "1,0"], "--dv-gc", "1,0", DECIMAL_FORMS),
+        (["omega", "--j-equiv", "nan"], "--j-equiv", "nan", J_EQUIV_FORMS),
+        (["omega", "--j-equiv", "inf"], "--j-equiv", "inf", J_EQUIV_FORMS),
+        (["table", "--j-equiv=-inf"], "--j-equiv", "-inf", J_EQUIV_FORMS),
+    ])
+    def test_numeric_flag_refusal_names_its_forms(self, argv, flag, text, forms, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"grating-orders {argv[0]}: error: argument {flag}: invalid value {text!r}; {forms}")
 
     @pytest.mark.parametrize("subcommand", ["omega", "table"])
     @pytest.mark.parametrize("flag", ["--w", "--lambda"])
@@ -408,6 +436,22 @@ def test_table_row_bound(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert "rows" in err
     assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--id", "fig3", "--n-slits", "0"], "n_slits must be an integer >= 1, got 0"),
+    (["--id", "fig3", "--sigma", "1"], "sigma must lie in (0, 1), got 1.0"),
+    (["--id", "fig4", "--n-slits", "-3"], "n_slits must be an integer >= 1, got -3"),
+    (["--id", "fig5", "--alpha-min=-1e308", "--alpha-max", "1e308", "--samples", "3"],
+     "alpha range must be finite with alpha_min < alpha_max, got (-1e+308, 1e+308)"),
+    (["--id", "fig3", "--alpha-min", "1e308", "--alpha-max", "1.1e308", "--samples", "3"],
+     "alpha/sigma overflows a float at alpha=1e+308, sigma=0.125"),
+])
+def test_intensity_refusals(argv, message, tmp_path, monkeypatch, capsys):
+    code, out, err = run(["figure", *argv], tmp_path, monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +15,7 @@ from grating_orders.diffraction import (
     sinc_sq_at_order,
     truncation_alpha,
 )
+from grating_orders.figures import _intensity_rows
 
 LAMBDA = 633.0
 
@@ -195,3 +197,60 @@ class TestGratingFactorAndIntensity:
             grating_factor(1.0, 0.5, 0)
         with pytest.raises(ValueError):
             sinc_sq(float("nan"))
+
+
+def random_alphas(sigma, rng):
+    """102,006 alphas: uniform over +-40 pi, log-uniform in magnitude up to 1e300,
+    and within 1e-6 of 0 and of the order positions j pi sigma, |j| <= 40 / sigma
+    (half of the latter within 3e-6, across the edge of the series window), with
+    0 and the positions themselves."""
+    top = math.ceil(40 / sigma)
+    positions = np.arange(-top, top + 1) * math.pi * sigma
+    near = rng.choice(positions, 10_000) + rng.uniform(-1e-6, 1e-6, 10_000) * ([1.0, 3.0] * 5_000)
+    return np.concatenate([
+        rng.uniform(-40 * math.pi, 40 * math.pi, 60_000),
+        rng.choice([-1.0, 1.0], 30_000) * 10.0 ** rng.uniform(-300, 300, 30_000),
+        near,
+        rng.choice(positions, 1_000),
+        rng.uniform(-1e-6, 1e-6, 1_000) * 10.0 ** rng.uniform(-10, 0, 1_000),
+        [0.0, -0.0, 1e-6, -1e-6, 1e300, -1e300],
+    ])
+
+
+class TestArrayKernels:
+    """An array of alphas gives, bit for bit, the floats of the scalar at each alpha."""
+
+    @pytest.mark.parametrize("sigma", [1 / 8, 0.37, 1 / 2])
+    def test_equal_to_scalar_loop(self, sigma):
+        alphas = random_alphas(sigma, np.random.default_rng(round(1 / sigma)))
+        assert alphas.size >= 100_000
+        points = alphas.tolist()
+        assert sinc_sq(alphas).tobytes() == np.array([sinc_sq(a) for a in points]).tobytes()
+        for n_slits in (1, 4, 257):
+            expected = np.array([grating_intensity(a, sigma, n_slits) for a in points])
+            assert grating_intensity(alphas, sigma, n_slits).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("sigma,n_slits", [(1 / 8, 1), (0.37, 257), (1 / 2, 4)])
+    @pytest.mark.parametrize("include_single", [False, True])
+    def test_intensity_rows_equal_scalar_rows(self, sigma, n_slits, include_single):
+        rows = _intensity_rows(-25.0, 31.0, 20_001, sigma, n_slits, include_single)
+        expected = []
+        for a in np.linspace(-25.0, 31.0, 20_001):
+            single = [sinc_sq(a)] if include_single else []
+            expected.append([a, *single, n_slits * sinc_sq(a), grating_intensity(a, sigma, n_slits)])
+        assert rows.tobytes() == np.asarray(expected, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda a: grating_factor(a, 1.0, 4), "sigma must lie in (0, 1), got 1.0"),
+        (lambda a: grating_intensity(a, 0.5, 0), "n_slits must be an integer >= 1, got 0"),
+        (lambda a: grating_intensity(a, 0.5, 2.0), "n_slits must be an integer >= 1, got 2.0"),
+        (lambda a: sinc_sq(a * np.inf), "alpha must be finite, got inf"),
+        (lambda a: grating_factor(a + np.nan, 0.5, 4), "alpha must be finite, got nan"),
+        (lambda a: grating_factor(a / a * 1e308, 1 / 8, 4),
+         "alpha/sigma overflows a float at alpha=1e+308, sigma=0.125"),
+    ])
+    def test_refusals_match_the_scalar(self, call, message):
+        for alpha in (1.0, np.array([0.5, 1.0])):
+            with pytest.raises(ValueError) as exc:
+                call(alpha)
+            assert str(exc.value) == message

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from grating_orders.diffraction import GratingSpec, order_alpha, sinc_sq
 from grating_orders.figures import (
+    _BLOCK,
     FIGURE_IDS,
     FigureDataset,
     build_figure,
@@ -100,6 +102,57 @@ class TestDatasetAndEmit:
         with pytest.raises(ValueError, match="format"):
             write_order_table(table, 3.16, tmp_path / "table.xml", "xml")
         assert list(tmp_path.iterdir()) == []
+
+
+def per_row_csv(ds):
+    """CSV as written one row at a time, with a join per row."""
+    head = [f"# figure: {ds.figure_id}", f"# version: {ds.version}"]
+    head += [f"# {key}: {ds.params[key]}" for key in sorted(ds.params)]
+    lines = [*head, ",".join(ds.columns)] + [",".join(map(repr, row)) for row in ds.rows.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def dumped_json(ds):
+    payload = {"figure": ds.figure_id, "version": ds.version,
+               "params": {k: ds.params[k] for k in sorted(ds.params)},
+               "columns": list(ds.columns), "rows": ds.rows.tolist()}
+    return json.dumps(payload, indent=1) + "\n"
+
+
+# Signed zero, the least subnormal, short and long exponents, repr's switch
+# to exponent form at 1e16, and values near the largest double.
+AWKWARD = [-0.0, 5e-324, 1e-05, 1e16, 1.5e300, 0.1, -2.5e-300, 123456789.125, 1e22, -1.7e308]
+
+
+class TestEncoder:
+    """One ``%`` per block of rows writes what a join per row and json.dumps write."""
+
+    @pytest.mark.parametrize("count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_matches_per_row_forms(self, count, width):
+        values = np.resize(np.array(AWKWARD), count * width).reshape(count, width)
+        values[1::2] *= -1.0
+        ds = FigureDataset("fig3", {"sigma": 0.125, "note": "x"},
+                           tuple(f"c{i}" for i in range(width)), values)
+        assert emit(ds, "csv").decode() == per_row_csv(ds)
+        assert emit(ds, "json").decode() == dumped_json(ds)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("w", [1000.0, 2000.0 * _BLOCK / 3])
+    def test_order_table_round_trip(self, fmt, w, tmp_path):
+        table = order_table(GratingSpec(w, 0.5, 633.0, 257))
+        path = write_order_table(table, 3.16, tmp_path / f"table.{fmt}", fmt)
+        n = len(table.p_rj) - 1
+        rows = [[float(j), table.p_rj[abs(j)], table.e_rj[abs(j)], table.omega_j[abs(j)]]
+                for j in range(-n, n + 1)]
+        spec = table.grating
+        params = {"w_nm": spec.slit_width_w, "lambda_nm": spec.wavelength_lambda,
+                  "sigma": spec.duty_sigma, "n_slits": spec.slit_count_N, "total_p_r": table.p_r,
+                  "total_e_r": table.e_r, "omega": table.omega, "j_equiv": 3.16}
+        ds = FigureDataset("table", params, ("j", "p_rj", "e_rj", "omega_j"), rows)
+        expected = per_row_csv(ds) if fmt == "csv" else dumped_json(ds)
+        assert path.read_text() == expected
+        assert load_dataset(path.read_bytes(), fmt).rows.tobytes() == ds.rows.tobytes()
 
 
 class TestBuilders:

@@ -58,3 +58,24 @@ def test_traced_curve_reaches_the_scalar_rule():
     finally:
         tracer.uninstall()
     assert tracer.stats["orders.propagating_orders"][0] > 0
+
+
+def test_traced_figures_reach_the_pointwise_and_writer_patch_points():
+    # fig3/4 hand whole arrays to figures.sinc_sq and figures.grating_intensity,
+    # fig8 builds its tables through figures.order_table, and every dataset is
+    # serialized by figures.emit: all four must still be looked up at call time.
+    ids = ("fig3", "fig4", "fig8")
+    originals = (figures.sinc_sq, figures.grating_intensity, figures.emit, figures.order_table)
+    untraced = [figures.emit(figures.build_figure(fid), fmt) for fid in ids for fmt in ("csv", "json")]
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        traced = [figures.emit(figures.build_figure(fid), fmt) for fid in ids for fmt in ("csv", "json")]
+    finally:
+        tracer.uninstall()
+    assert (figures.sinc_sq, figures.grating_intensity, figures.emit, figures.order_table) == originals
+    assert traced == untraced
+    for name in ("diffraction.sinc_sq", "diffraction.grating_intensity", "figures.emit",
+                 "orders.order_table"):
+        assert tracer.stats[name][0] > 0, name
+    assert tracer.counts["figures.emit.bytes"] == sum(map(len, untraced))
