@@ -23,7 +23,7 @@ from .diffraction import (
     sinc_sq_at_order,
     truncation_alpha,
 )
-from .quadrature import Interval, sinc_sq_integral, symmetric_sinc_sq_integrals
+from .quadrature import Interval, fsum_prefixes, sinc_sq_integral, symmetric_sinc_sq_integrals
 
 __all__ = [
     "CurveKind",
@@ -52,6 +52,14 @@ EDGE_OFFSET = 1e-6
 # admitted, so an order placed at its own threshold ties inclusively.
 EPS_TIE = 1e-9
 
+# Units in the last place of alpha_t by which the tie grows where EPS_TIE is
+# lost in rounding (alpha_t >= 2**24, where alpha_t + 1e-9 == alpha_t). A
+# grating built at its own threshold, with w = j sigma lambda in any order
+# of operations, lands at most 3 ulp below the position of order j (1.6e6
+# random constructions, j up to 1e7). Where an order sum is admitted, 4 ulp stay
+# below 9e-9 pi sigma, far inside the quarter spacing that bounds the tie.
+TIE_ULPS = 4.0
+
 # Most order terms one sum may take. ``propagating_orders`` refuses an alpha_t
 # that admits more orders, so no scalar function, table or curve starts a
 # longer sum.
@@ -61,11 +69,14 @@ MAX_ORDER_TERMS = 10**7
 # orders), the points of a ``curve``, the rows of a fig3/4/5 intensity
 # section and the samples of a ``coupling`` pulse train. Peak RSS and CPU of
 # the largest admitted CLI request of each kind, CSV/JSON (Python 3.11, numpy
-# 2.4, 2-core x86-64 Linux): a 1e6-point curve 260 MB, 8.0/7.5 s (continued-
-# fraction Si; 168/241 MB, 7.9/8.1 s by the series), a 20-point curve at 1e7
-# orders 184 MB, 14.4/12.5 s, a 1e6-row fig3 190/234 MB, 5.3/5.4 s (4 s of it
-# is repr of the 3e6 floats), a 999,999-row table 29/30 MB, 5.9/4.6 s, and a
-# 31,250-cycle experiment 55 MB, 0.5 s.
+# 2.4, 2-core x86-64 Linux): a 1e6-point curve 169/211 MB, 6.9/6.8 s
+# (continued-fraction Si; 184/226 MB, 6.8/6.7 s by the series), a 20-point
+# curve at 1e7 orders 111/111 MB, 9.1/9.8 s (mostly the per-order term
+# table), an 8e5-point curve from order 9.6e6 to 1e7 with 4e5 distinct
+# order counts 182/207 MB, 19.9/18.2 s (5.2 s of it is the one exact walk
+# that settles the 4,266 sums fsum_prefixes cannot prove), a 1e6-row fig3
+# 190/234 MB, 5.3/5.4 s (4 s of it is repr of the 3e6 floats), a 999,999-row
+# table 29/30 MB, 5.9/4.6 s, and a 31,250-cycle experiment 55 MB, 0.5 s.
 MAX_POINTS = 10**6
 
 
@@ -74,6 +85,11 @@ MAX_POINTS = 10**6
 # cap binds only below sigma ~ 1.3e-9 (tie) and ~ 1.3e-6 (edge).
 def _tie(sigma: float) -> float:
     return min(EPS_TIE, math.pi * sigma / 4)
+
+
+def _cap(alpha_t: float, sigma: float) -> float:
+    """The highest order position admitted at alpha_t: the one inclusion rule."""
+    return alpha_t + max(_tie(sigma), TIE_ULPS * math.ulp(alpha_t))
 
 
 def _edge(sigma: float) -> float:
@@ -114,10 +130,12 @@ def propagating_orders(alpha_t: float, sigma: float) -> range:
 
     Order j is admitted when its position ``order_alpha(j, sigma)`` is at
     most the cap alpha_t + EPS_TIE (the tie shrinks to pi sigma / 4 for
-    sigma below about 1.3e-9), so an order sitting exactly at alpha_t
-    counts. This is the one inclusion rule. Positions never decrease with j,
-    so the two walks from the estimate cap / (pi sigma), which test that one
-    condition, stop at the last admitted order. An alpha_t that admits order
+    sigma below about 1.3e-9, and grows to TIE_ULPS ulp of alpha_t where
+    that is larger, from alpha_t ~ 2**21), so an order sitting exactly at
+    alpha_t, or a few ulp above it, counts. This is the one inclusion rule.
+    Positions never decrease with j, so the two walks from the estimate
+    cap / (pi sigma), which test that one condition, stop at the last
+    admitted order. An alpha_t that admits order
     MAX_ORDER_TERMS + 1 is refused before the walks, which past about 2**53
     orders would no longer advance.
     """
@@ -126,7 +144,7 @@ def propagating_orders(alpha_t: float, sigma: float) -> range:
         raise ValueError(f"alpha_t must be positive, got {at!r}")
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma!r}")
-    cap = at + _tie(sigma)
+    cap = _cap(at, sigma)
     if order_alpha(MAX_ORDER_TERMS + 1, sigma) <= cap:
         raise ValueError(
             f"alpha_t={at!r} admits more than {MAX_ORDER_TERMS:.3g} order terms "
@@ -151,7 +169,8 @@ def _order_counts(alphas: np.ndarray, sigma: float) -> np.ndarray:
     import numpy as np
     j = np.arange(propagating_orders(alphas.min(), sigma)[-1],
                   propagating_orders(alphas.max(), sigma)[-1] + 2)
-    return j[np.searchsorted(order_alpha(j, sigma), alphas + _tie(sigma), side="right") - 1]
+    caps = alphas + np.maximum(_tie(sigma), TIE_ULPS * np.spacing(alphas))  # _cap, elementwise
+    return j[np.searchsorted(order_alpha(j, sigma), caps, side="right") - 1]
 
 
 def _envelope_sum(alpha_t: float, sigma: float) -> float:
@@ -164,23 +183,17 @@ def _order_terms(n: int, sigma: float) -> array:
     return array("d", (sinc_sq_at_order(j, sigma) for j in range(n + 1)))
 
 
-def _prefix_envelopes(terms: array, counts: list[int]) -> list[float]:
+def _prefix_envelopes(terms: array, counts) -> list[float]:
     """1.0 + 2.0 * math.fsum(terms[1:n + 1]) at every n of ascending counts.
 
-    One pass: every finite double is an integer multiple of 2**-1074, so the
-    prefix sums are kept exactly in one Python int, and its true division by
-    2**1074, which Python rounds correctly, is the correctly rounded sum
-    that fsum returns.
+    The sums come from ``fsum_prefixes``: one checked array pass over the
+    terms for all counts together, read in place from the array('d'), and
+    one exact walk, up to the last such count, for the sums whose rounding
+    the pass cannot prove (near-ties).
     """
-    envelopes = []
-    total = done = 0
-    for n in counts:
-        for term in terms[done + 1:n + 1]:
-            num, den = term.as_integer_ratio()  # den is a power of two
-            total += num << (1075 - den.bit_length())
-        done = n
-        envelopes.append(1.0 + 2.0 * (total / (1 << 1074)))
-    return envelopes
+    import numpy as np
+    sums = fsum_prefixes(np.frombuffer(terms)[1:, None], counts)[:, 0]
+    return (1.0 + 2.0 * sums).tolist()
 
 
 # The arithmetic each public scalar applies to an envelope sum and the
@@ -372,9 +385,10 @@ def curve(
     order counts come from ``propagating_orders`` at the ends of the range
     and one sorted search over the ``order_alpha`` positions between them,
     each order's sinc^2 is evaluated once, the scalar's correctly rounded
-    fsum of the first n terms comes from one exact pass over the terms for
-    all distinct counts n, the per-kind arithmetic runs elementwise in the
-    scalar's order, and the envelope integral comes from
+    fsum of the first n terms comes from one checked array pass over the
+    terms for all distinct counts n (``fsum_prefixes``, which settles
+    near-ties with one exact walk), the per-kind arithmetic runs
+    elementwise in the scalar's order, and the envelope integral comes from
     ``symmetric_sinc_sq_integrals``, the array copy of ``sinc_sq_integral``.
     """
     import numpy as np
@@ -415,7 +429,7 @@ def curve(
 
     counts, slot = np.unique(_order_counts(pts, sigma), return_inverse=True)
     terms = _order_terms(int(counts[-1]), sigma)
-    envelope = np.array(_prefix_envelopes(terms, counts.tolist()))
+    envelope = np.array(_prefix_envelopes(terms, counts))
     f = _CURVE_FUNCS[kind]
     integral = None if f is _share else symmetric_sinc_sq_integrals(pts)
     values = f(sigma, envelope[slot], integral)

@@ -4,6 +4,10 @@ The closed forms built on Si(x) are the production path for every envelope
 integral in the package, in two forms that give the same float at every
 point: the scalars ``si`` and ``sinc_sq_integral`` make no numpy call, and
 ``symmetric_sinc_sq_integrals`` copies them for the many points of a curve.
+Its continued fraction runs every point's iterations together, and its
+power series sums each point's terms with ``fsum_prefixes``: checked
+array passes that return what ``math.fsum`` would, settling near-ties with
+one exact walk. ``orders.curve`` takes its order sums from the same helper.
 No module of the package imports numpy at load, so ``omega``, ``table``,
 ``experiment --dv-g/--dv-gc`` and every refused CLI call run without it.
 ``adaptive_integrate`` is a deliberately independent second route (plain
@@ -26,6 +30,7 @@ __all__ = [
     "si",
     "sinc_sq_integral",
     "symmetric_sinc_sq_integrals",
+    "fsum_prefixes",
     "adaptive_integrate",
     "grating_factor_subinterval_integral",
 ]
@@ -149,23 +154,40 @@ def sinc_sq_integral(iv: Interval) -> float:
     return _sinc_sq_primitive(iv.hi) - _sinc_sq_primitive(iv.lo)
 
 
-def _cprod(ar, ai, br, bi):
-    # CPython's complex product (_Py_c_prod), one float64 operation at a time.
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _cquot(ar, ai, br, bi):
-    # CPython's complex quotient (_Py_c_quot): Smith's method, scaled by the
-    # larger component of the divisor. numpy's complex divide multiplies by a
-    # reciprocal instead and rounds differently, so it is not used.
+def _cprod(p, q, out):
+    # CPython's complex product (_Py_c_prod) of p and q, each a (real, imag)
+    # pair of arrays along axis 0, one float64 operation at a time.
     import numpy as np
-    real_major = np.abs(br) >= np.abs(bi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(real_major, bi / br, br / bi)
-        denom = np.where(real_major, br + bi * ratio, br * ratio + bi)
-        qr = np.where(real_major, ar + ai * ratio, ar * ratio + ai) / denom
-        qi = np.where(real_major, ai - ar * ratio, ai * ratio - ar) / denom
-    return qr, qi
+    m = p[:, None] * q[None]  # m[i, k] = p[i] q[k]
+    np.subtract(m[0, 0], m[1, 1], out=out[0])
+    np.add(m[0, 1], m[1, 0], out=out[1])
+    return out
+
+
+def _real_quotient(u, z, out):
+    # u / z for a real u and a (real, imag) pair z, as CPython's complex
+    # quotient (_Py_c_quot) rounds it: Smith's method, scaled by the larger
+    # component of the divisor. With the numerator's imaginary part 0.0 its
+    # formulas reduce to these exactly; "+ 0.0" and "0.0 -" keep its signed
+    # zeros. numpy's complex divide multiplies by a reciprocal instead and
+    # rounds differently, so it is not used. Callers hold np.errstate.
+    import numpy as np
+    size = np.abs(z)
+    real_major = size[0] >= size[1]
+    big = np.where(real_major, z[0], z[1])
+    small = np.where(real_major, z[1], z[0])
+    ratio = small / big
+    denom = big + small * ratio
+    t = u * ratio
+    np.divide(np.where(real_major, u, t + 0.0), denom, out=out[0])
+    np.divide(0.0 - np.where(real_major, t, u), denom, out=out[1])
+    return out
+
+
+# Points per block of the array continued fraction. Every point of a block
+# iterates until the block's slowest one converges (at most 15 iterations
+# above the cutoff), and blocks keep the working arrays small.
+_CF_BLOCK = 4096
 
 
 def _si_continued_fraction_array(x: np.ndarray) -> np.ndarray:
@@ -174,96 +196,193 @@ def _si_continued_fraction_array(x: np.ndarray) -> np.ndarray:
     Kept beside the scalar because it is faster over a curve's points and
     far slower for one point. Each complex operation of the scalar is
     spelled out in real float64 arithmetic in the scalar's order, so every
-    point takes the same iterations and rounds alike; a point leaves the
-    active set on the iteration at which the scalar would return. np.sin and
-    np.cos are assumed to return what math.sin and math.cos do, which
+    point takes the same iterations and rounds alike. Complex values are
+    (real, imag) pairs along a leading axis, the scalar's two divisions per
+    iteration, 1/(a d + b) and a/c, are one quotient over a stack of both
+    divisors, and a point's h is recorded on the iteration at which the
+    scalar would return. Points go in blocks of _CF_BLOCK. np.sin and np.cos
+    are assumed to return what math.sin and math.cos do, which
     ``TestCurve::test_ordinates_equal_scalar`` and the output digests check.
     """
     import numpy as np
     out = np.empty_like(x)
-    idx = np.arange(x.size)
-    br = np.ones_like(x)  # b = 1 + ix; b.imag stays x, since x + 0.0 is x
-    cr, ci = np.full_like(x, 1e300), np.zeros_like(x)
-    dr, di = _cquot(1.0, 0.0, br, x)
-    hr, hi = dr, di
-    for i in range(2, _CF_MAX_ITER):
-        if not idx.size:
-            break
-        a = float(-((i - 1) ** 2))
-        br = br + 2.0
-        pr, pi_ = _cprod(a, 0.0, dr, di)
-        dr, di = _cquot(1.0, 0.0, pr + br, pi_ + x)
-        qr, qi = _cquot(a, 0.0, cr, ci)
-        cr, ci = br + qr, x + qi
-        er, ei = _cprod(cr, ci, dr, di)
-        hr, hi = _cprod(hr, hi, er, ei)
-        done = np.abs(er - 1.0) + np.abs(ei) < _CF_TOL
-        if done.any():
-            xd = x[done]
-            _, turned = _cprod(hr[done], hi[done], np.cos(xd), -np.sin(xd))
-            out[idx[done]] = math.pi / 2.0 + turned
-            keep = ~done
-            idx, x, br = idx[keep], x[keep], br[keep]
-            cr, ci, dr, di, hr, hi = cr[keep], ci[keep], dr[keep], di[keep], hr[keep], hi[keep]
-    if idx.size:
-        raise ArithmeticError(
-            f"sine-integral continued fraction did not converge for x={float(x[0])!r}"
-        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, x.size, _CF_BLOCK):
+            xb = x[start:start + _CF_BLOCK]
+            hr, hi = _continued_fraction_block(xb)
+            out[start:start + xb.size] = math.pi / 2.0 + (hr * -np.sin(xb) + hi * np.cos(xb))
     return out
 
 
+def _continued_fraction_block(x):
+    # h of ``_si_continued_fraction`` at every x, before its turn by e^-ix.
+    import numpy as np
+    n = x.size
+    b = np.stack([np.ones(n), x])  # b = 1 + ix; b.imag stays x, since x + 0.0 is x
+    # Column 0 holds the divisor a d + b of d and column 1 the divisor c of
+    # a/c; u holds their numerators 1 and a, and ad the factor complex(a, 0.0).
+    z, q = np.empty((2, 2, n)), np.empty((2, 2, n))
+    z[0, 1], z[1, 1] = 1e300, 0.0
+    u, ad = np.ones((2, 1)), np.zeros((2, 1))
+    d = h = _real_quotient(1.0, b, np.empty((2, n)))
+    delta = np.empty((2, n))
+    unit = np.array([[1.0], [0.0]])
+    h_out = np.empty((2, n))
+    pending = np.ones(n, dtype=bool)
+    for i in range(2, _CF_MAX_ITER):
+        u[1] = ad[0] = float(-((i - 1) ** 2))
+        b[0] += 2.0
+        np.add(_cprod(ad, d, z[:, 0]), b, out=z[:, 0])
+        _real_quotient(u, z, q)
+        d = q[:, 0]
+        c = np.add(b, q[:, 1], out=z[:, 1])
+        _cprod(c, d, delta)
+        h = _cprod(h, delta, np.empty((2, n)))
+        dev = np.abs(delta - unit)
+        np.copyto(h_out, h, where=pending)  # h as of each point's last pending step
+        pending &= ~(dev[0] + dev[1] < _CF_TOL)
+        if not pending.any():
+            return h_out
+    raise ArithmeticError(
+        f"sine-integral continued fraction did not converge for x={float(x[pending.argmax()])!r}"
+    )
+
+
 # Points per block of the array power series: its term table holds a block's
-# rows only, so memory stays flat in the curve's length.
+# points only, so memory stays flat in the curve's length.
 _SERIES_BLOCK = 256
 
 
-def _series_terms(x: np.ndarray, columns: int) -> np.ndarray:
-    # Terms 0..columns-1 of ``_si_power_series`` for every x, one row
-    # each. The running product accumulates left to right, so term_sin
+def _series_terms(x: np.ndarray, count: int) -> np.ndarray:
+    # Terms 0..count-1 of ``_si_power_series`` for every x, one column
+    # each. The running product accumulates down the rows, so term_sin
     # takes the scalar's factors in the scalar's order and rounds alike.
     import numpy as np
-    k = np.arange(1, columns)
-    factors = np.empty((x.size, columns))
-    factors[:, 0] = x
-    factors[:, 1:] = (-x * x)[:, None] / ((2 * k) * (2 * k + 1))
-    terms = np.multiply.accumulate(factors, axis=1)
-    terms[:, 1:] /= 2 * k + 1
+    k = np.arange(1, count)[:, None]
+    factors = np.empty((count, x.size))
+    factors[0] = x
+    factors[1:] = -x * x / ((2 * k) * (2 * k + 1))
+    terms = np.multiply.accumulate(factors, axis=0)
+    terms[1:] /= 2 * k + 1
     return terms
 
 
 def _small_terms(terms: np.ndarray) -> np.ndarray:
     # Where a term past the first is below the tolerance that ends the series.
     import numpy as np
-    return np.abs(terms[:, 1:]) < _SERIES_TOL
+    return np.abs(terms[1:]) < _SERIES_TOL
 
 
 def _si_power_series_array(x: np.ndarray) -> np.ndarray:
     """``_si_power_series`` at every x of an array, bit for bit.
 
     Kept beside the scalar because it is faster over a curve's points and
-    far slower for one point. Each row holds the scalar's terms up to the
-    scalar's stopping term (later columns are zeroed) and gets its own
-    ``math.fsum``, so each sum is the scalar's. Points go in blocks of
-    _SERIES_BLOCK. A term's magnitude never decreases with x, rounding
-    included, so the block's largest x needs the most terms and sets the
-    block's column count. ``ArithmeticError`` is raised where the scalar
-    would raise it.
+    far slower for one point. Each column holds the scalar's terms up to
+    the scalar's stopping term (later rows are zeroed), and
+    ``fsum_prefixes`` gives each column's correctly rounded sum, the
+    scalar's ``math.fsum``. Points go in blocks of _SERIES_BLOCK. A term's
+    magnitude never decreases with x, rounding included, so the block's
+    largest x needs the most terms and sets the block's term count.
+    ``ArithmeticError`` is raised where the scalar would raise it.
     """
     import numpy as np
     out = np.empty_like(x)
     for start in range(0, x.size, _SERIES_BLOCK):
         xb = x[start:start + _SERIES_BLOCK]
-        top = _small_terms(_series_terms(xb.max(keepdims=True), _SERIES_MAX_TERMS))[0]
-        terms = _series_terms(xb, top.argmax() + 2 if top.any() else _SERIES_MAX_TERMS)
+        top = _small_terms(_series_terms(xb.max(keepdims=True), _SERIES_MAX_TERMS))[:, 0]
+        count = top.argmax() + 2 if top.any() else _SERIES_MAX_TERMS
+        terms = _series_terms(xb, count)
         small = _small_terms(terms)
-        stops = small.any(axis=1)
+        stops = small.any(axis=0)
         if not stops.all():
             raise ArithmeticError(
                 f"sine-integral series did not converge for x={float(xb[~stops][0])!r}"
             )
-        terms[np.arange(terms.shape[1]) > small.argmax(axis=1)[:, None] + 1] = 0.0
-        out[start:start + xb.size] = [math.fsum(row.tolist()) for row in terms]
+        terms[np.arange(count)[:, None] > small.argmax(axis=0) + 1] = 0.0
+        out[start:start + xb.size] = fsum_prefixes(terms, [count])[0]
     return out
+
+
+# Terms per block of ``fsum_prefixes``: its working arrays hold one block
+# of rows, so memory stays flat however many terms are summed.
+_SUM_BLOCK = 1 << 16
+
+
+def fsum_prefixes(terms: np.ndarray, ends) -> np.ndarray:
+    """math.fsum(terms[:n, i]) for every column i of a 2-D array and every n of ends.
+
+    ends ascend within 0..len(terms); row i of the result holds the sums at
+    ends[i]. Each sum is the correctly rounded one that fsum returns, found
+    with a few array passes down the columns and checked:
+    - s is the running sum, and e the exact error of each of its additions
+      (Knuth's TwoSum), so s + sum(e) is the exact prefix sum (Ogita, Rump
+      and Oishi, 2005);
+    - E, the sum of the first k errors in any order (here by segments
+      between ends), is off from their exact sum by at most
+      B = 2 k 2**-53 sum(|e|), since each error takes part in at most
+      k - 1 additions;
+    - r = s + E, whose exact remainder rho is found by TwoSum again, so the
+      exact sum lies within rho +- B of r.
+    r is accepted where that interval, widened to rho +- 2B, lies strictly
+    inside the half gaps to r's neighbours, so r is the correctly rounded
+    sum. The sums it cannot prove (ties and near-ties) are settled after
+    the passes by ``_exact_prefixes``, one exact walk per column up to its
+    last such end, so however many fail the cost stays linear in the terms.
+    Rows go in blocks of _SUM_BLOCK, carrying s, E, sum(|e|) and k from one
+    block to the next; the sums returned do not depend on the blocks. The
+    terms must be finite.
+    """
+    import numpy as np
+    ends, slot = np.unique(np.asarray(ends, dtype=np.intp), return_inverse=True)
+    out = np.zeros((ends.size, terms.shape[1]))  # fsum of no terms is 0.0
+    s_in = np.zeros((1, terms.shape[1]))
+    err_in = mag_in = 0.0  # E and sum(|e|) over the earlier blocks
+    unproved = []  # (end, row of out, column) of every sum the check cannot prove
+    for r0 in range(0, len(terms), _SUM_BLOCK):
+        t = terms[r0:r0 + _SUM_BLOCK]
+        run = np.add.accumulate(np.concatenate([s_in, t]))
+        prev, s = run[:-1], run[1:]
+        bb = s - prev
+        e = np.zeros((len(t) + 1, t.shape[1]))  # a zero row closes the last segment
+        np.add(prev - (s - bb), t - bb, out=e[:-1])
+        size = np.abs(e)
+        rows = np.flatnonzero((ends > r0) & (ends <= r0 + len(t)))
+        k = ends[rows]
+        cuts = np.concatenate([[0], k - r0])
+        err = err_in + np.add.accumulate(np.add.reduceat(e, cuts)[:-1])
+        mag = mag_in + np.add.accumulate(np.add.reduceat(size, cuts)[:-1])
+        s = s[k - 1 - r0]
+        r = s + err
+        rb = r - s
+        rho = (s - (r - rb)) + (err - rb)
+        slack = 4.0 * (k * 2.0**-53)[:, None] * mag  # 2B
+        ok = (2.0 * (rho + slack) < np.nextafter(r, np.inf) - r) & (
+            2.0 * (slack - rho) < r - np.nextafter(r, -np.inf))
+        out[rows] = r
+        i, col = np.nonzero(~ok)
+        unproved += zip(k[i].tolist(), rows[i].tolist(), col.tolist())
+        s_in, err_in, mag_in = run[-1:], err_in + e.sum(axis=0), mag_in + size.sum(axis=0)
+    for c in {c for _, _, c in unproved}:
+        at = sorted((n, row) for n, row, col in unproved if col == c)
+        out[[row for _, row in at], c] = _exact_prefixes(terms[:, c], [n for n, _ in at])
+    return out[slot]
+
+
+def _exact_prefixes(column: np.ndarray, ends: list[int]) -> list[float]:
+    # math.fsum(column[:n]) at every n of ascending ends, in one walk: every
+    # finite double is an integer multiple of 2**-1074, so the prefix sums
+    # are kept exactly in one Python int, and its true division by 2**1074,
+    # which Python rounds correctly, is the correctly rounded sum.
+    sums = []
+    total = done = 0
+    for n in ends:
+        for lo in range(done, n, _SUM_BLOCK):
+            for term in column[lo:min(n, lo + _SUM_BLOCK)].tolist():
+                num, den = term.as_integer_ratio()  # den is a power of two
+                total += num << (1075 - den.bit_length())
+        done = n
+        sums.append(total / (1 << 1074))
+    return sums
 
 
 def symmetric_sinc_sq_integrals(a: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grating_orders.diffraction import GratingSpec, order_alpha, sinc_sq_at_order
+from grating_orders.diffraction import GratingSpec, order_alpha, sinc_sq_at_order, truncation_alpha
 from grating_orders.figures import load_dataset, write_order_table
 from grating_orders.orders import (
     EDGE_OFFSET,
@@ -94,6 +94,42 @@ class TestPropagatingOrders:
     def test_count_never_decreases_with_alpha_t(self, a, b, sigma):
         lo, hi = sorted((a, b))
         assert propagating_orders(lo, sigma)[-1] <= propagating_orders(hi, sigma)[-1]
+
+
+class TestTieAtEveryMagnitude:
+    """An order a few ulp above alpha_t is admitted, however large alpha_t is."""
+
+    @given(st.floats(0.0, math.log10(3e7)), st.floats(0.0, 1.0), st.sampled_from([1, 2, 3]))
+    @settings(max_examples=400)
+    def test_order_just_below_threshold_is_admitted(self, log_mag, u, ulps):
+        # alpha_t of magnitude 1 to 3e7, at any sigma whose order count there
+        # stays within MAX_ORDER_TERMS, placed 1 to 3 ulp below order j (a
+        # grating built at its own threshold lands up to 3 ulp below).
+        mag = 10.0**log_mag
+        sigma = min(0.99, max(1e-3, mag / (math.pi * MAX_ORDER_TERMS)) + u * 0.98)
+        j = max(1, round(mag / (math.pi * sigma)))
+        at = order_alpha(j, sigma)
+        for _ in range(ulps):
+            at = math.nextafter(at, 0.0)
+        assert propagating_orders(at, sigma)[-1] == j
+        assert _order_counts(np.array([at]), sigma).tolist() == [j]
+
+    def test_grating_built_at_its_own_threshold(self):
+        # w = j sigma lambda lands 1 ulp below order j's position; the absolute
+        # tie of 1e-9 is lost in rounding at this alpha_t (about 2.5e7).
+        spec = GratingSpec(5127303418.2, 0.9, 633.0)
+        at = truncation_alpha(spec)
+        assert at + EPS_TIE == at and order_alpha(9000006, 0.9) > at
+        assert propagating_orders(at, 0.9)[-1] == 9000006
+        assert _order_counts(np.array([at]), 0.9).tolist() == [9000006]
+
+    def test_small_alpha_keeps_absolute_tie(self):
+        # Below about 2**21 the tie is EPS_TIE, as before: an order 0.5e-9
+        # above alpha_t counts and one 1.5e-9 above does not.
+        for j, sigma in ((3, 0.5), (1000, 0.37), (600000, 0.5)):
+            aj = order_alpha(j, sigma)
+            assert propagating_orders(aj - 0.5e-9, sigma)[-1] == j
+            assert propagating_orders(aj - 1.5e-9, sigma)[-1] == j - 1
 
 
 SIGMAS = st.one_of(st.floats(1e-3, 0.99), st.floats(1e-11, 1e-8))

@@ -13,13 +13,16 @@ from hypothesis import given, settings, strategies as st
 from grating_orders import quadrature
 from grating_orders.diffraction import grating_factor, order_alpha, sinc_sq
 from grating_orders.quadrature import (
+    _CF_BLOCK,
     _SERIES_BLOCK,
+    _SUM_BLOCK,
     Interval,
     QuadratureError,
     _si_continued_fraction_array,
     _si_power_series_array,
     _sinc_sq_primitive,
     adaptive_integrate,
+    fsum_prefixes,
     grating_factor_subinterval_integral,
     si,
     sinc_sq_integral,
@@ -380,6 +383,45 @@ class TestArraySi:
             quadrature._si_continued_fraction(math.nan)
         with pytest.raises(ArithmeticError, match="did not converge"):
             _si_continued_fraction_array(np.array([20.0, math.nan]))
+        with pytest.raises(ArithmeticError, match="did not converge for x=nan"):
+            _si_continued_fraction_array(np.array([20.0, math.nan, 1e5, 17.0]))
+
+    def test_sizes_around_the_block(self):
+        rng = np.random.default_rng(20113)
+        x = np.concatenate([np.sort(rng.uniform(16.0, 60.0, _CF_BLOCK + 1)),
+                            rng.uniform(16.0, 1e4, _CF_BLOCK + 1)])
+        expected = [quadrature._si_continued_fraction(v) for v in x.tolist()]
+        for size in (_CF_BLOCK - 1, _CF_BLOCK, _CF_BLOCK + 1, 2 * _CF_BLOCK + 2):
+            assert _si_continued_fraction_array(x[:size]).tolist() == expected[:size]
+            assert _si_continued_fraction_array(x[-size:]).tolist() == expected[-size:]
+
+    def test_slowest_and_fastest_points_in_one_block(self):
+        # x = 16 + 1 ulp takes the most iterations and x = 1e8 among the
+        # fewest; each keeps its own h whatever its neighbours need, in
+        # either order and interleaved.
+        slow, fast = math.nextafter(16.0, math.inf), 1e8
+        x = np.array([slow, fast] * 8 + [fast] * 5 + [slow] * 3 + [fast, 25.0, slow])
+        expected = [quadrature._si_continued_fraction(v) for v in x.tolist()]
+        assert _si_continued_fraction_array(x).tolist() == expected
+        assert _si_continued_fraction_array(x[::-1]).tolist() == expected[::-1]
+
+    def test_non_convergence_names_first_unconverged_x(self, monkeypatch):
+        # With 9 iterations 1e5 (3) and 500 converge and 17 (15) does not;
+        # the message names the first x that does not, in its own block or
+        # in a later one, as the scalar does.
+        monkeypatch.setattr(quadrature, "_CF_MAX_ITER", 10)
+        assert quadrature._si_continued_fraction(1e5) == si(1e5)
+        assert quadrature._si_continued_fraction(500.0) == si(500.0)
+        with pytest.raises(ArithmeticError, match="did not converge for x=17.0"):
+            quadrature._si_continued_fraction(17.0)
+        x = np.array([1e5, 500.0, 17.0, 1e5, 18.5])
+        with pytest.raises(ArithmeticError, match=r"did not converge for x=17\.0$"):
+            _si_continued_fraction_array(x)
+        monkeypatch.setattr(quadrature, "_CF_BLOCK", 2)
+        with pytest.raises(ArithmeticError, match=r"did not converge for x=17\.0$"):
+            _si_continued_fraction_array(x)
+        with pytest.raises(ArithmeticError, match=r"did not converge for x=18\.5$"):
+            _si_continued_fraction_array(np.array([1e5, 500.0, 1e5, 18.5, 17.0]))
 
     def test_symmetric_integrals_equal_scalar(self):
         rng = np.random.default_rng(48)
@@ -387,3 +429,100 @@ class TestArraySi:
                             np.array([8.0, math.nextafter(8.0, math.inf)])])
         expected = [sinc_sq_integral(Interval(-v, v)) for v in a.tolist()]
         assert symmetric_sinc_sq_integrals(a).tolist() == expected
+
+
+class TestFsumPrefixes:
+    """The checked correctly rounded sums of the array series and ``curve``."""
+
+    @staticmethod
+    def counted_fallback(monkeypatch):
+        # Lists, per exact walk, the ends of the prefixes it settles.
+        walks = []
+        walk = quadrature._exact_prefixes
+
+        def counting(column, at):
+            walks.append(list(at))
+            return walk(column, at)
+
+        monkeypatch.setattr(quadrature, "_exact_prefixes", counting)
+        return walks
+
+    @staticmethod
+    def every_prefix(terms):
+        # repr, so that a zero's sign must match too
+        got = fsum_prefixes(np.array(terms)[:, None], list(range(len(terms) + 1)))[:, 0]
+        assert list(map(repr, got.tolist())) == [repr(math.fsum(terms[:n])) for n in range(len(terms) + 1)]
+
+    @pytest.mark.parametrize("terms", [
+        [1.0, 2.0**-53],  # a tie, to even
+        [1.0, 2.0**-53, 2.0**-106],
+        [1.0, 2.0**-53, -(2.0**-106)],
+        [1.0, -(2.0**-54), 2.0**-107],
+        [1e16, 1.0, -1e16],
+        [1e16, 1.0, 1.0, -1e16, 2.0**-60],
+    ])
+    def test_ties_and_cancellation_fall_back(self, monkeypatch, terms):
+        walks = self.counted_fallback(monkeypatch)
+        self.every_prefix(terms)
+        assert walks
+
+    @pytest.mark.parametrize("terms", [
+        [],
+        [0.0],
+        [-0.0, -0.0],
+        [0.0, -0.0, 0.0],
+        [5e-324, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-320],
+        [1.0, -1.0, 1.0, -1.0, 1.0],
+        [(-1.0) ** i * 10.0**(i % 17 - 8) for i in range(200)],
+        [(-1.0) ** i / (i + 1) for i in range(1000)],
+    ])
+    def test_zeros_subnormals_and_alternating_rows(self, terms):
+        self.every_prefix(terms)
+
+    def test_columns_sum_independently(self):
+        rng = np.random.default_rng(3)
+        terms = rng.normal(size=(70, 9)) * 10.0 ** rng.integers(-20, 20, size=(70, 9))
+        terms[:, 4] = [1.0, 2.0**-53] + [0.0] * 68
+        ends = [0, 1, 2, 3, 40, 69, 70]
+        got = fsum_prefixes(terms, ends)
+        assert got.tolist() == [[math.fsum(terms[:n, c].tolist()) for c in range(9)] for n in ends]
+
+    def test_random_rows_rarely_fall_back(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        terms = (rng.uniform(0.0, 1.0, 5000) ** 3 * 1e-3).tolist()
+        walks = self.counted_fallback(monkeypatch)
+        self.every_prefix(terms)
+        assert sum(map(len, walks)) <= 5
+
+    def test_many_ties_settle_in_one_walk(self, monkeypatch):
+        # 1 + k 2**-53 is a tie at every odd k: all of them, in both
+        # blocks, go to one walk of the column, so the fallback stays
+        # linear in the terms however many sums it settles.
+        monkeypatch.setattr(quadrature, "_SUM_BLOCK", 64)
+        terms = [1.0] + [2.0**-53] * 100
+        walks = self.counted_fallback(monkeypatch)
+        self.every_prefix(terms)
+        assert len(walks) == 1
+        assert set(range(2, 102, 2)) <= set(walks[0]) and walks[0] == sorted(walks[0])
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2 * _SUM_BLOCK + 2])
+    def test_lengths_around_the_block_carry(self, extra):
+        # Lengths B - 1, B, B + 1 and 3B + 2: sums at the block edges and
+        # at random ends equal fsum, and also with a block of 7 terms,
+        # where every prefix is checked.
+        n = _SUM_BLOCK + extra
+        rng = np.random.default_rng(n)
+        terms = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
+        ends = sorted(k for k in {0, 1, _SUM_BLOCK - 1, _SUM_BLOCK, _SUM_BLOCK + 1, n,
+                                  *rng.integers(0, n + 1, 20).tolist()} if k <= n)
+        got = fsum_prefixes(terms[:, None], ends)[:, 0]
+        assert got.tolist() == [math.fsum(terms[:k].tolist()) for k in ends]
+
+    def test_small_block_carry_at_every_prefix(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_SUM_BLOCK", 7)
+        rng = np.random.default_rng(6)
+        for n in (6, 7, 8, 23):
+            terms = (rng.normal(size=n) * 10.0 ** rng.integers(-17, 17, size=n)).tolist()
+            terms[n // 2] = -sum(terms[:n // 2])  # cancellation inside a block
+            self.every_prefix(terms)
+        self.every_prefix([1.0] * 7 + [2.0**-53] + [1.0] * 8)
