@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 2 invalid usage or parameters (with a one-line
 diagnostic naming the violated precondition).
+
+The parser's choices and defaults come from modules that load neither numpy,
+``dataclasses`` nor ``json``; ``experiment`` imports the coupling model when it
+runs, and with ``--dv-g/--dv-gc`` only ``pulses``.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .coupling import CouplingScenario, PulsePair, bias_report, omega_ex, synthesize_pulse_train
 from .diffraction import (
     DEFAULT_SLIT_COUNT, GratingSpec, equivalent_order, order_alpha, truncation_alpha,
 )
@@ -180,14 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_figure(args: argparse.Namespace) -> int:
-    dataset = build_figure(
-        args.figure_id,
-        sigma=args.sigma,
-        n_slits=args.n_slits,
-        alpha_min=args.alpha_min,
-        alpha_max=args.alpha_max,
-        samples=args.samples,
-    )
+    dataset = build_figure(args.figure_id, sigma=args.sigma, n_slits=args.n_slits,
+                           alpha_min=args.alpha_min, alpha_max=args.alpha_max,
+                           samples=args.samples)
     _write(args, args.figure_id, dataset.rows.shape[0], write_dataset, dataset)
     return 0
 
@@ -235,10 +233,12 @@ def _run_experiment(args: argparse.Namespace) -> int:
         if given:
             flag = _MODEL_FLAGS[next(iter(given))][0]
             raise ValueError(f"{flag} is not taken with --dv-g/--dv-gc")
+        from .pulses import PulsePair, omega_ex
         value = omega_ex(PulsePair(dv_g=args.dv_g, dv_gc=args.dv_gc))
         print(f"omega_ex: {value:.6f}")
         print(f"classification: {_classify(value)}")
         return 0
+    from .coupling import CouplingScenario, bias_report, synthesize_pulse_train
     fields = CouplingScenario.__dataclass_fields__
     scenario = CouplingScenario(**{k: v for k, v in given.items() if k in fields})
     report = bias_report(scenario)
@@ -255,18 +255,11 @@ def _run_experiment(args: argparse.Namespace) -> int:
 def _run_sweep(args: argparse.Namespace) -> int:
     if not args.j_min < args.j_max:
         raise ValueError("--j-min must be below --j-max")
-    params = {
-        "quantity": args.quantity,
-        "sigma": args.sigma,
-        "j_min": args.j_min,
-        "j_max": args.j_max,
-        "samples": args.samples,
-    }
+    params = {k: getattr(args, k) for k in ("quantity", "sigma", "j_min", "j_max", "samples")}
     lo = order_alpha(args.j_min, args.sigma)
     hi = order_alpha(args.j_max, args.sigma)
-    dataset = _curve_dataset(
-        "sweep", args.quantity, args.sigma, lo, hi, args.samples, args.quantity, params
-    )
+    dataset = _curve_dataset("sweep", args.quantity, args.sigma, lo, hi, args.samples,
+                             args.quantity, params)
     _write(args, "sweep", dataset.rows.shape[0], write_dataset, dataset)
     return 0
 

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .orders import MAX_POINTS
+from .pulses import PulsePair, omega_ex
 
 # A bias whose underestimate is below this, in occupation units, is reported
 # as insignificant.
@@ -69,28 +70,6 @@ class CouplingScenario:
             raise ValueError(f"f_r must lie in [0, f_g], got {self.f_r!r}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta!r}")
-
-
-@dataclass(frozen=True)
-class PulsePair:
-    """Measured square-wave pulse heights: reference blocked (dv_g) and coupled (dv_gc).
-
-    The detector scale factor cancels in the ratio, so units are arbitrary.
-    """
-
-    dv_g: float
-    dv_gc: float
-
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(v) and v > 0 for v in (self.dv_g, self.dv_gc)):
-            raise ValueError(
-                f"pulse heights must be finite and positive, got {self.dv_g!r}, {self.dv_gc!r}"
-            )
-
-
-def omega_ex(pulses: PulsePair) -> float:
-    """Experimentally determined occupation value dv_g / dv_gc."""
-    return pulses.dv_g / pulses.dv_gc
 
 
 def equilibrated_omega(scenario: CouplingScenario) -> float:
@@ -255,29 +234,20 @@ def synthesize_pulse_train(
         raise ValueError(f"baseline_bias must be finite, got {baseline_bias!r}")
 
     s = replace(scenario, omega_id=omega_id)
-    amp_blocked = s.f_g
     amp_coupled = _annular_coupled_amplitude(s, apparent_omega_finite_reservoir(s))
 
-    m = SAMPLES_PER_HALF_CYCLE
-    total = cycles * 2 * m
-    rng = np.random.default_rng(seed)
-    high = np.zeros(total, dtype=bool)
-    high.reshape(cycles, 2 * m)[:, :m] = True
-
-    def record(amplitude: float) -> np.ndarray:
-        samples = np.full(total, baseline_bias, dtype=float)
-        samples[high] += amplitude
-        if noise_sd > 0:
-            samples = samples + rng.normal(0.0, noise_sd, total)
-        return samples
-
-    blocked = record(amp_blocked)
-    coupled = record(amp_coupled)
-
-    def peak_height(samples: np.ndarray) -> float:
-        return float(samples[high].mean() - samples[~high].mean())
-
-    pulses = PulsePair(dv_g=peak_height(blocked), dv_gc=peak_height(coupled))
+    # Both records at once, by cycle and half-cycle, high half first: noise
+    # for the blocked record is drawn before that for the coupled one.
+    records = np.empty((2, cycles, 2, SAMPLES_PER_HALF_CYCLE))
+    records[:, :, 1] = baseline_bias
+    records[0, :, 0] = baseline_bias + s.f_g  # the blocked amplitude
+    records[1, :, 0] = baseline_bias + amp_coupled
+    if noise_sd > 0:
+        records += np.random.default_rng(seed).normal(0.0, noise_sd, records.shape)
+    high = records[:, :, 0].reshape(2, -1).mean(axis=1)
+    low = records[:, :, 1].reshape(2, -1).mean(axis=1)
+    blocked, coupled = records.reshape(2, -1)
+    pulses = PulsePair(dv_g=float(high[0] - low[0]), dv_gc=float(high[1] - low[1]))
     return PulseTrain(
         blocked=blocked,
         coupled=coupled,

@@ -9,7 +9,7 @@ API boundary; lengths are nanometres throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "GratingSpec",
@@ -42,8 +42,9 @@ def as_alpha(value: float) -> float:
     return x
 
 
-@dataclass(frozen=True)
-class GratingSpec:
+class GratingSpec(namedtuple("GratingSpec",
+                             "slit_width_w duty_sigma wavelength_lambda slit_count_N",
+                             defaults=(DEFAULT_SLIT_COUNT,))):
     """Physical description of an irradiated transmission grating.
 
     Lengths in nanometres. The period follows from the slit width and the
@@ -52,12 +53,10 @@ class GratingSpec:
     model is not valid there.
     """
 
-    slit_width_w: float
-    duty_sigma: float
-    wavelength_lambda: float
-    slit_count_N: int = DEFAULT_SLIT_COUNT
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.duty_sigma < 1.0:
             raise ValueError(f"duty_sigma must lie in (0, 1), got {self.duty_sigma!r}")
         for name in ("slit_width_w", "wavelength_lambda"):
@@ -71,6 +70,7 @@ class GratingSpec:
             )
         if not (isinstance(self.slit_count_N, int) and self.slit_count_N >= 1):
             raise ValueError(f"slit_count_N must be an integer >= 1, got {self.slit_count_N!r}")
+        return self
 
     @property
     def period_p(self) -> float:
@@ -183,21 +183,30 @@ def sinc_sq(alpha):
     return s * s
 
 
-def sinc_sq_at_order(j: int, sigma: float) -> float:
+def sinc_sq_at_order(j, sigma: float):
     """Envelope value at the j-th order position, sinc^2(j pi sigma).
 
     Evaluates sin(pi t) with t = j sigma reduced modulo 1 before multiplying
     by pi, so order positions that are exact envelope nulls (integer t, e.g.
     even orders of a Ronchi ruling) come out as exactly 0.0 instead of
-    inheriting the rounding of pi.
+    inheriting the rounding of pi. An int gives a float by ``math`` alone;
+    an int numpy array of orders gives the same floats elementwise, as
+    ``sinc_sq`` does (``np.float_power(q, 2.0)`` is ``q ** 2``; ``q * q`` is
+    not).
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma!r}")
     t = j * sigma
+    if not isinstance(t, float):  # an array of orders
+        import numpy as np
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = np.sin(math.pi * (t - np.rint(t))) / (math.pi * t)
+            return np.where(t == 0.0, 1.0, np.float_power(q, 2.0))
     if t == 0.0:
         return 1.0
-    r = t - round(t)
-    s = math.sin(math.pi * r)
+    # remainder(t, 1) is t - round(t), exactly, in one call; the dispatch
+    # above costs about what this saves.
+    s = math.sin(math.pi * math.remainder(t, 1.0))
     return (s / (math.pi * t)) ** 2
 
 

@@ -9,10 +9,9 @@ are a pure function of the dataset, so repeated runs are byte-identical.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from . import __version__
@@ -69,18 +68,15 @@ FIGURE_IDS = tuple(_FIGURES)
 WAVELENGTH_NM = 633.0  # HeNe line used for all j-equivalent conversions
 
 
-@dataclass(frozen=True)
-class FigureDataset:
+class FigureDataset(namedtuple("FigureDataset", "figure_id params columns rows version",
+                               defaults=(__version__,))):
     """Rectangular numeric rows with named columns and a metadata header."""
 
-    figure_id: str
-    params: dict
-    columns: tuple[str, ...]
-    rows: np.ndarray
-    version: str = __version__
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
         import numpy as np
+        self = super().__new__(cls, *args, **kwargs)
         try:
             rows = np.asarray(self.rows, dtype=float)
         except ValueError:
@@ -99,8 +95,7 @@ class FigureDataset:
             raise ValueError(f"column names must be unique, got {self.columns!r}")
         if not np.all(np.isfinite(rows)):
             raise ValueError("row values must be finite")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "columns", tuple(self.columns))
+        return self._replace(rows=rows, columns=tuple(self.columns))
 
 
 # Rows encoded per piece, so no list of every row is held at once.
@@ -123,6 +118,7 @@ def _encode(figure_id, version, params, columns, blocks, fmt):
         for block in blocks:
             yield (row * (len(block) // len(fields))) % tuple(block)
     elif fmt == "json":
+        import json
         payload = {"figure": figure_id, "version": version,
                    "params": {k: params[k] for k in sorted(params)},
                    "columns": list(columns), "rows": []}
@@ -176,6 +172,7 @@ def load_dataset(data: bytes, fmt: str = "csv") -> FigureDataset:
             version=version,
         )
     if fmt == "json":
+        import json
         payload = json.loads(data.decode("ascii"))
         return FigureDataset(
             figure_id=payload["figure"],

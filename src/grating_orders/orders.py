@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .diffraction import (
     GratingSpec,
@@ -71,12 +71,12 @@ MAX_ORDER_TERMS = 10**7
 # the largest admitted CLI request of each kind, CSV/JSON (Python 3.11, numpy
 # 2.4, 2-core x86-64 Linux): a 1e6-point curve 169/211 MB, 6.9/6.8 s
 # (continued-fraction Si; 184/226 MB, 6.8/6.7 s by the series), a 20-point
-# curve at 1e7 orders 111/111 MB, 9.1/9.8 s (mostly the per-order term
-# table), an 8e5-point curve from order 9.6e6 to 1e7 with 4e5 distinct
-# order counts 182/207 MB, 19.9/18.2 s (5.2 s of it is the one exact walk
-# that settles the 4,266 sums fsum_prefixes cannot prove), a 1e6-row fig3
-# 190/234 MB, 5.3/5.4 s (4 s of it is repr of the 3e6 floats), a 999,999-row
-# table 29/30 MB, 5.9/4.6 s, and a 31,250-cycle experiment 55 MB, 0.5 s.
+# curve at 1e7 orders 110/110 MB, 1.1/1.2 s, an 8e5-point curve from order
+# 9.6e6 to 1e7 with 4e5 distinct order counts 179/193 MB, 8.6/8.9 s (most
+# of it the one exact walk that settles the 4,266 sums fsum_prefixes cannot
+# prove), a 1e6-row fig3 190/234 MB, 5.3/5.4 s (4 s of it is repr of the
+# 3e6 floats), a 999,999-row table 29/30 MB, 5.9/4.6 s, and a 31,250-cycle
+# experiment 55 MB, 0.5 s.
 MAX_POINTS = 10**6
 
 
@@ -103,16 +103,14 @@ class CurveKind(str, enum.Enum):
     ZERO_ORDER_ENERGY = "zero_order_energy"
 
 
-@dataclass(frozen=True)
-class ProbabilityCurve:
+class ProbabilityCurve(namedtuple("ProbabilityCurve", "abscissa ordinate kind")):
     """A sampled scalar function of alpha_t (the universal figure-data carrier)."""
 
-    abscissa: np.ndarray
-    ordinate: np.ndarray
-    kind: CurveKind
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
         import numpy as np
+        self = super().__new__(cls, *args, **kwargs)
         a = np.asarray(self.abscissa, dtype=float)
         o = np.asarray(self.ordinate, dtype=float)
         if a.shape != o.shape or a.ndim != 1 or a.size < 1:
@@ -121,8 +119,7 @@ class ProbabilityCurve:
             raise ValueError("abscissa must be strictly increasing")
         if not (np.all(np.isfinite(o)) and np.all(o > 0)):
             raise ValueError("ordinate values must be finite and positive")
-        object.__setattr__(self, "abscissa", a)
-        object.__setattr__(self, "ordinate", o)
+        return self._replace(abscissa=a, ordinate=o)
 
 
 def propagating_orders(alpha_t: float, sigma: float) -> range:
@@ -178,21 +175,28 @@ def _envelope_sum(alpha_t: float, sigma: float) -> float:
     return 1.0 + 2.0 * math.fsum(sinc_sq_at_order(j, sigma) for j in range(1, n + 1))
 
 
-def _order_terms(n: int, sigma: float) -> array:
-    """sinc^2 at orders 0..n, indexed by |j|, stored at 8 bytes each."""
-    return array("d", (sinc_sq_at_order(j, sigma) for j in range(n + 1)))
+# Orders per block of ``_order_terms``, whose working arrays stay small beside the table.
+_TERM_BLOCK = 1 << 16
 
 
-def _prefix_envelopes(terms: array, counts) -> list[float]:
+def _order_terms(n: int, sigma: float) -> np.ndarray:
+    """sinc^2 at orders 0..n, indexed by |j|: one float64 array filled in blocks."""
+    import numpy as np
+    terms = np.empty(n + 1)
+    for lo in range(0, n + 1, _TERM_BLOCK):
+        j = np.arange(lo, min(lo + _TERM_BLOCK, n + 1))
+        terms[lo:lo + j.size] = sinc_sq_at_order(j, sigma)
+    return terms
+
+
+def _prefix_envelopes(terms: np.ndarray, counts) -> list[float]:
     """1.0 + 2.0 * math.fsum(terms[1:n + 1]) at every n of ascending counts.
 
     The sums come from ``fsum_prefixes``: one checked array pass over the
-    terms for all counts together, read in place from the array('d'), and
-    one exact walk, up to the last such count, for the sums whose rounding
-    the pass cannot prove (near-ties).
+    terms for all counts together, and one exact walk, up to the last such
+    count, for the sums whose rounding the pass cannot prove (near-ties).
     """
-    import numpy as np
-    sums = fsum_prefixes(np.frombuffer(terms)[1:, None], counts)[:, 0]
+    sums = fsum_prefixes(terms[1:, None], counts)[:, 0]
     return (1.0 + 2.0 * sums).tolist()
 
 
@@ -306,22 +310,15 @@ def zero_order_energy(alpha_t: float, sigma: float, e_o: float = 1.0) -> float:
     return e_o * zero_order_share(alpha_t, sigma)
 
 
-@dataclass(frozen=True)
-class OrderTable:
+class OrderTable(namedtuple("OrderTable", "grating p_rj e_rj omega_j p_r e_r omega")):
     """Per-order probability, energy share and occupation for one grating.
 
-    The columns hold orders 0..n indexed by |j|: orders +-j carry equal
-    values bit for bit, so each is stored once. The totals p_r and e_r sum
-    all 2n + 1 signed orders.
+    The columns hold orders 0..n indexed by |j|, each an ``array('d')``:
+    orders +-j carry equal values bit for bit, so each is stored once. The
+    totals p_r and e_r sum all 2n + 1 signed orders.
     """
 
-    grating: GratingSpec
-    p_rj: array
-    e_rj: array
-    omega_j: array
-    p_r: float
-    e_r: float
-    omega: float
+    __slots__ = ()
 
 
 def order_table(spec: GratingSpec) -> OrderTable:
@@ -345,7 +342,8 @@ def order_table(spec: GratingSpec) -> OrderTable:
             "use omega for the totals"
         )
     denom = sinc_sq_integral(Interval(-at, at))
-    p_rj = array("d", (math.pi * sigma * term / denom for term in _order_terms(orders[-1], sigma)))
+    p_rj = array("d", (math.pi * sigma * sinc_sq_at_order(j, sigma) / denom
+                       for j in range(orders[-1] + 1)))
     p_r = math.fsum(p_rj[abs(j)] for j in orders)
     omega = 1.0 / p_r
     e_rj = array("d", (p / p_r for p in p_rj))
@@ -384,7 +382,8 @@ def curve(
     computed in one array pass rather than one scalar call per point: the
     order counts come from ``propagating_orders`` at the ends of the range
     and one sorted search over the ``order_alpha`` positions between them,
-    each order's sinc^2 is evaluated once, the scalar's correctly rounded
+    each order's sinc^2 is evaluated once, by the array ``sinc_sq_at_order``
+    in blocks (``_order_terms``), the scalar's correctly rounded
     fsum of the first n terms comes from one checked array pass over the
     terms for all distinct counts n (``fsum_prefixes``, which settles
     near-ties with one exact walk), the per-kind arithmetic runs
@@ -425,7 +424,8 @@ def curve(
     aj = aj[(aj > lo) & (aj < hi)]
     below = aj - _edge(sigma)
     above = aj + _edge(sigma)
-    pts = np.unique(np.concatenate([grid, below[below > lo], above[above < hi]]))
+    pts = np.sort(np.concatenate([grid, below[below > lo], above[above < hi]]))
+    pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]  # as np.unique, without numpy.ma
 
     counts, slot = np.unique(_order_counts(pts, sigma), return_inverse=True)
     terms = _order_terms(int(counts[-1]), sigma)

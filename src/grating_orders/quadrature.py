@@ -18,8 +18,8 @@ test suite compares them everywhere it matters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
+from collections.abc import Callable
 
 from .diffraction import grating_factor, grating_intensity, order_alpha
 
@@ -42,29 +42,28 @@ _CF_TOL = 1e-16
 _CF_MAX_ITER = 300
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(namedtuple("Interval", "lo hi")):
     """Closed integration interval [lo, hi] in alpha-space, lo <= hi."""
 
-    lo: float
-    hi: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError(f"interval endpoints must be finite: [{self.lo!r}, {self.hi!r}]")
         if self.lo > self.hi:
             raise ValueError(f"interval requires lo <= hi, got [{self.lo!r}, {self.hi!r}]")
+        return self
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    abs_error_estimate: float
-    evaluations: int
+class QuadratureResult(namedtuple("QuadratureResult", "value abs_error_estimate evaluations")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.abs_error_estimate < 0:
             raise ValueError("abs_error_estimate must be >= 0")
+        return self
 
 
 class QuadratureError(RuntimeError):

@@ -180,6 +180,41 @@ class TestNumpyFreeStart:
         assert proc.stdout == b"False\n", proc.stderr
 
 
+class TestLeanStart:
+    # A child runs the CLI and reports, at exit, the modules it loaded beyond
+    # those of a bare interpreter start.
+    REPORT = ("import atexit, sys; "
+              "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr)); ")
+    CURVE_CALLS = ["sweep --j-min 1.5 --j-max 12 --out sweep.csv",
+                   "figure --id fig6 --out fig6.csv", "figure --id fig9 --out fig9.csv"]
+
+    def loaded(self, code, argv, cwd):
+        proc = subprocess.run([sys.executable, "-c", self.REPORT + code, *argv], cwd=cwd,
+                              env=child_env(), capture_output=True)
+        return set(proc.stderr.decode().splitlines()[-1].split())
+
+    @pytest.fixture(scope="class")
+    def bare(self, tmp_path_factory):
+        return self.loaded("pass", [], tmp_path_factory.mktemp("bare"))
+
+    def cli_loads(self, key, cwd, bare):
+        code = "import runpy; runpy.run_module('grating_orders.cli', run_name='__main__')"
+        return self.loaded(code, key.split(), cwd) - bare
+
+    @pytest.mark.parametrize("key", NUMPY_FREE)
+    def test_numpy_free_calls_load_no_dataclasses_or_json(self, key, tmp_path, bare):
+        loaded = self.cli_loads(key, tmp_path, bare)
+        assert "grating_orders.orders" in loaded
+        assert not loaded & {"dataclasses", "inspect", "numpy"}
+        if "--format json" not in key:
+            assert "json" not in loaded
+
+    @pytest.mark.parametrize("key", CURVE_CALLS)
+    def test_curve_calls_load_no_masked_arrays(self, key, tmp_path, bare):
+        loaded = self.cli_loads(key, tmp_path, bare)
+        assert "numpy" in loaded and "numpy.ma" not in loaded
+
+
 class TestFigureCommand:
     def test_fig6_csv(self, tmp_path, monkeypatch, capsys):
         code, out, _ = run(

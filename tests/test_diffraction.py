@@ -240,6 +240,17 @@ class TestArrayKernels:
             expected.append([a, *single, n_slits * sinc_sq(a), grating_intensity(a, sigma, n_slits)])
         assert rows.tobytes() == np.asarray(expected, dtype=float).tobytes()
 
+    @pytest.mark.parametrize("sigma", [1 / 2, 1 / 3, 0.3, 1 / 8, 1 / 48])
+    def test_order_terms_equal_scalar(self, sigma):
+        # every order up to 1e5, then 20,000 sampled orders up to 1e7: the
+        # array squares with np.float_power, the scalar with ** 2
+        j = np.arange(10**5 + 1)
+        expected = [sinc_sq_at_order(k, sigma) for k in range(10**5 + 1)]
+        assert sinc_sq_at_order(j, sigma).tolist() == expected
+        j = np.random.default_rng(round(1 / sigma)).integers(10**5, 10**7 + 1, 20_000)
+        assert sinc_sq_at_order(j, sigma).tolist() == [sinc_sq_at_order(k, sigma) for k in j.tolist()]
+        assert sinc_sq_at_order(np.array([0, 2]), 0.5).tolist() == [1.0, 0.0]
+
     @pytest.mark.parametrize("call,message", [
         (lambda a: grating_factor(a, 1.0, 4), "sigma must lie in (0, 1), got 1.0"),
         (lambda a: grating_intensity(a, 0.5, 0), "n_slits must be an integer >= 1, got 0"),

@@ -11,6 +11,7 @@ from grating_orders.orders import (
     EPS_TIE,
     MAX_ORDER_TERMS,
     MAX_POINTS,
+    _TERM_BLOCK,
     _order_counts,
     _order_terms,
     _prefix_envelopes,
@@ -620,6 +621,13 @@ class TestCurve:
         with pytest.raises(ValueError, match="finite and positive"):
             ProbabilityCurve(np.array([1.0, 2.0]), np.array([1.0, -1.0]),
                              CurveKind.ZERO_ORDER_SHARE)
+
+
+def test_order_terms_are_the_scalar_terms_across_blocks():
+    n = 2 * _TERM_BLOCK + 3
+    terms = _order_terms(n, 0.3)
+    assert terms.dtype == np.float64
+    assert terms.tolist() == [sinc_sq_at_order(j, 0.3) for j in range(n + 1)]
 
 
 class TestPrefixEnvelopes:
