@@ -54,6 +54,7 @@ class GratingSpec(namedtuple("GratingSpec",
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

@@ -68,34 +68,33 @@ FIGURE_IDS = tuple(_FIGURES)
 WAVELENGTH_NM = 633.0  # HeNe line used for all j-equivalent conversions
 
 
-class FigureDataset(namedtuple("FigureDataset", "figure_id params columns rows version",
-                               defaults=(__version__,))):
+class FigureDataset(namedtuple("FigureDataset", "figure_id params columns rows version")):
     """Rectangular numeric rows with named columns and a metadata header."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __new__(cls, *args, **kwargs):
+    def __new__(cls, figure_id, params, columns, rows, version=__version__):
         import numpy as np
-        self = super().__new__(cls, *args, **kwargs)
         try:
-            rows = np.asarray(self.rows, dtype=float)
+            rows = np.asarray(rows, dtype=float)
         except ValueError:
-            shapes = sorted({np.shape(row) for row in self.rows})
+            shapes = sorted({np.shape(row) for row in rows})
             if len(shapes) < 2:
                 raise
-            raise ValueError(f"rows must be 2-D with {len(self.columns)} columns, "
+            raise ValueError(f"rows must be 2-D with {len(columns)} columns, "
                              f"got ragged rows of shapes {shapes}") from None
         if rows.size == 0:
-            rows = rows.reshape(0, len(self.columns))
-        if rows.ndim != 2 or rows.shape[1] != len(self.columns):
+            rows = rows.reshape(0, len(columns))
+        if rows.ndim != 2 or rows.shape[1] != len(columns):
             raise ValueError(
-                f"rows must be 2-D with {len(self.columns)} columns, got shape {rows.shape}"
+                f"rows must be 2-D with {len(columns)} columns, got shape {rows.shape}"
             )
-        if len(set(self.columns)) != len(self.columns):
-            raise ValueError(f"column names must be unique, got {self.columns!r}")
+        if len(set(columns)) != len(columns):
+            raise ValueError(f"column names must be unique, got {columns!r}")
         if not np.all(np.isfinite(rows)):
             raise ValueError("row values must be finite")
-        return self._replace(rows=rows, columns=tuple(self.columns))
+        return super().__new__(cls, figure_id, params, tuple(columns), rows, version)
 
 
 # Rows encoded per piece, so no list of every row is held at once.

@@ -23,7 +23,7 @@ from .diffraction import (
     sinc_sq_at_order,
     truncation_alpha,
 )
-from .quadrature import Interval, fsum_prefixes, sinc_sq_integral, symmetric_sinc_sq_integrals
+from .quadrature import Interval, fsum_prefixes, sinc_sq_integral, sinc_sq_primitive
 
 __all__ = [
     "CurveKind",
@@ -72,11 +72,10 @@ MAX_ORDER_TERMS = 10**7
 # 2.4, 2-core x86-64 Linux): a 1e6-point curve 169/211 MB, 6.9/6.8 s
 # (continued-fraction Si; 184/226 MB, 6.8/6.7 s by the series), a 20-point
 # curve at 1e7 orders 110/110 MB, 1.1/1.2 s, an 8e5-point curve from order
-# 9.6e6 to 1e7 with 4e5 distinct order counts 179/193 MB, 8.6/8.9 s (most
-# of it the one exact walk that settles the 4,266 sums fsum_prefixes cannot
-# prove), a 1e6-row fig3 190/234 MB, 5.3/5.4 s (4 s of it is repr of the
-# 3e6 floats), a 999,999-row table 29/30 MB, 5.9/4.6 s, and a 31,250-cycle
-# experiment 55 MB, 0.5 s.
+# 9.6e6 to 1e7 with 4e5 distinct order counts 178/192 MB, 3.0/3.1 s (no sum
+# left to the exact walk), a 1e6-row fig3 190/234 MB, 5.3/5.4 s (4 s of it is
+# repr of the 3e6 floats), a 999,999-row table 29/30 MB, 5.9/4.6 s, and a
+# 31,250-cycle experiment 55 MB, 0.5 s.
 MAX_POINTS = 10**6
 
 
@@ -107,19 +106,19 @@ class ProbabilityCurve(namedtuple("ProbabilityCurve", "abscissa ordinate kind"))
     """A sampled scalar function of alpha_t (the universal figure-data carrier)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __new__(cls, *args, **kwargs):
+    def __new__(cls, abscissa, ordinate, kind):
         import numpy as np
-        self = super().__new__(cls, *args, **kwargs)
-        a = np.asarray(self.abscissa, dtype=float)
-        o = np.asarray(self.ordinate, dtype=float)
+        a = np.asarray(abscissa, dtype=float)
+        o = np.asarray(ordinate, dtype=float)
         if a.shape != o.shape or a.ndim != 1 or a.size < 1:
             raise ValueError("abscissa and ordinate must be equal-length 1-D arrays")
         if not np.all(np.diff(a) > 0):
             raise ValueError("abscissa must be strictly increasing")
         if not (np.all(np.isfinite(o)) and np.all(o > 0)):
             raise ValueError("ordinate values must be finite and positive")
-        return self._replace(abscissa=a, ordinate=o)
+        return super().__new__(cls, a, o, kind)
 
 
 def propagating_orders(alpha_t: float, sigma: float) -> range:
@@ -190,11 +189,11 @@ def _order_terms(n: int, sigma: float) -> np.ndarray:
 
 
 def _prefix_envelopes(terms: np.ndarray, counts) -> list[float]:
-    """1.0 + 2.0 * math.fsum(terms[1:n + 1]) at every n of ascending counts.
+    """1.0 + 2.0 * math.fsum(terms[1:n + 1]) at every n of counts.
 
     The sums come from ``fsum_prefixes``: one checked array pass over the
     terms for all counts together, and one exact walk, up to the last such
-    count, for the sums whose rounding the pass cannot prove (near-ties).
+    count, for the sums whose rounding the pass cannot prove (ties).
     """
     sums = fsum_prefixes(terms[1:, None], counts)[:, 0]
     return (1.0 + 2.0 * sums).tolist()
@@ -385,10 +384,10 @@ def curve(
     each order's sinc^2 is evaluated once, by the array ``sinc_sq_at_order``
     in blocks (``_order_terms``), the scalar's correctly rounded
     fsum of the first n terms comes from one checked array pass over the
-    terms for all distinct counts n (``fsum_prefixes``, which settles
-    near-ties with one exact walk), the per-kind arithmetic runs
-    elementwise in the scalar's order, and the envelope integral comes from
-    ``symmetric_sinc_sq_integrals``, the array copy of ``sinc_sq_integral``.
+    terms for all distinct counts n (``fsum_prefixes``, which settles ties
+    with one exact walk), the per-kind arithmetic runs elementwise in the
+    scalar's order, and the envelope integral is ``2.0 * sinc_sq_primitive``,
+    the scalar ``sinc_sq_integral``'s own expression, over the array.
     """
     import numpy as np
     kind = CurveKind(kind)
@@ -431,6 +430,6 @@ def curve(
     terms = _order_terms(int(counts[-1]), sigma)
     envelope = np.array(_prefix_envelopes(terms, counts))
     f = _CURVE_FUNCS[kind]
-    integral = None if f is _share else symmetric_sinc_sq_integrals(pts)
+    integral = None if f is _share else 2.0 * sinc_sq_primitive(pts)
     values = f(sigma, envelope[slot], integral)
     return ProbabilityCurve(abscissa=pts, ordinate=values, kind=kind)

@@ -16,6 +16,7 @@ class PulsePair(namedtuple("PulsePair", "dv_g dv_gc")):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

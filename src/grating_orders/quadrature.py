@@ -1,13 +1,13 @@
 """Sine-integral kernels and adaptive quadrature.
 
 The closed forms built on Si(x) are the production path for every envelope
-integral in the package, in two forms that give the same float at every
-point: the scalars ``si`` and ``sinc_sq_integral`` make no numpy call, and
-``symmetric_sinc_sq_integrals`` copies them for the many points of a curve.
-Its continued fraction runs every point's iterations together, and its
-power series sums each point's terms with ``fsum_prefixes``: checked
-array passes that return what ``math.fsum`` would, settling near-ties with
-one exact walk. ``orders.curve`` takes its order sums from the same helper.
+integral in the package. ``sinc_sq_primitive`` takes a float, by ``math``
+alone through the scalar ``si``, or the many points of a curve as an array,
+through array copies of both Si branches that give the same float at every
+point: the continued fraction runs every point's iterations together, and
+the power series sums each point's terms with ``fsum_prefixes``, checked
+array passes that return what ``math.fsum`` would, settling ties with one
+exact walk. ``orders.curve`` takes its order sums from the same helper.
 No module of the package imports numpy at load, so ``omega``, ``table``,
 ``experiment --dv-g/--dv-gc`` and every refused CLI call run without it.
 ``adaptive_integrate`` is a deliberately independent second route (plain
@@ -28,8 +28,8 @@ __all__ = [
     "QuadratureResult",
     "QuadratureError",
     "si",
+    "sinc_sq_primitive",
     "sinc_sq_integral",
-    "symmetric_sinc_sq_integrals",
     "fsum_prefixes",
     "adaptive_integrate",
     "grating_factor_subinterval_integral",
@@ -46,6 +46,7 @@ class Interval(namedtuple("Interval", "lo hi")):
     """Closed integration interval [lo, hi] in alpha-space, lo <= hi."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -58,6 +59,7 @@ class Interval(namedtuple("Interval", "lo hi")):
 
 class QuadratureResult(namedtuple("QuadratureResult", "value abs_error_estimate evaluations")):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -132,15 +134,28 @@ def si(x: float) -> float:
     return _si_continued_fraction(x)
 
 
-def _sinc_sq_primitive(x: float) -> float:
-    # d/dx [Si(2x) - sin^2(x)/x] = sinc^2(x); the primitive vanishes at 0 and
-    # is odd, so a negative argument reuses the positive one.
-    if x < 0.0:
-        return -_sinc_sq_primitive(-x)
-    if x == 0.0:
-        return 0.0
-    s = math.sin(x)
-    return si(2.0 * x) - s * s / x
+def sinc_sq_primitive(x):
+    """Si(2x) - sin^2(x)/x, the odd primitive of sinc^2 that vanishes at 0.
+
+    A float gives a float by ``math`` alone; a positive float64 array gives
+    the same floats elementwise, as the ``diffraction`` kernels do, with Si
+    from the array copies of both branches of ``si``.
+    """
+    if isinstance(x, (int, float)):
+        if x < 0.0:
+            return -sinc_sq_primitive(-x)
+        if x == 0.0:
+            return 0.0
+        s, si_2x = math.sin(x), si(2.0 * x)
+    else:
+        import numpy as np
+        y = 2.0 * x
+        si_2x = np.empty_like(x)
+        cf = y > _SI_SERIES_CUTOFF
+        si_2x[cf] = _si_continued_fraction_array(y[cf])
+        si_2x[~cf] = _si_power_series_array(y[~cf])
+        s = np.sin(x)
+    return si_2x - s * s / x
 
 
 def sinc_sq_integral(iv: Interval) -> float:
@@ -149,8 +164,8 @@ def sinc_sq_integral(iv: Interval) -> float:
     A symmetric interval [-a, a] costs one primitive: p - (-p) is exactly 2p.
     """
     if iv.lo == -iv.hi:
-        return 2.0 * _sinc_sq_primitive(iv.hi)
-    return _sinc_sq_primitive(iv.hi) - _sinc_sq_primitive(iv.lo)
+        return 2.0 * sinc_sq_primitive(iv.hi)
+    return sinc_sq_primitive(iv.hi) - sinc_sq_primitive(iv.lo)
 
 
 def _cprod(p, q, out):
@@ -215,23 +230,26 @@ def _si_continued_fraction_array(x: np.ndarray) -> np.ndarray:
 
 def _continued_fraction_block(x):
     # h of ``_si_continued_fraction`` at every x, before its turn by e^-ix.
+    # The scalar's a * d takes complex(a, 0.0), whose zero part changes only
+    # the signs of zeros in the product, and + b (b.real >= 3, b.imag = x > 16)
+    # absorbs them: d * a + b, real by complex, is the scalar's a d + b.
     import numpy as np
     n = x.size
     b = np.stack([np.ones(n), x])  # b = 1 + ix; b.imag stays x, since x + 0.0 is x
     # Column 0 holds the divisor a d + b of d and column 1 the divisor c of
-    # a/c; u holds their numerators 1 and a, and ad the factor complex(a, 0.0).
+    # a/c; u holds their numerators 1 and a.
     z, q = np.empty((2, 2, n)), np.empty((2, 2, n))
     z[0, 1], z[1, 1] = 1e300, 0.0
-    u, ad = np.ones((2, 1)), np.zeros((2, 1))
+    u = np.ones((2, 1))
     d = h = _real_quotient(1.0, b, np.empty((2, n)))
     delta = np.empty((2, n))
     unit = np.array([[1.0], [0.0]])
     h_out = np.empty((2, n))
     pending = np.ones(n, dtype=bool)
     for i in range(2, _CF_MAX_ITER):
-        u[1] = ad[0] = float(-((i - 1) ** 2))
+        u[1] = a = float(-((i - 1) ** 2))
         b[0] += 2.0
-        np.add(_cprod(ad, d, z[:, 0]), b, out=z[:, 0])
+        np.add(np.multiply(d, a, out=z[:, 0]), b, out=z[:, 0])
         _real_quotient(u, z, q)
         d = q[:, 0]
         c = np.add(b, q[:, 1], out=z[:, 1])
@@ -266,12 +284,6 @@ def _series_terms(x: np.ndarray, count: int) -> np.ndarray:
     return terms
 
 
-def _small_terms(terms: np.ndarray) -> np.ndarray:
-    # Where a term past the first is below the tolerance that ends the series.
-    import numpy as np
-    return np.abs(terms[1:]) < _SERIES_TOL
-
-
 def _si_power_series_array(x: np.ndarray) -> np.ndarray:
     """``_si_power_series`` at every x of an array, bit for bit.
 
@@ -288,10 +300,11 @@ def _si_power_series_array(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     for start in range(0, x.size, _SERIES_BLOCK):
         xb = x[start:start + _SERIES_BLOCK]
-        top = _small_terms(_series_terms(xb.max(keepdims=True), _SERIES_MAX_TERMS))[:, 0]
+        # where a term past the first is below the tolerance that ends the series
+        top = np.abs(_series_terms(xb.max(keepdims=True), _SERIES_MAX_TERMS)[1:, 0]) < _SERIES_TOL
         count = top.argmax() + 2 if top.any() else _SERIES_MAX_TERMS
         terms = _series_terms(xb, count)
-        small = _small_terms(terms)
+        small = np.abs(terms[1:]) < _SERIES_TOL
         stops = small.any(axis=0)
         if not stops.all():
             raise ArithmeticError(
@@ -310,61 +323,60 @@ _SUM_BLOCK = 1 << 16
 def fsum_prefixes(terms: np.ndarray, ends) -> np.ndarray:
     """math.fsum(terms[:n, i]) for every column i of a 2-D array and every n of ends.
 
-    ends ascend within 0..len(terms); row i of the result holds the sums at
-    ends[i]. Each sum is the correctly rounded one that fsum returns, found
-    with a few array passes down the columns and checked:
+    ends lie within 0..len(terms), in any order; row i of the result holds
+    the sums at ends[i]. Each sum is the correctly rounded one that fsum
+    returns, found by array passes down the columns and checked:
     - s is the running sum, and e the exact error of each of its additions
       (Knuth's TwoSum), so s + sum(e) is the exact prefix sum (Ogita, Rump
       and Oishi, 2005);
-    - E, the sum of the first k errors in any order (here by segments
-      between ends), is off from their exact sum by at most
-      B = 2 k 2**-53 sum(|e|), since each error takes part in at most
-      k - 1 additions;
-    - r = s + E, whose exact remainder rho is found by TwoSum again, so the
-      exact sum lies within rho +- B of r.
-    r is accepted where that interval, widened to rho +- 2B, lies strictly
-    inside the half gaps to r's neighbours, so r is the correctly rounded
-    sum. The sums it cannot prove (ties and near-ties) are settled after
-    the passes by ``_exact_prefixes``, one exact walk per column up to its
-    last such end, so however many fail the cost stays linear in the terms.
-    Rows go in blocks of _SUM_BLOCK, carrying s, E, sum(|e|) and k from one
-    block to the next; the sums returned do not depend on the blocks. The
-    terms must be finite.
+    - E, the running sum of e, is off from sum(e) by at most
+      B = 2**-53 (|E_1| + ... + |E_k|) after k terms, since each of its
+      additions is off by at most half an ulp of its own result;
+    - r = s + E, and TwoSum gives its exact remainder rho, so the exact sum
+      lies within rho +- B of r.
+    r is accepted where rho +- 2B (the 2 covers the rounding of B itself)
+    lies strictly inside the half gaps to r's neighbours, so r is the
+    correctly rounded sum. The sums it cannot prove, ties and sums within
+    about 2B of one, are settled by ``_exact_prefixes``, one exact walk per
+    column up to its last such end, so the cost stays linear in the terms.
+    Rows go in blocks of _SUM_BLOCK, carrying s, E and sum(|E|) across; the
+    sums do not depend on the blocks. The terms must be finite.
     """
     import numpy as np
-    ends, slot = np.unique(np.asarray(ends, dtype=np.intp), return_inverse=True)
+    ends = np.asarray(ends, dtype=np.intp)
     out = np.zeros((ends.size, terms.shape[1]))  # fsum of no terms is 0.0
-    s_in = np.zeros((1, terms.shape[1]))
-    err_in = mag_in = 0.0  # E and sum(|e|) over the earlier blocks
-    unproved = []  # (end, row of out, column) of every sum the check cannot prove
+    # Row 0 of each block's running sums carries s, E and sum(|E|) over the
+    # earlier blocks; row i holds them after the block's i-th term.
+    run, err, mag = np.zeros((3, min(len(terms), _SUM_BLOCK) + 1, terms.shape[1]))
+    unproved = np.zeros(out.shape, dtype=bool)  # the sums the check cannot prove
     for r0 in range(0, len(terms), _SUM_BLOCK):
         t = terms[r0:r0 + _SUM_BLOCK]
-        run = np.add.accumulate(np.concatenate([s_in, t]))
-        prev, s = run[:-1], run[1:]
-        bb = s - prev
-        e = np.zeros((len(t) + 1, t.shape[1]))  # a zero row closes the last segment
-        np.add(prev - (s - bb), t - bb, out=e[:-1])
-        size = np.abs(e)
+        m = len(t) + 1
+        run[1:m] = t
+        np.add.accumulate(run[:m], out=run[:m])
+        prev, cur = run[:m - 1], run[1:m]
+        bb = cur - prev
+        np.add(prev - (cur - bb), t - bb, out=err[1:m])
+        np.add.accumulate(err[:m], out=err[:m])
+        np.abs(err[1:m], out=mag[1:m])
+        np.add.accumulate(mag[:m], out=mag[:m])
         rows = np.flatnonzero((ends > r0) & (ends <= r0 + len(t)))
-        k = ends[rows]
-        cuts = np.concatenate([[0], k - r0])
-        err = err_in + np.add.accumulate(np.add.reduceat(e, cuts)[:-1])
-        mag = mag_in + np.add.accumulate(np.add.reduceat(size, cuts)[:-1])
-        s = s[k - 1 - r0]
-        r = s + err
+        k = ends[rows] - r0
+        s, e = run[k], err[k]
+        r = s + e
         rb = r - s
-        rho = (s - (r - rb)) + (err - rb)
-        slack = 4.0 * (k * 2.0**-53)[:, None] * mag  # 2B
+        rho = (s - (r - rb)) + (e - rb)
+        slack = 2.0**-52 * mag[k]  # 2B
         ok = (2.0 * (rho + slack) < np.nextafter(r, np.inf) - r) & (
             2.0 * (slack - rho) < r - np.nextafter(r, -np.inf))
         out[rows] = r
-        i, col = np.nonzero(~ok)
-        unproved += zip(k[i].tolist(), rows[i].tolist(), col.tolist())
-        s_in, err_in, mag_in = run[-1:], err_in + e.sum(axis=0), mag_in + size.sum(axis=0)
-    for c in {c for _, _, c in unproved}:
-        at = sorted((n, row) for n, row, col in unproved if col == c)
-        out[[row for _, row in at], c] = _exact_prefixes(terms[:, c], [n for n, _ in at])
-    return out[slot]
+        unproved[rows] = ~ok
+        run[0], err[0], mag[0] = run[m - 1], err[m - 1], mag[m - 1]
+    for c in np.flatnonzero(unproved.any(axis=0)):
+        rows = np.flatnonzero(unproved[:, c])
+        rows = rows[np.argsort(ends[rows])]
+        out[rows, c] = _exact_prefixes(terms[:, c], ends[rows].tolist())
+    return out
 
 
 def _exact_prefixes(column: np.ndarray, ends: list[int]) -> list[float]:
@@ -382,23 +394,6 @@ def _exact_prefixes(column: np.ndarray, ends: list[int]) -> list[float]:
         done = n
         sums.append(total / (1 << 1074))
     return sums
-
-
-def symmetric_sinc_sq_integrals(a: np.ndarray) -> np.ndarray:
-    """sinc_sq_integral(Interval(-at, at)) at every at > 0, bit for bit.
-
-    2 * (Si(2a) - sin^2(a) / a), as ``sinc_sq_integral`` evaluates it, with
-    Si from the array continued fraction past the series cutoff and from the
-    array power series below it.
-    """
-    import numpy as np
-    x = 2.0 * a
-    si_2a = np.empty_like(a)
-    cf = x > _SI_SERIES_CUTOFF
-    si_2a[cf] = _si_continued_fraction_array(x[cf])
-    si_2a[~cf] = _si_power_series_array(x[~cf])
-    s = np.sin(a)
-    return 2.0 * (si_2a - s * s / a)
 
 
 def adaptive_integrate(

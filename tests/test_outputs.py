@@ -11,12 +11,16 @@ does not record, is pinned in JSON_DIGESTS below.
 import hashlib
 import importlib.util
 import json
+import math
+import random
 from pathlib import Path
 
 import pytest
 
 from grating_orders import cli
+from grating_orders.diffraction import order_alpha
 from grating_orders.figures import FIGURE_IDS, build_figure, emit
+from grating_orders.orders import CurveKind, curve
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCES = json.loads((ROOT / "bench" / "reference.json").read_text())
@@ -73,3 +77,36 @@ def test_cli_bytes_match_reference(key, tmp_path, monkeypatch, capsys):
         assert written == []
     else:
         assert [sha256(p.read_bytes()) for p in written] == [expected["file"]]
+
+
+# sha256 over the abscissa and ordinate bytes of the 800 seeded curves of
+# seeded_curves(), taken at commit afd2d6c.
+SEEDED_CURVES_DIGEST = "27a85cc3bb1b3daa526d8f0a907cb686d9e1df2f7001d1d891cfa443220c08ca"
+
+
+def seeded_curves(count=800, seed=18):
+    """Seeded random curves over the four kinds, sigma log-uniform in [1e-10, 0.9].
+
+    Each range starts at a log-uniform continuum order in [1, 1e6] (a quarter of
+    them exactly at an order position), spans up to 499 order spacings and holds
+    2..300 grid samples, so a curve stays inside the order bound and holds at
+    most 1,300 points with its edge pairs.
+    """
+    rng = random.Random(seed)
+    kinds = list(CurveKind)
+    for i in range(count):
+        sigma = 10.0 ** rng.uniform(-10.0, math.log10(0.9))
+        start = 10.0 ** rng.uniform(0.0, 6.0)
+        if rng.random() < 0.25:
+            start = float(int(start))
+        lo = order_alpha(start, sigma)
+        hi = lo + order_alpha(rng.uniform(1e-3, 499.0), sigma)
+        yield curve(kinds[i % 4], sigma, (lo, hi), rng.randint(2, 300))
+
+
+def test_seeded_curve_bytes_match_reference():
+    digest = hashlib.sha256()
+    for c in seeded_curves():
+        digest.update(c.abscissa.tobytes())
+        digest.update(c.ordinate.tobytes())
+    assert digest.hexdigest() == SEEDED_CURVES_DIGEST

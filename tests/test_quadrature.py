@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from grating_orders import quadrature
 from grating_orders.diffraction import grating_factor, order_alpha, sinc_sq
+from grating_orders.orders import _order_terms
 from grating_orders.quadrature import (
     _CF_BLOCK,
     _SERIES_BLOCK,
@@ -20,13 +21,12 @@ from grating_orders.quadrature import (
     QuadratureError,
     _si_continued_fraction_array,
     _si_power_series_array,
-    _sinc_sq_primitive,
     adaptive_integrate,
     fsum_prefixes,
     grating_factor_subinterval_integral,
     si,
     sinc_sq_integral,
-    symmetric_sinc_sq_integrals,
+    sinc_sq_primitive,
 )
 
 # Reference values frozen from a 25-digit evaluation, cross-checked below
@@ -151,7 +151,7 @@ class TestSincSqIntegral:
         rng = random.Random(5)
         edges = [order_alpha(j, sigma) for sigma in (0.5, 1 / 3, 1 / 16, 0.3) for j in range(1, 600)]
         for x in edges + [rng.uniform(1e-3, 3e4) for _ in range(1000)]:
-            assert _sinc_sq_primitive(-x) == -_sinc_sq_primitive(x) == two_sided(-x)
+            assert sinc_sq_primitive(-x) == -sinc_sq_primitive(x) == two_sided(-x)
             assert sinc_sq_integral(Interval(-x, x)) == two_sided(x) - two_sided(-x)
 
     def test_interval_validation(self):
@@ -428,7 +428,7 @@ class TestArraySi:
         a = np.concatenate([rng.uniform(1e-3, 8.0, 1000), rng.uniform(8.0, 1e5, 3000),
                             np.array([8.0, math.nextafter(8.0, math.inf)])])
         expected = [sinc_sq_integral(Interval(-v, v)) for v in a.tolist()]
-        assert symmetric_sinc_sq_integrals(a).tolist() == expected
+        assert (2.0 * sinc_sq_primitive(a)).tolist() == expected
 
 
 class TestFsumPrefixes:
@@ -504,6 +504,18 @@ class TestFsumPrefixes:
         self.every_prefix(terms)
         assert len(walks) == 1
         assert set(range(2, 102, 2)) <= set(walks[0]) and walks[0] == sorted(walks[0])
+
+    @pytest.mark.parametrize("sigma", [1 / 2, 1 / 3])
+    def test_realistic_order_sums_need_no_walk(self, monkeypatch, sigma):
+        # sinc^2 at orders 1..2e6, summed at every 10th count as a curve sums
+        # its envelopes: the running-sum bound proves every one of the sums.
+        terms = _order_terms(2 * 10**6, sigma)[1:]
+        ends = list(range(0, terms.size + 1, 10))
+        walks = self.counted_fallback(monkeypatch)
+        got = fsum_prefixes(terms[:, None], ends)[:, 0]
+        assert walks == []
+        for i in random.Random(11).sample(range(len(ends)), 3) + [len(ends) - 1]:
+            assert got[i] == math.fsum(terms[:ends[i]].tolist())
 
     @pytest.mark.parametrize("extra", [-1, 0, 1, 2 * _SUM_BLOCK + 2])
     def test_lengths_around_the_block_carry(self, extra):

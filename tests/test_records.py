@@ -1,8 +1,9 @@
 """The records: immutable, keyword-constructible, validated, with the same repr and refusals.
 
 The records on the numpy-free path are namedtuple subclasses that validate in
-``__new__``; the coupling model's records stay dataclasses, so
-``dataclasses.replace`` works on them.
+``__new__``, and their ``_make`` and ``_replace`` construct through it; the
+coupling model's records stay dataclasses, so ``dataclasses.replace`` works on
+them.
 """
 
 import dataclasses
@@ -62,38 +63,66 @@ def test_keywords_defaults_and_repr():
     assert table.grating is SPEC and table.omega == 1.0 / table.p_r
 
 
-@pytest.mark.parametrize("make,message", [
-    (lambda: GratingSpec(1250.0, 1.0, 633.0), "duty_sigma must lie in (0, 1), got 1.0"),
-    (lambda: GratingSpec(float("inf"), 0.5, 633.0),
+# (record type, constructor arguments, the refusal's message)
+REFUSALS = [
+    (GratingSpec, (1250.0, 1.0, 633.0), "duty_sigma must lie in (0, 1), got 1.0"),
+    (GratingSpec, (float("inf"), 0.5, 633.0),
      "slit_width_w must be a positive finite length, got inf"),
-    (lambda: GratingSpec(1250.0, 0.5, -1.0),
+    (GratingSpec, (1250.0, 0.5, -1.0),
      "wavelength_lambda must be a positive finite length, got -1.0"),
-    (lambda: GratingSpec(500.0, 0.5, 633.0),
+    (GratingSpec, (500.0, 0.5, 633.0),
      "sub-wavelength slit rejected: w=500.0 nm < lambda=633.0 nm"),
-    (lambda: GratingSpec(1250.0, 0.5, 633.0, 2.0),
+    (GratingSpec, (1250.0, 0.5, 633.0, 2.0),
      "slit_count_N must be an integer >= 1, got 2.0"),
-    (lambda: Interval(0.0, float("nan")), "interval endpoints must be finite: [0.0, nan]"),
-    (lambda: Interval(2.0, 1.0), "interval requires lo <= hi, got [2.0, 1.0]"),
-    (lambda: QuadratureResult(1.0, -1e-3, 3), "abs_error_estimate must be >= 0"),
-    (lambda: PulsePair(1.0, 0.0), "pulse heights must be finite and positive, got 1.0, 0.0"),
-    (lambda: ProbabilityCurve([1.0, 2.0], [1.0], CurveKind.OCCUPATION),
+    (Interval, (0.0, float("nan")), "interval endpoints must be finite: [0.0, nan]"),
+    (Interval, (2.0, 1.0), "interval requires lo <= hi, got [2.0, 1.0]"),
+    (QuadratureResult, (1.0, -1e-3, 3), "abs_error_estimate must be >= 0"),
+    (PulsePair, (1.0, 0.0), "pulse heights must be finite and positive, got 1.0, 0.0"),
+    (ProbabilityCurve, ([1.0, 2.0], [1.0], CurveKind.OCCUPATION),
      "abscissa and ordinate must be equal-length 1-D arrays"),
-    (lambda: ProbabilityCurve([2.0, 1.0], [1.0, 1.0], CurveKind.OCCUPATION),
+    (ProbabilityCurve, ([2.0, 1.0], [1.0, 1.0], CurveKind.OCCUPATION),
      "abscissa must be strictly increasing"),
-    (lambda: ProbabilityCurve([1.0, 2.0], [1.0, np.inf], CurveKind.OCCUPATION),
+    (ProbabilityCurve, ([1.0, 2.0], [1.0, np.inf], CurveKind.OCCUPATION),
      "ordinate values must be finite and positive"),
-    (lambda: FigureDataset("f", {}, ("a", "b"), [[1.0, 2.0], [1.0]]),
+    (FigureDataset, ("f", {}, ("a", "b"), [[1.0, 2.0], [1.0]]),
      "rows must be 2-D with 2 columns, got ragged rows of shapes [(1,), (2,)]"),
-    (lambda: FigureDataset("f", {}, ("a", "b"), [[1.0, 2.0, 3.0]]),
+    (FigureDataset, ("f", {}, ("a", "b"), [[1.0, 2.0, 3.0]]),
      "rows must be 2-D with 2 columns, got shape (1, 3)"),
-    (lambda: FigureDataset("f", {}, ("a", "a"), [[1.0, 2.0]]),
+    (FigureDataset, ("f", {}, ("a", "a"), [[1.0, 2.0]]),
      "column names must be unique, got ('a', 'a')"),
-    (lambda: FigureDataset("f", {}, ("a",), [[np.nan]]), "row values must be finite"),
+    (FigureDataset, ("f", {}, ("a",), [[np.nan]]), "row values must be finite"),
+]
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda cls=cls, args=args: cls(*args), message) for cls, args, message in REFUSALS
 ])
 def test_refusals_are_unchanged(make, message):
     with pytest.raises(ValueError) as exc:
         make()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("cls,args,message", REFUSALS, ids=[m for _, _, m in REFUSALS])
+def test_replace_and_make_refuse_as_construction(cls, args, message):
+    # namedtuple's own _make, which _replace calls, skips __new__.
+    valid = next(r for r in records() if type(r) is cls)
+    for make in (lambda: cls._make(args),
+                 lambda: valid._replace(**dict(zip(cls._fields, args)))):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
+
+
+def test_replace_keeps_valid_records_whole():
+    spec = SPEC._replace(duty_sigma=0.25)
+    assert spec == GratingSpec(1250.0, 0.25, 633.0) and spec.period_p == 5000.0
+    assert Interval._make([1.0, 2.0]) == Interval(1.0, 2.0)
+    c = records()[4]
+    doubled = c._replace(ordinate=(2.0 * c.ordinate).tolist())
+    assert doubled.ordinate.tolist() == (2.0 * c.ordinate).tolist() and doubled.kind is c.kind
+    ds = FigureDataset("fig0", {}, ["a"], [[1.0]])._replace(rows=[[2.0], [3.0]])
+    assert ds.rows.shape == (2, 1) and ds.columns == ("a",) and ds.version == __version__
 
 
 def test_coupling_model_records_stay_dataclasses():
