@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 from collections import namedtuple
+from itertools import count
 from pathlib import Path
 
 from . import __version__
@@ -66,6 +67,7 @@ _CURVES = {
 FIGURE_IDS = tuple(_FIGURES)
 
 WAVELENGTH_NM = 633.0  # HeNe line used for all j-equivalent conversions
+_TEMP_NUMBERS = count()  # numbers each write's temp file, so no two writes share one
 
 
 class FigureDataset(namedtuple("FigureDataset", "figure_id params columns rows version")):
@@ -184,12 +186,14 @@ def load_dataset(data: bytes, fmt: str = "csv") -> FigureDataset:
 
 
 def _write_atomic(path: Path | str, pieces) -> Path:
-    # Temp file beside path, then rename; a failed write leaves path as it was.
+    # A temp file beside path, of this process and call, then rename; a failed write
+    # leaves path as it was, and "x" keeps a write off any file it did not create.
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{next(_TEMP_NUMBERS)}.tmp")
+    fh = open(tmp, "xb")
     try:
-        with open(tmp, "wb") as fh:
+        with fh:
             fh.writelines(pieces)
         os.replace(tmp, path)
     finally:

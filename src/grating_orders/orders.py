@@ -15,6 +15,7 @@ import enum
 import math
 from array import array
 from collections import namedtuple
+from itertools import chain
 
 from .diffraction import (
     GratingSpec,
@@ -74,7 +75,7 @@ MAX_ORDER_TERMS = 10**7
 # curve at 1e7 orders 110/110 MB, 1.1/1.2 s, an 8e5-point curve from order
 # 9.6e6 to 1e7 with 4e5 distinct order counts 178/192 MB, 3.0/3.1 s (no sum
 # left to the exact walk), a 1e6-row fig3 190/234 MB, 5.3/5.4 s (4 s of it is
-# repr of the 3e6 floats), a 999,999-row table 29/30 MB, 5.9/4.6 s, and a
+# repr of the 3e6 floats), a 999,999-row table 27/28 MB, 3.4/3.5 s, and a
 # 31,250-cycle experiment 55 MB, 0.5 s.
 MAX_POINTS = 10**6
 
@@ -186,17 +187,6 @@ def _order_terms(n: int, sigma: float) -> np.ndarray:
         j = np.arange(lo, min(lo + _TERM_BLOCK, n + 1))
         terms[lo:lo + j.size] = sinc_sq_at_order(j, sigma)
     return terms
-
-
-def _prefix_envelopes(terms: np.ndarray, counts) -> list[float]:
-    """1.0 + 2.0 * math.fsum(terms[1:n + 1]) at every n of counts.
-
-    The sums come from ``fsum_prefixes``: one checked array pass over the
-    terms for all counts together, and one exact walk, up to the last such
-    count, for the sums whose rounding the pass cannot prove (ties).
-    """
-    sums = fsum_prefixes(terms[1:, None], counts)[:, 0]
-    return (1.0 + 2.0 * sums).tolist()
 
 
 # The arithmetic each public scalar applies to an envelope sum and the
@@ -314,7 +304,8 @@ class OrderTable(namedtuple("OrderTable", "grating p_rj e_rj omega_j p_r e_r ome
 
     The columns hold orders 0..n indexed by |j|, each an ``array('d')``:
     orders +-j carry equal values bit for bit, so each is stored once. The
-    totals p_r and e_r sum all 2n + 1 signed orders.
+    totals p_r and e_r are each one fsum over a column and its orders 1..n
+    again: the 2n + 1 signed orders, whose exact sum fsum rounds.
     """
 
     __slots__ = ()
@@ -343,11 +334,11 @@ def order_table(spec: GratingSpec) -> OrderTable:
     denom = sinc_sq_integral(Interval(-at, at))
     p_rj = array("d", (math.pi * sigma * sinc_sq_at_order(j, sigma) / denom
                        for j in range(orders[-1] + 1)))
-    p_r = math.fsum(p_rj[abs(j)] for j in orders)
+    p_r = math.fsum(chain(p_rj, memoryview(p_rj)[1:]))  # a view: the column is not copied
     omega = 1.0 / p_r
     e_rj = array("d", (p / p_r for p in p_rj))
     omega_j = array("d", (e / p if p > 0 else omega for p, e in zip(p_rj, e_rj)))
-    e_r = math.fsum(e_rj[abs(j)] for j in orders)
+    e_r = math.fsum(chain(e_rj, memoryview(e_rj)[1:]))
     return OrderTable(spec, p_rj, e_rj, omega_j, p_r, e_r, omega)
 
 
@@ -382,12 +373,12 @@ def curve(
     order counts come from ``propagating_orders`` at the ends of the range
     and one sorted search over the ``order_alpha`` positions between them,
     each order's sinc^2 is evaluated once, by the array ``sinc_sq_at_order``
-    in blocks (``_order_terms``), the scalar's correctly rounded
-    fsum of the first n terms comes from one checked array pass over the
-    terms for all distinct counts n (``fsum_prefixes``, which settles ties
-    with one exact walk), the per-kind arithmetic runs elementwise in the
-    scalar's order, and the envelope integral is ``2.0 * sinc_sq_primitive``,
-    the scalar ``sinc_sq_integral``'s own expression, over the array.
+    in blocks (``_order_terms``), the scalar's correctly rounded fsum of the
+    first n terms comes from one checked array pass over the terms at the
+    distinct counts n, ascending from ``np.unique`` (``fsum_prefixes``), the
+    envelope and per-kind arithmetic run elementwise in the scalar's order,
+    and the envelope integral is ``2.0 * sinc_sq_primitive``, the scalar
+    ``sinc_sq_integral``'s own expression, over the array.
     """
     import numpy as np
     kind = CurveKind(kind)
@@ -428,7 +419,7 @@ def curve(
 
     counts, slot = np.unique(_order_counts(pts, sigma), return_inverse=True)
     terms = _order_terms(int(counts[-1]), sigma)
-    envelope = np.array(_prefix_envelopes(terms, counts))
+    envelope = 1.0 + 2.0 * fsum_prefixes(terms[1:, None], counts)[:, 0]
     f = _CURVE_FUNCS[kind]
     integral = None if f is _share else 2.0 * sinc_sq_primitive(pts)
     values = f(sigma, envelope[slot], integral)

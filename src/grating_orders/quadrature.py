@@ -6,8 +6,9 @@ alone through the scalar ``si``, or the many points of a curve as an array,
 through array copies of both Si branches that give the same float at every
 point: the continued fraction runs every point's iterations together, and
 the power series sums each point's terms with ``fsum_prefixes``, checked
-array passes that return what ``math.fsum`` would, settling ties with one
-exact walk. ``orders.curve`` takes its order sums from the same helper.
+array passes that return what ``math.fsum`` would at ascending prefix ends,
+settling ties with one exact walk. ``orders.curve`` takes its order sums
+from the same helper.
 No module of the package imports numpy at load, so ``omega``, ``table``,
 ``experiment --dv-g/--dv-gc`` and every refused CLI call run without it.
 ``adaptive_integrate`` is a deliberately independent second route (plain
@@ -323,9 +324,9 @@ _SUM_BLOCK = 1 << 16
 def fsum_prefixes(terms: np.ndarray, ends) -> np.ndarray:
     """math.fsum(terms[:n, i]) for every column i of a 2-D array and every n of ends.
 
-    ends lie within 0..len(terms), in any order; row i of the result holds
-    the sums at ends[i]. Each sum is the correctly rounded one that fsum
-    returns, found by array passes down the columns and checked:
+    ends are non-decreasing, within 0..len(terms), and may repeat; row i of
+    the result holds the sums at ends[i]. Each sum is the correctly rounded
+    one that fsum returns, found by array passes down the columns and checked:
     - s is the running sum, and e the exact error of each of its additions
       (Knuth's TwoSum), so s + sum(e) is the exact prefix sum (Ogita, Rump
       and Oishi, 2005);
@@ -340,7 +341,8 @@ def fsum_prefixes(terms: np.ndarray, ends) -> np.ndarray:
     about 2B of one, are settled by ``_exact_prefixes``, one exact walk per
     column up to its last such end, so the cost stays linear in the terms.
     Rows go in blocks of _SUM_BLOCK, carrying s, E and sum(|E|) across; the
-    sums do not depend on the blocks. The terms must be finite.
+    sums do not depend on the blocks; each block's ends are one slice of
+    ends. The terms must be finite.
     """
     import numpy as np
     ends = np.asarray(ends, dtype=np.intp)
@@ -349,6 +351,7 @@ def fsum_prefixes(terms: np.ndarray, ends) -> np.ndarray:
     # earlier blocks; row i holds them after the block's i-th term.
     run, err, mag = np.zeros((3, min(len(terms), _SUM_BLOCK) + 1, terms.shape[1]))
     unproved = np.zeros(out.shape, dtype=bool)  # the sums the check cannot prove
+    first = 0  # the first end not yet summed
     for r0 in range(0, len(terms), _SUM_BLOCK):
         t = terms[r0:r0 + _SUM_BLOCK]
         m = len(t) + 1
@@ -360,8 +363,8 @@ def fsum_prefixes(terms: np.ndarray, ends) -> np.ndarray:
         np.add.accumulate(err[:m], out=err[:m])
         np.abs(err[1:m], out=mag[1:m])
         np.add.accumulate(mag[:m], out=mag[:m])
-        rows = np.flatnonzero((ends > r0) & (ends <= r0 + len(t)))
-        k = ends[rows] - r0
+        last = np.searchsorted(ends, r0 + len(t), side="right")
+        k = ends[first:last] - r0  # 0 only in block 0, whose row 0 is all zero
         s, e = run[k], err[k]
         r = s + e
         rb = r - s
@@ -369,21 +372,21 @@ def fsum_prefixes(terms: np.ndarray, ends) -> np.ndarray:
         slack = 2.0**-52 * mag[k]  # 2B
         ok = (2.0 * (rho + slack) < np.nextafter(r, np.inf) - r) & (
             2.0 * (slack - rho) < r - np.nextafter(r, -np.inf))
-        out[rows] = r
-        unproved[rows] = ~ok
+        out[first:last] = r
+        unproved[first:last] = ~ok
+        first = last
         run[0], err[0], mag[0] = run[m - 1], err[m - 1], mag[m - 1]
     for c in np.flatnonzero(unproved.any(axis=0)):
-        rows = np.flatnonzero(unproved[:, c])
-        rows = rows[np.argsort(ends[rows])]
+        rows = np.flatnonzero(unproved[:, c])  # ascending, so their ends are too
         out[rows, c] = _exact_prefixes(terms[:, c], ends[rows].tolist())
     return out
 
 
 def _exact_prefixes(column: np.ndarray, ends: list[int]) -> list[float]:
-    # math.fsum(column[:n]) at every n of ascending ends, in one walk: every
-    # finite double is an integer multiple of 2**-1074, so the prefix sums
-    # are kept exactly in one Python int, and its true division by 2**1074,
-    # which Python rounds correctly, is the correctly rounded sum.
+    # math.fsum(column[:n]) at every n of non-decreasing ends, in one walk:
+    # every finite double is an integer multiple of 2**-1074, so the prefix
+    # sums are kept exactly in one Python int, and its true division by
+    # 2**1074, which Python rounds correctly, is the correctly rounded sum.
     sums = []
     total = done = 0
     for n in ends:

@@ -9,6 +9,7 @@ from grating_orders.figures import (
     _BLOCK,
     FIGURE_IDS,
     FigureDataset,
+    _write_atomic,
     build_figure,
     emit,
     load_dataset,
@@ -102,6 +103,22 @@ class TestDatasetAndEmit:
         with pytest.raises(ValueError, match="format"):
             write_order_table(table, 3.16, tmp_path / "table.xml", "xml")
         assert list(tmp_path.iterdir()) == []
+
+    def test_overlapping_writes_to_one_path_publish_one_payload(self, tmp_path):
+        # A second full write to the same path runs while the first is
+        # between its two pieces: each has a temp file of its own, both
+        # return, and the path holds one whole payload, never a mix.
+        path = tmp_path / "out.csv"
+        first, second = [b"A" * 100_000, b"A" * 100_000], [b"B" * 50_000]
+
+        def pieces():
+            yield first[0]
+            assert _write_atomic(path, second) == path
+            yield first[1]
+
+        assert _write_atomic(path, pieces()) == path
+        assert path.read_bytes() == b"".join(first)
+        assert list(tmp_path.iterdir()) == [path]
 
 
 def per_row_csv(ds):

@@ -14,7 +14,6 @@ from grating_orders.orders import (
     _TERM_BLOCK,
     _order_counts,
     _order_terms,
-    _prefix_envelopes,
     CurveKind,
     ProbabilityCurve,
     curve,
@@ -29,7 +28,12 @@ from grating_orders.orders import (
     zero_order_energy,
     zero_order_share,
 )
-from grating_orders.quadrature import Interval, adaptive_integrate, sinc_sq_integral
+from grating_orders.quadrature import (
+    Interval,
+    adaptive_integrate,
+    fsum_prefixes,
+    sinc_sq_integral,
+)
 
 LAMBDA = 633.0
 ALPHA_3 = float(order_alpha(3, 0.5))
@@ -631,6 +635,8 @@ def test_order_terms_are_the_scalar_terms_across_blocks():
 
 
 class TestPrefixEnvelopes:
+    """The envelopes 1 + 2 fsum(terms[1:n + 1]) that ``curve`` takes from ``fsum_prefixes``."""
+
     @pytest.mark.parametrize("sigma", [1 / 2, 1 / 3, 0.3, 1 / 48])
     def test_equal_fsum_at_every_prefix(self, sigma):
         # At every n, fsum is taken over an error-free expansion of the
@@ -639,7 +645,7 @@ class TestPrefixEnvelopes:
         # summing each prefix again; plain fsum checks a sample of n.
         n_max = 10**5
         terms = _order_terms(n_max, sigma)
-        got = _prefix_envelopes(terms, list(range(n_max + 1)))
+        got = (1.0 + 2.0 * fsum_prefixes(terms[1:, None], list(range(n_max + 1)))[:, 0]).tolist()
         assert len(got) == n_max + 1 and got[0] == 1.0
         partials = []
         for n, x in enumerate(terms[1:], start=1):
@@ -661,6 +667,6 @@ class TestPrefixEnvelopes:
     def test_sparse_counts(self):
         terms = _order_terms(500, 1 / 48)
         counts = [0, 0, 3, 17, 18, 499, 500]
-        assert _prefix_envelopes(terms, counts) == [
+        assert (1.0 + 2.0 * fsum_prefixes(terms[1:, None], counts)[:, 0]).tolist() == [
             1.0 + 2.0 * math.fsum(terms[1:n + 1]) for n in counts
         ]

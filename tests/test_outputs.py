@@ -18,9 +18,9 @@ from pathlib import Path
 import pytest
 
 from grating_orders import cli
-from grating_orders.diffraction import order_alpha
+from grating_orders.diffraction import GratingSpec, order_alpha
 from grating_orders.figures import FIGURE_IDS, build_figure, emit
-from grating_orders.orders import CurveKind, curve
+from grating_orders.orders import CurveKind, curve, order_table
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCES = json.loads((ROOT / "bench" / "reference.json").read_text())
@@ -110,3 +110,38 @@ def test_seeded_curve_bytes_match_reference():
         digest.update(c.abscissa.tobytes())
         digest.update(c.ordinate.tobytes())
     assert digest.hexdigest() == SEEDED_CURVES_DIGEST
+
+
+# sha256 over the columns and totals of the 200 seeded tables of
+# seeded_tables(), taken at commit 85b5a2a.
+SEEDED_TABLES_DIGEST = "3dda783e10e9ceae919264a6775cb1bc805114bdb0ecb85e503c733a1d4b737b"
+
+
+def seeded_tables(count=200, seed=19):
+    """Seeded order tables, built as ``table --j-equiv`` builds them.
+
+    sigma is one of 1/2, 1/3, 0.3 and 1/8, or log-uniform in [1e-3, 0.9]; the
+    j-equivalent is log-uniform from the narrowest admitted slit (w = lambda)
+    up to 1e5, and a quarter of the tables sit at a j- or j+ threshold.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        sigma = rng.choice([1 / 2, 1 / 3, 0.3, 1 / 8, 10.0 ** rng.uniform(-3.0, math.log10(0.9))])
+        j_equiv = 10.0 ** rng.uniform(math.log10(1.0 / sigma) + 1e-9, 5.0)
+        if rng.random() < 0.25:
+            j_equiv = cli.parse_j_equiv(f"{int(j_equiv) + 1}{rng.choice('-+')}")
+        at = order_alpha(j_equiv, sigma)
+        yield order_table(GratingSpec.from_truncation(at, 633.0, sigma))
+
+
+def test_seeded_table_bytes_match_reference():
+    # Each total is also the fsum over the signed orders -n..n.
+    digest = hashlib.sha256()
+    for t in seeded_tables():
+        n = len(t.p_rj) - 1
+        assert t.p_r == math.fsum(t.p_rj[abs(j)] for j in range(-n, n + 1))
+        assert t.e_r == math.fsum(t.e_rj[abs(j)] for j in range(-n, n + 1))
+        for column in (t.p_rj, t.e_rj, t.omega_j):
+            digest.update(column.tobytes())
+        digest.update(repr((t.p_r, t.e_r, t.omega)).encode())
+    assert digest.hexdigest() == SEEDED_TABLES_DIGEST

@@ -530,6 +530,29 @@ class TestFsumPrefixes:
         got = fsum_prefixes(terms[:, None], ends)[:, 0]
         assert got.tolist() == [math.fsum(terms[:k].tolist()) for k in ends]
 
+    def test_repeated_non_decreasing_ends(self, monkeypatch):
+        # Blocks of 7 terms, ends repeated at 0, at block edges, at ties
+        # and at len: every row is the column's fsum, and each column's
+        # walk gets its ends in order. The late ends all fall in the last
+        # block, so the earlier blocks sum no end.
+        monkeypatch.setattr(quadrature, "_SUM_BLOCK", 7)
+        rng = np.random.default_rng(19)
+        n = 22
+        terms = np.empty((n, 4))
+        terms[:, 0] = [1.0] + [2.0**-53] * (n - 1)  # a tie at every odd count
+        terms[:, 1] = [1e16, 1.0, -1e16, 2.0**-60] * 5 + [1.0, -0.0]
+        terms[:, 2] = rng.normal(size=n) * 10.0 ** rng.integers(-17, 17, size=n)
+        terms[:, 3] = -0.0
+        walks = self.counted_fallback(monkeypatch)
+        for ends in ([0, 0, 0, 1, 2, 2, 3, 7, 7, 8, 13, 14, 14, 15, 21, 22, 22, 22],
+                     [15, 15, 16, 19, 19, 21, 22, 22], [n, n], [0]):
+            got = fsum_prefixes(terms, ends)
+            assert got.shape == (len(ends), 4)
+            for c in range(4):
+                expected = [repr(math.fsum(terms[:k, c].tolist())) for k in ends]
+                assert list(map(repr, got[:, c].tolist())) == expected, (ends, c)
+        assert walks and all(at == sorted(at) for at in walks)
+
     def test_small_block_carry_at_every_prefix(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_SUM_BLOCK", 7)
         rng = np.random.default_rng(6)
