@@ -22,7 +22,7 @@ from .diffraction import (
 )
 from .figures import (FIGURE_IDS, WAVELENGTH_NM, _curve_dataset, build_figure,
                       write_dataset, write_order_table)
-from .orders import EDGE_OFFSET, CurveKind, occupation_value, order_table
+from .orders import CURVE_KINDS, EDGE_OFFSET, occupation_value, order_table
 
 OUTDIR_ENV = "GRATING_ORDERS_OUTDIR"
 
@@ -86,7 +86,7 @@ def _flag_type(parse, forms: str):
     def flag_type(text: str) -> float:
         try:
             return parse(text)
-        except ValueError:
+        except (ValueError, OverflowError):  # a whole number too large for a float
             raise argparse.ArgumentTypeError(f"invalid value {text!r}; expected {forms}") from None
     return flag_type
 
@@ -171,8 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sample a truncation-dependent quantity over a j range")
     p.set_defaults(run=_run_sweep)
-    p.add_argument("--quantity", choices=[k.value for k in CurveKind],
-                   default=CurveKind.OCCUPATION.value)
+    p.add_argument("--quantity", choices=CURVE_KINDS, default="occupation")
     p.add_argument("--j-min", type=_FLOAT, required=True)
     p.add_argument("--j-max", type=_FLOAT, required=True)
     p.add_argument("--samples", type=_INT, default=500)
@@ -269,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

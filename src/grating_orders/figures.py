@@ -27,9 +27,8 @@ from .diffraction import (
 from .orders import (
     EDGE_OFFSET,
     MAX_POINTS,
-    CurveKind,
     OrderTable,
-    _tie,
+    _tie_at,
     curve,
     order_table,
 )
@@ -60,9 +59,9 @@ _FIGURES = {
 }
 # The curve figures: the quantity sampled and its value column.
 _CURVES = {
-    "fig6": (CurveKind.RESULTANT_PROBABILITY, "p_r"),
-    "fig7": (CurveKind.OCCUPATION, "omega"),
-    "fig9": (CurveKind.ZERO_ORDER_ENERGY, "e_r0"),
+    "fig6": ("resultant_probability", "p_r"),
+    "fig7": ("occupation", "omega"),
+    "fig9": ("zero_order_energy", "e_r0"),
 }
 FIGURE_IDS = tuple(_FIGURES)
 
@@ -149,7 +148,6 @@ def load_dataset(data: bytes, fmt: str = "csv") -> FigureDataset:
         figure_id = ""
         version = __version__
         params: dict = {}
-        idx = 0
         for idx, line in enumerate(lines):
             if not line.startswith("#"):
                 break
@@ -164,6 +162,8 @@ def load_dataset(data: bytes, fmt: str = "csv") -> FigureDataset:
                     params[key] = float(value)
                 except ValueError:
                     params[key] = value
+        else:
+            raise ValueError("CSV data has no column row after its '#' header lines")
         columns = tuple(lines[idx].split(","))
         return FigureDataset(
             figure_id=figure_id,
@@ -294,10 +294,10 @@ def build_figure(figure_id: str, **overrides) -> FigureDataset:
     sig = p["sigma"]
 
     if figure_id in _CURVES:
-        # The header also carries the tie tolerance in effect at this sigma.
+        # The header also carries the tie in effect at the top of the range, its largest.
         kind, column = _CURVES[figure_id]
-        return _curve_dataset(figure_id, kind, sig, p["alpha_min"], p["alpha_max"],
-                              p["samples"], column, {**p, "eps_tie": _tie(sig)})
+        return _curve_dataset(figure_id, kind, sig, p["alpha_min"], p["alpha_max"], p["samples"],
+                              column, {**p, "eps_tie": _tie_at(p["alpha_max"], sig)})
 
     if figure_id == "fig4":
         n, j = p["n_slits"], 12

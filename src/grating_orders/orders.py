@@ -11,7 +11,6 @@ stepping discontinuously at order thresholds under sparse sampling
 
 from __future__ import annotations
 
-import enum
 import math
 from array import array
 from collections import namedtuple
@@ -27,7 +26,7 @@ from .diffraction import (
 from .quadrature import Interval, fsum_prefixes, sinc_sq_integral, sinc_sq_primitive
 
 __all__ = [
-    "CurveKind",
+    "CURVE_KINDS",
     "ProbabilityCurve",
     "OrderTable",
     "propagating_orders",
@@ -87,29 +86,27 @@ def _tie(sigma: float) -> float:
     return min(EPS_TIE, math.pi * sigma / 4)
 
 
+def _tie_at(alpha_t: float, sigma: float) -> float:
+    """The tie in effect at alpha_t: how far above it an order is still admitted."""
+    return max(_tie(sigma), TIE_ULPS * math.ulp(alpha_t))
+
+
 def _cap(alpha_t: float, sigma: float) -> float:
     """The highest order position admitted at alpha_t: the one inclusion rule."""
-    return alpha_t + max(_tie(sigma), TIE_ULPS * math.ulp(alpha_t))
+    return alpha_t + _tie_at(alpha_t, sigma)
 
 
 def _edge(sigma: float) -> float:
     return min(EDGE_OFFSET, math.pi * sigma / 4)
 
 
-class CurveKind(str, enum.Enum):
-    RESULTANT_PROBABILITY = "resultant_probability"
-    OCCUPATION = "occupation"
-    ZERO_ORDER_SHARE = "zero_order_share"
-    ZERO_ORDER_ENERGY = "zero_order_energy"
-
-
-class ProbabilityCurve(namedtuple("ProbabilityCurve", "abscissa ordinate kind")):
-    """A sampled scalar function of alpha_t (the universal figure-data carrier)."""
+class ProbabilityCurve(namedtuple("ProbabilityCurve", "abscissa ordinate")):
+    """A sampled scalar function of alpha_t: two equal-length float64 arrays."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __new__(cls, abscissa, ordinate, kind):
+    def __new__(cls, abscissa, ordinate):
         import numpy as np
         a = np.asarray(abscissa, dtype=float)
         o = np.asarray(ordinate, dtype=float)
@@ -119,7 +116,7 @@ class ProbabilityCurve(namedtuple("ProbabilityCurve", "abscissa ordinate kind"))
             raise ValueError("abscissa must be strictly increasing")
         if not (np.all(np.isfinite(o)) and np.all(o > 0)):
             raise ValueError("ordinate values must be finite and positive")
-        return super().__new__(cls, a, o, kind)
+        return super().__new__(cls, a, o)
 
 
 def propagating_orders(alpha_t: float, sigma: float) -> range:
@@ -342,23 +339,24 @@ def order_table(spec: GratingSpec) -> OrderTable:
     return OrderTable(spec, p_rj, e_rj, omega_j, p_r, e_r, omega)
 
 
-# Each kind as f(sigma, envelope, integral), the arithmetic its public scalar
-# applies; the share kinds need no envelope integral.
+# The curve kinds, each as f(sigma, envelope, integral), the arithmetic its
+# public scalar applies; the share kinds need no envelope integral.
 _CURVE_FUNCS = {
-    CurveKind.RESULTANT_PROBABILITY: _normalized,
-    CurveKind.OCCUPATION: _occupation,
-    CurveKind.ZERO_ORDER_SHARE: _share,
-    CurveKind.ZERO_ORDER_ENERGY: _share,  # at unit total output energy
+    "resultant_probability": _normalized,
+    "occupation": _occupation,
+    "zero_order_share": _share,
+    "zero_order_energy": _share,  # at unit total output energy
 }
+CURVE_KINDS = tuple(_CURVE_FUNCS)
 
 
 def curve(
-    kind: CurveKind | str,
+    kind: str,
     sigma: float,
     alpha_range: tuple[float, float],
     samples: int,
 ) -> ProbabilityCurve:
-    """Sample one of the alpha_t-dependent scalars on a dense grid.
+    """Sample the alpha_t-dependent scalar ``kind``, one of CURVE_KINDS, on a dense grid.
 
     A pair of samples at alpha_j -+ 1e-6 is inserted around every order
     position inside the range so threshold discontinuities are resolved as
@@ -381,7 +379,9 @@ def curve(
     ``sinc_sq_integral``'s own expression, over the array.
     """
     import numpy as np
-    kind = CurveKind(kind)
+    f = _CURVE_FUNCS.get(kind)
+    if f is None:
+        raise ValueError(f"unknown curve kind {kind!r}; expected one of {CURVE_KINDS}")
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma!r}")
     lo, hi = float(alpha_range[0]), float(alpha_range[1])
@@ -391,9 +391,9 @@ def curve(
         raise ValueError(f"samples must be >= 2, got {samples!r}")
     if lo <= 0:
         raise ValueError(f"alpha_range must be positive, got lo={lo!r}")
-    if kind in (CurveKind.RESULTANT_PROBABILITY, CurveKind.OCCUPATION) and lo < math.pi * sigma:
+    if f is not _share and lo < math.pi * sigma:
         raise ValueError(
-            f"{kind.value} curves require alpha_range within [pi*sigma, inf); "
+            f"{kind} curves require alpha_range within [pi*sigma, inf); "
             f"got lo={lo!r} < {math.pi * sigma!r}"
         )
     # The scalar rule refuses a top that admits more than MAX_ORDER_TERMS
@@ -420,7 +420,6 @@ def curve(
     counts, slot = np.unique(_order_counts(pts, sigma), return_inverse=True)
     terms = _order_terms(int(counts[-1]), sigma)
     envelope = 1.0 + 2.0 * fsum_prefixes(terms[1:, None], counts)[:, 0]
-    f = _CURVE_FUNCS[kind]
     integral = None if f is _share else 2.0 * sinc_sq_primitive(pts)
     values = f(sigma, envelope[slot], integral)
-    return ProbabilityCurve(abscissa=pts, ordinate=values, kind=kind)
+    return ProbabilityCurve(pts, values)

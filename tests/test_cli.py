@@ -122,6 +122,10 @@ class TestParsers:
         (["omega", "--j-equiv", "nan"], "--j-equiv", "nan", J_EQUIV_FORMS),
         (["omega", "--j-equiv", "inf"], "--j-equiv", "inf", J_EQUIV_FORMS),
         (["table", "--j-equiv=-inf"], "--j-equiv", "-inf", J_EQUIV_FORMS),
+        # whole orders too large for a float
+        *[pytest.param([cmd, "--j-equiv", f"1{'0' * 400}{sign}"], "--j-equiv",
+                       f"1{'0' * 400}{sign}", J_EQUIV_FORMS, id=f"{cmd}-1e400{sign}")
+          for cmd, sign in (("omega", "-"), ("table", "+"))],
     ])
     def test_numeric_flag_refusal_names_its_forms(self, argv, flag, text, forms, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -252,6 +256,10 @@ class TestFigureCommand:
         run(["figure", "--id", "fig9", "--samples", "5", "--out", str(tmp_path / "d.csv")],
             tmp_path, monkeypatch, capsys)
         assert "# eps_tie: 1e-09" in (tmp_path / "d.csv").read_text().splitlines()
+        # From alpha_t = 2**21 the tie in effect is TIE_ULPS ulp of the top of the range.
+        run(["figure", "--id", "fig6", "--alpha-min", "3000000", "--alpha-max", "3000010",
+             "--samples", "3", "--out", str(tmp_path / "e.csv")], tmp_path, monkeypatch, capsys)
+        assert "# eps_tie: 1.862645149230957e-09" in (tmp_path / "e.csv").read_text().splitlines()
 
     def test_json_output(self, tmp_path, monkeypatch, capsys):
         code, _, _ = run(
@@ -482,6 +490,8 @@ def test_table_row_bound(tmp_path, monkeypatch, capsys):
      "alpha range must be finite with alpha_min < alpha_max, got (-1e+308, 1e+308)"),
     (["--id", "fig3", "--alpha-min", "1e308", "--alpha-max", "1.1e308", "--samples", "3"],
      "alpha/sigma overflows a float at alpha=1e+308, sigma=0.125"),
+    *[pytest.param(["--id", fid, "--n-slits", f"1{'0' * 400}"], "int too large to convert to float",
+                   id=f"{fid}-n-slits-1e400") for fid in ("fig3", "fig4", "fig5")],
 ])
 def test_intensity_refusals(argv, message, tmp_path, monkeypatch, capsys):
     code, out, err = run(["figure", *argv], tmp_path, monkeypatch, capsys)

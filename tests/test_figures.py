@@ -54,6 +54,10 @@ class TestDatasetAndEmit:
         with pytest.raises(ValueError, match=ragged):
             load_dataset(b'{"figure": "fig6", "version": "0", "params": {}, '
                          b'"columns": ["a", "b"], "rows": [[1.0, 2.0], [3.0]]}', "json")
+        # A CSV without a column row is refused, not read as one of its header lines.
+        for data in (b"", b"# figure: fig6\n# version: 0.1.0\n"):
+            with pytest.raises(ValueError, match="CSV data has no column row"):
+                load_dataset(data, "csv")
         for fmt in ("csv", "json"):
             empty = FigureDataset("fig6", {}, ("a", "b", "c"), np.zeros((0, 3)))
             assert load_dataset(emit(empty, fmt), fmt).rows.shape == (0, 3)

@@ -14,7 +14,7 @@ from grating_orders.orders import (
     _TERM_BLOCK,
     _order_counts,
     _order_terms,
-    CurveKind,
+    CURVE_KINDS,
     ProbabilityCurve,
     curve,
     normalized_resultant_probability,
@@ -458,8 +458,7 @@ class TestOrderTable:
 
 class TestCurve:
     def test_resultant_curve_shape(self):
-        c = curve(CurveKind.RESULTANT_PROBABILITY, 0.5, (math.pi, 3 * math.pi), 400)
-        assert c.kind is CurveKind.RESULTANT_PROBABILITY
+        c = curve("resultant_probability", 0.5, (math.pi, 3 * math.pi), 400)
         assert np.all(np.diff(c.abscissa) > 0)
         # upward jumps only at odd orders, decaying with j
         jumps = {}
@@ -471,14 +470,14 @@ class TestCurve:
         assert jumps[3] > jumps[5] > 0
 
     def test_edge_pairs_are_inserted(self):
-        c = curve(CurveKind.RESULTANT_PROBABILITY, 0.5, (math.pi, 3 * math.pi), 50)
+        c = curve("resultant_probability", 0.5, (math.pi, 3 * math.pi), 50)
         for j in (3, 4, 5):
             aj = float(order_alpha(j, 0.5))
             assert aj - 1e-6 in c.abscissa
             assert aj + 1e-6 in c.abscissa
 
     def test_non_increasing_between_orders(self):
-        c = curve(CurveKind.RESULTANT_PROBABILITY, 0.5, (math.pi, 3 * math.pi), 800)
+        c = curve("resultant_probability", 0.5, (math.pi, 3 * math.pi), 800)
         a, v = c.abscissa, c.ordinate
         for j in (2, 3, 4, 5):
             lo = float(order_alpha(j, 0.5)) + 2e-6
@@ -489,7 +488,7 @@ class TestCurve:
     def test_jump_magnitude_matches_strip_formula(self):
         from grating_orders.quadrature import Interval, sinc_sq_integral
 
-        c = curve(CurveKind.RESULTANT_PROBABILITY, 0.5, (math.pi, 3 * math.pi), 400)
+        c = curve("resultant_probability", 0.5, (math.pi, 3 * math.pi), 400)
         aj = float(order_alpha(3, 0.5))
         left = c.ordinate[np.searchsorted(c.abscissa, aj - 1e-6)]
         right = c.ordinate[np.searchsorted(c.abscissa, aj + 1e-6)]
@@ -501,37 +500,37 @@ class TestCurve:
 
     def test_occupation_curve_is_reciprocal(self):
         grid = (math.pi, 3 * math.pi)
-        p = curve(CurveKind.RESULTANT_PROBABILITY, 0.5, grid, 300)
-        w = curve(CurveKind.OCCUPATION, 0.5, grid, 300)
+        p = curve("resultant_probability", 0.5, grid, 300)
+        w = curve("occupation", 0.5, grid, 300)
         assert np.array_equal(p.abscissa, w.abscissa)
         assert np.max(np.abs(p.ordinate * w.ordinate - 1.0)) <= 1e-12
 
     def test_share_curve_is_non_increasing_step_function(self):
-        c = curve(CurveKind.ZERO_ORDER_SHARE, 0.5, (math.pi / 4, 4 * math.pi), 600)
+        c = curve("zero_order_share", 0.5, (math.pi / 4, 4 * math.pi), 600)
         assert np.all(np.diff(c.ordinate) <= 1e-15)
         assert c.ordinate[0] == 1.0
 
     def test_energy_curve_is_share_curve(self):
         # unit total output energy: the 0th-order energy is its probability share
-        e = curve(CurveKind.ZERO_ORDER_ENERGY, 0.5, (1.0, 7.0), 50)
-        s = curve(CurveKind.ZERO_ORDER_SHARE, 0.5, (1.0, 7.0), 50)
+        e = curve("zero_order_energy", 0.5, (1.0, 7.0), 50)
+        s = curve("zero_order_share", 0.5, (1.0, 7.0), 50)
         assert np.array_equal(e.abscissa, s.abscissa)
         assert np.array_equal(e.ordinate, s.ordinate)
 
     @pytest.mark.parametrize("sigma", [0.5, 1 / 3, 1 / 16, 1 / 48])
-    @pytest.mark.parametrize("kind", list(CurveKind))
+    @pytest.mark.parametrize("kind", CURVE_KINDS)
     def test_ordinates_equal_scalar(self, kind, sigma):
         # The shared order table and the per-count sums give the scalar's
         # float exactly, on both sides of every inserted threshold edge and,
         # for the share kinds, below the first order.
         scalar = {
-            CurveKind.RESULTANT_PROBABILITY: normalized_resultant_probability,
-            CurveKind.OCCUPATION: occupation_value,
-            CurveKind.ZERO_ORDER_SHARE: zero_order_share,
-            CurveKind.ZERO_ORDER_ENERGY: zero_order_energy,
+            "resultant_probability": normalized_resultant_probability,
+            "occupation": occupation_value,
+            "zero_order_share": zero_order_share,
+            "zero_order_energy": zero_order_energy,
         }[kind]
         step = math.pi * sigma
-        lo = step if kind in (CurveKind.RESULTANT_PROBABILITY, CurveKind.OCCUPATION) else 0.3 * step
+        lo = step if kind in ("resultant_probability", "occupation") else 0.3 * step
         c = curve(kind, sigma, (lo, 41.5 * step), 101)
         alphas = c.abscissa.tolist()
         for j in (2, 17, 41):
@@ -540,7 +539,7 @@ class TestCurve:
         assert c.ordinate.tolist() == [scalar(at, sigma) for at in alphas]
 
     @given(
-        st.sampled_from(list(CurveKind)),
+        st.sampled_from(CURVE_KINDS),
         st.floats(1e-3, 0.99),
         st.floats(1.0, 100.0),
         st.floats(0.01, 60.0),
@@ -549,10 +548,10 @@ class TestCurve:
     @settings(max_examples=100, deadline=None)
     def test_random_curves_equal_scalar(self, kind, sigma, j_lo, j_width, samples):
         scalar = {
-            CurveKind.RESULTANT_PROBABILITY: normalized_resultant_probability,
-            CurveKind.OCCUPATION: occupation_value,
-            CurveKind.ZERO_ORDER_SHARE: zero_order_share,
-            CurveKind.ZERO_ORDER_ENERGY: zero_order_energy,
+            "resultant_probability": normalized_resultant_probability,
+            "occupation": occupation_value,
+            "zero_order_share": zero_order_share,
+            "zero_order_energy": zero_order_energy,
         }[kind]
         lo = j_lo * math.pi * sigma
         hi = lo + j_width * math.pi * sigma
@@ -567,7 +566,7 @@ class TestCurve:
         # Orders here are pi*sigma <= 3.2e-6 apart; each edge sample stays
         # within a quarter spacing of its order, on the side it labels.
         step = math.pi * sigma
-        c = curve(CurveKind.ZERO_ORDER_SHARE, sigma, (100.33 * step, 110 * step), 2)
+        c = curve("zero_order_share", sigma, (100.33 * step, 110 * step), 2)
         alphas = c.abscissa.tolist()
         edge = min(EDGE_OFFSET, step / 4)
         for j in range(101, 110):
@@ -578,27 +577,33 @@ class TestCurve:
 
     def test_domain_validation(self):
         with pytest.raises(ValueError, match="pi\\*sigma"):
-            curve(CurveKind.RESULTANT_PROBABILITY, 0.5, (math.pi / 4, math.pi), 10)
+            curve("resultant_probability", 0.5, (math.pi / 4, math.pi), 10)
         with pytest.raises(ValueError):
-            curve(CurveKind.ZERO_ORDER_SHARE, 0.5, (2.0, 1.0), 10)
+            curve("zero_order_share", 0.5, (2.0, 1.0), 10)
         with pytest.raises(ValueError):
-            curve(CurveKind.ZERO_ORDER_SHARE, 0.5, (1.0, 2.0), 1)
+            curve("zero_order_share", 0.5, (1.0, 2.0), 1)
+        # an unknown kind is refused with the kinds there are, before any other check
+        with pytest.raises(ValueError) as exc:
+            curve("energy", 2.0, (1.0, 2.0), 1)
+        assert str(exc.value) == (
+            "unknown curve kind 'energy'; expected one of ('resultant_probability', "
+            "'occupation', 'zero_order_share', 'zero_order_energy')")
 
     def test_order_term_budget(self):
         # 2000 samples up to j = 1e12: the top admits more than MAX_ORDER_TERMS orders
         with pytest.raises(ValueError, match="order terms"):
-            curve(CurveKind.OCCUPATION, 0.5, (0.5 * math.pi, 0.5e12 * math.pi), 2000)
+            curve("occupation", 0.5, (0.5 * math.pi, 0.5e12 * math.pi), 2000)
         # orders 1..1000 lie inside and add two edge samples each: one point
         # over MAX_POINTS
         hi = order_alpha(1000, 0.5) + 1.0
         with pytest.raises(ValueError, match="points"):
-            curve(CurveKind.ZERO_ORDER_SHARE, 0.5, (0.01, hi), MAX_POINTS + 1 - 2 * 1000)
+            curve("zero_order_share", 0.5, (0.01, hi), MAX_POINTS + 1 - 2 * 1000)
         # below the first order the samples alone are over
         with pytest.raises(ValueError, match="points"):
-            curve(CurveKind.ZERO_ORDER_SHARE, 0.5, (0.01, 0.05), 10**8)
+            curve("zero_order_share", 0.5, (0.01, 0.05), 10**8)
         # a sample count too large for a float is refused, not overflowed
         with pytest.raises(ValueError, match="points"):
-            curve(CurveKind.ZERO_ORDER_SHARE, 0.5, (1.0, 2.0), 10**400)
+            curve("zero_order_share", 0.5, (1.0, 2.0), 10**400)
 
     @pytest.mark.parametrize(
         "lo, hi, samples",
@@ -613,18 +618,16 @@ class TestCurve:
         # Both were refused by the retired estimate, every order up to the
         # top of the range once per point, which exceeds MAX_ORDER_TERMS here.
         assert (samples + 2 * (hi - lo) / (0.5 * math.pi)) * hi / (0.5 * math.pi) > MAX_ORDER_TERMS
-        c = curve(CurveKind.OCCUPATION, 0.5, (lo, hi), samples)
+        c = curve("occupation", 0.5, (lo, hi), samples)
         assert c.abscissa[0] == lo and c.abscissa[-1] == hi
         for i in (0, c.abscissa.size // 2, c.abscissa.size - 1):
             assert c.ordinate[i] == occupation_value(float(c.abscissa[i]), 0.5)
 
     def test_probability_curve_validation(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            ProbabilityCurve(np.array([1.0, 1.0]), np.array([1.0, 1.0]),
-                             CurveKind.ZERO_ORDER_SHARE)
+            ProbabilityCurve(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="finite and positive"):
-            ProbabilityCurve(np.array([1.0, 2.0]), np.array([1.0, -1.0]),
-                             CurveKind.ZERO_ORDER_SHARE)
+            ProbabilityCurve(np.array([1.0, 2.0]), np.array([1.0, -1.0]))
 
 
 def test_order_terms_are_the_scalar_terms_across_blocks():

@@ -20,7 +20,7 @@ import pytest
 from grating_orders import cli
 from grating_orders.diffraction import GratingSpec, order_alpha
 from grating_orders.figures import FIGURE_IDS, build_figure, emit
-from grating_orders.orders import CurveKind, curve, order_table
+from grating_orders.orders import CURVE_KINDS, curve, order_table
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCES = json.loads((ROOT / "bench" / "reference.json").read_text())
@@ -93,7 +93,6 @@ def seeded_curves(count=800, seed=18):
     most 1,300 points with its edge pairs.
     """
     rng = random.Random(seed)
-    kinds = list(CurveKind)
     for i in range(count):
         sigma = 10.0 ** rng.uniform(-10.0, math.log10(0.9))
         start = 10.0 ** rng.uniform(0.0, 6.0)
@@ -101,7 +100,7 @@ def seeded_curves(count=800, seed=18):
             start = float(int(start))
         lo = order_alpha(start, sigma)
         hi = lo + order_alpha(rng.uniform(1e-3, 499.0), sigma)
-        yield curve(kinds[i % 4], sigma, (lo, hi), rng.randint(2, 300))
+        yield curve(CURVE_KINDS[i % 4], sigma, (lo, hi), rng.randint(2, 300))
 
 
 def test_seeded_curve_bytes_match_reference():

@@ -1,9 +1,9 @@
 """The records: immutable, keyword-constructible, validated, with the same repr and refusals.
 
 The records on the numpy-free path are namedtuple subclasses that validate in
-``__new__``, and their ``_make`` and ``_replace`` construct through it; the
-coupling model's records stay dataclasses, so ``dataclasses.replace`` works on
-them.
+``__new__``, and their ``_make`` and ``_replace`` construct through it; a
+``ProbabilityCurve`` is just its abscissa and ordinate arrays. The coupling
+model's records stay dataclasses, so ``dataclasses.replace`` works on them.
 """
 
 import dataclasses
@@ -15,7 +15,7 @@ from grating_orders import __version__
 from grating_orders.coupling import BiasReport, CouplingScenario, PulseTrain
 from grating_orders.diffraction import DEFAULT_SLIT_COUNT, GratingSpec
 from grating_orders.figures import FigureDataset
-from grating_orders.orders import CurveKind, ProbabilityCurve, curve, order_table
+from grating_orders.orders import ProbabilityCurve, curve, order_table
 from grating_orders.pulses import PulsePair
 from grating_orders.quadrature import Interval, QuadratureResult
 
@@ -57,7 +57,7 @@ def test_keywords_defaults_and_repr():
     assert isinstance(ds.rows, np.ndarray) and ds.rows.shape == (1, 1)
     assert repr(ds) == ("FigureDataset(figure_id='fig0', params={'k': 1}, columns=('a',), "
                         f"rows=array([[1.]]), version='{__version__}')")
-    c = ProbabilityCurve(abscissa=[1, 2], ordinate=[3, 4], kind=CurveKind.OCCUPATION)
+    c = ProbabilityCurve(abscissa=[1, 2], ordinate=[3, 4])
     assert c.abscissa.dtype == c.ordinate.dtype == np.float64
     table = order_table(SPEC)
     assert table.grating is SPEC and table.omega == 1.0 / table.p_r
@@ -78,11 +78,11 @@ REFUSALS = [
     (Interval, (2.0, 1.0), "interval requires lo <= hi, got [2.0, 1.0]"),
     (QuadratureResult, (1.0, -1e-3, 3), "abs_error_estimate must be >= 0"),
     (PulsePair, (1.0, 0.0), "pulse heights must be finite and positive, got 1.0, 0.0"),
-    (ProbabilityCurve, ([1.0, 2.0], [1.0], CurveKind.OCCUPATION),
+    (ProbabilityCurve, ([1.0, 2.0], [1.0]),
      "abscissa and ordinate must be equal-length 1-D arrays"),
-    (ProbabilityCurve, ([2.0, 1.0], [1.0, 1.0], CurveKind.OCCUPATION),
+    (ProbabilityCurve, ([2.0, 1.0], [1.0, 1.0]),
      "abscissa must be strictly increasing"),
-    (ProbabilityCurve, ([1.0, 2.0], [1.0, np.inf], CurveKind.OCCUPATION),
+    (ProbabilityCurve, ([1.0, 2.0], [1.0, np.inf]),
      "ordinate values must be finite and positive"),
     (FigureDataset, ("f", {}, ("a", "b"), [[1.0, 2.0], [1.0]]),
      "rows must be 2-D with 2 columns, got ragged rows of shapes [(1,), (2,)]"),
@@ -120,7 +120,8 @@ def test_replace_keeps_valid_records_whole():
     assert Interval._make([1.0, 2.0]) == Interval(1.0, 2.0)
     c = records()[4]
     doubled = c._replace(ordinate=(2.0 * c.ordinate).tolist())
-    assert doubled.ordinate.tolist() == (2.0 * c.ordinate).tolist() and doubled.kind is c.kind
+    assert doubled.ordinate.tolist() == (2.0 * c.ordinate).tolist()
+    assert doubled.abscissa is c.abscissa
     ds = FigureDataset("fig0", {}, ["a"], [[1.0]])._replace(rows=[[2.0], [3.0]])
     assert ds.rows.shape == (2, 1) and ds.columns == ("a",) and ds.version == __version__
 
