@@ -175,6 +175,11 @@ def load_dataset(data: bytes, fmt: str = "csv") -> FigureDataset:
     if fmt == "json":
         import json
         payload = json.loads(data.decode("ascii"))
+        keys = ("figure", "params", "columns", "rows", "version")
+        missing = [k for k in keys if not isinstance(payload, dict) or k not in payload]
+        if missing:
+            raise ValueError(f"JSON data must be an object with the dataset's keys; "
+                             f"missing: {', '.join(missing)}")
         return FigureDataset(
             figure_id=payload["figure"],
             params=payload["params"],
@@ -239,10 +244,17 @@ def write_order_table(table: OrderTable, j_equiv: float, path: Path | str,
     return _write_atomic(path, (piece.encode("ascii") for piece in pieces))
 
 
+# The most slits N whose peak N**2 converts to a float: 2**1024 - 2**970 and above overflow.
+_MAX_SLITS = math.isqrt(2**1024 - 2**970 - 1)
+
+
 def _intensity_rows(alpha_lo, alpha_hi, samples, sigma, n_slits, include_single=False):
     import numpy as np
     if not 2 <= samples <= MAX_POINTS:
         raise ValueError(f"samples must lie in [2, {MAX_POINTS:.3g}], got {samples!r}")
+    if n_slits > _MAX_SLITS:
+        raise ValueError(f"n_slits must be at most {_MAX_SLITS:.3g}, where the peak N**2 of "
+                         f"the grating factor is still a finite float, got {n_slits!r}")
     # The width too must be finite, or linspace's step overflows.
     if not (math.isfinite(alpha_hi - alpha_lo) and alpha_lo < alpha_hi):
         raise ValueError(f"alpha range must be finite with alpha_min < alpha_max, "

@@ -86,12 +86,18 @@ def _tie(sigma: float) -> float:
     return min(EPS_TIE, math.pi * sigma / 4)
 
 
-def _tie_at(alpha_t: float, sigma: float) -> float:
-    """The tie in effect at alpha_t: how far above it an order is still admitted."""
-    return max(_tie(sigma), TIE_ULPS * math.ulp(alpha_t))
+def _tie_at(alpha_t, sigma: float):
+    """The tie in effect at alpha_t: how far above it an order is still admitted.
+
+    A float gives a float by ``math``; a positive float64 array, the same floats elementwise.
+    """
+    if isinstance(alpha_t, (int, float)):
+        return max(_tie(sigma), TIE_ULPS * math.ulp(alpha_t))
+    import numpy as np
+    return np.maximum(_tie(sigma), TIE_ULPS * np.spacing(alpha_t))
 
 
-def _cap(alpha_t: float, sigma: float) -> float:
+def _cap(alpha_t, sigma: float):
     """The highest order position admitted at alpha_t: the one inclusion rule."""
     return alpha_t + _tie_at(alpha_t, sigma)
 
@@ -163,8 +169,7 @@ def _order_counts(alphas: np.ndarray, sigma: float) -> np.ndarray:
     import numpy as np
     j = np.arange(propagating_orders(alphas.min(), sigma)[-1],
                   propagating_orders(alphas.max(), sigma)[-1] + 2)
-    caps = alphas + np.maximum(_tie(sigma), TIE_ULPS * np.spacing(alphas))  # _cap, elementwise
-    return j[np.searchsorted(order_alpha(j, sigma), caps, side="right") - 1]
+    return j[np.searchsorted(order_alpha(j, sigma), _cap(alphas, sigma), side="right") - 1]
 
 
 def _envelope_sum(alpha_t: float, sigma: float) -> float:

@@ -1,4 +1,4 @@
-"""Sine-integral kernels and adaptive quadrature.
+"""Sine-integral kernels and exact prefix sums.
 
 The closed forms built on Si(x) are the production path for every envelope
 integral in the package. ``sinc_sq_primitive`` takes a float, by ``math``
@@ -11,29 +11,21 @@ settling ties with one exact walk. ``orders.curve`` takes its order sums
 from the same helper.
 No module of the package imports numpy at load, so ``omega``, ``table``,
 ``experiment --dv-g/--dv-gc`` and every refused CLI call run without it.
-``adaptive_integrate`` is a deliberately independent second route (plain
-adaptive Simpson) kept alongside so that each path checks the other; the
-test suite compares them everywhere it matters.
+The Si closed form is the package's one route to these integrals; the test
+suite cross-checks it against an independent composite Gauss-Legendre rule.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Callable
-
-from .diffraction import grating_factor, grating_intensity, order_alpha
 
 __all__ = [
     "Interval",
-    "QuadratureResult",
-    "QuadratureError",
     "si",
     "sinc_sq_primitive",
     "sinc_sq_integral",
     "fsum_prefixes",
-    "adaptive_integrate",
-    "grating_factor_subinterval_integral",
 ]
 
 _SI_SERIES_CUTOFF = 16.0
@@ -56,28 +48,6 @@ class Interval(namedtuple("Interval", "lo hi")):
         if self.lo > self.hi:
             raise ValueError(f"interval requires lo <= hi, got [{self.lo!r}, {self.hi!r}]")
         return self
-
-
-class QuadratureResult(namedtuple("QuadratureResult", "value abs_error_estimate evaluations")):
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.abs_error_estimate < 0:
-            raise ValueError("abs_error_estimate must be >= 0")
-        return self
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive subdivision hit its depth bound before meeting tolerance.
-
-    Carries the best available estimate in ``partial``.
-    """
-
-    def __init__(self, message: str, partial: QuadratureResult):
-        super().__init__(message)
-        self.partial = partial
 
 
 def _si_power_series(x: float) -> float:
@@ -121,8 +91,8 @@ def si(x: float) -> float:
     """Sine integral Si(x) = integral of sin(t)/t from 0 to x.
 
     Odd in x, tending to +-pi/2 as x -> +-inf. Power series up to |x| = 16,
-    continued-fraction auxiliary functions beyond; both branches agree with
-    the adaptive-quadrature route to better than 1e-10 at the switchover.
+    continued-fraction auxiliary functions beyond; both branches are within
+    1e-10 of 50-digit references at the switchover.
     """
     if not math.isfinite(x):
         raise ValueError(f"si requires finite x, got {x!r}")
@@ -397,111 +367,3 @@ def _exact_prefixes(column: np.ndarray, ends: list[int]) -> list[float]:
         done = n
         sums.append(total / (1 << 1074))
     return sums
-
-
-def adaptive_integrate(
-    f: Callable[[float], float],
-    iv: Interval,
-    tol: float = 1e-10,
-    *,
-    max_depth: int = 50,
-    initial_panels: int = 8,
-) -> QuadratureResult:
-    """Adaptive Simpson quadrature with Richardson extrapolation.
-
-    The interval is pre-split into ``initial_panels`` equal panels (defeating
-    the classic failure mode where a symmetric oscillatory integrand fools the
-    first Simpson estimate), then each panel is subdivided until its local
-    error estimate meets its share of ``tol``. Deterministic for fixed inputs.
-
-    Raises QuadratureError, carrying the partial estimate, if any panel hits
-    ``max_depth`` before meeting tolerance.
-    """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if initial_panels < 1:
-        raise ValueError(f"initial_panels must be >= 1, got {initial_panels!r}")
-    if iv.lo == iv.hi:
-        return QuadratureResult(0.0, 0.0, 0)
-
-    evaluations = 0
-
-    def feval(x: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        y = f(x)
-        if not math.isfinite(y):
-            raise ValueError(f"integrand returned non-finite value {y!r} at x={x!r}")
-        return y
-
-    def simpson(fa: float, fm: float, fb: float, h: float) -> float:
-        return h / 6.0 * (fa + 4.0 * fm + fb)
-
-    exhausted = False
-
-    def recurse(a, b, fa, fm, fb, whole, local_tol, depth):
-        nonlocal exhausted
-        m = 0.5 * (a + b)
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = feval(lm)
-        frm = feval(rm)
-        left = simpson(fa, flm, fm, m - a)
-        right = simpson(fm, frm, fb, b - m)
-        err = (left + right - whole) / 15.0
-        if abs(err) <= local_tol or depth >= max_depth:
-            if abs(err) > local_tol:
-                exhausted = True
-            return left + right + err, abs(err)
-        lv, le = recurse(a, m, fa, flm, fm, left, local_tol / 2.0, depth + 1)
-        rv, re = recurse(m, b, fm, frm, fb, right, local_tol / 2.0, depth + 1)
-        return lv + rv, le + re
-
-    width = iv.hi - iv.lo
-    panel_tol = tol / initial_panels
-    values = []
-    errors = []
-    for k in range(initial_panels):
-        a = iv.lo + width * k / initial_panels
-        b = iv.lo + width * (k + 1) / initial_panels
-        fa, fm, fb = feval(a), feval(0.5 * (a + b)), feval(b)
-        whole = simpson(fa, fm, fb, b - a)
-        v, e = recurse(a, b, fa, fm, fb, whole, panel_tol, 0)
-        values.append(v)
-        errors.append(e)
-
-    result = QuadratureResult(math.fsum(values), math.fsum(errors), evaluations)
-    if exhausted:
-        raise QuadratureError(
-            f"subdivision depth {max_depth} exhausted before reaching tol={tol!r}", result
-        )
-    return result
-
-
-def grating_factor_subinterval_integral(
-    j: int,
-    sigma: float,
-    n_slits: int,
-    *,
-    frozen_envelope: bool = False,
-    tol: float = 1e-9,
-) -> float:
-    """Numerical integral of the grating intensity over one order subinterval.
-
-    The subinterval is [alpha_j - pi sigma/2, alpha_j + pi sigma/2], the strip
-    that the j-th principal maximum fully samples. With ``frozen_envelope`` the
-    sinc^2 factor is replaced by 1, in which case the integral equals
-    N pi sigma exactly (the interference factor integrates to N pi over any
-    period of its argument); with the envelope on it approximates
-    N pi sigma sinc^2(alpha_j), the Riemann-strip output probability.
-    """
-    aj = order_alpha(j, sigma)
-    half = math.pi * sigma / 2.0
-    if frozen_envelope:
-        f = lambda a: grating_factor(a, sigma, n_slits)
-    else:
-        f = lambda a: grating_intensity(a, sigma, n_slits)
-    panels = max(16, min(2 * n_slits, 512))
-    return adaptive_integrate(
-        f, Interval(aj - half, aj + half), tol, initial_panels=panels
-    ).value

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from reference_quadrature import gauss_legendre, sinc_plain, sinc_sq_plain
 
 from grating_orders import cli
 from grating_orders.coupling import (
@@ -23,6 +24,7 @@ from grating_orders.coupling import (
 from grating_orders.diffraction import (
     GratingSpec,
     equivalent_order,
+    grating_factor,
     order_alpha,
     sinc_sq_at_order,
 )
@@ -32,12 +34,7 @@ from grating_orders.orders import (
     order_table,
     zero_order_share,
 )
-from grating_orders.quadrature import (
-    Interval,
-    adaptive_integrate,
-    grating_factor_subinterval_integral,
-    si,
-)
+from grating_orders.quadrature import si
 
 LAMBDA = 633.0
 A3 = float(order_alpha(3, 0.5))
@@ -62,10 +59,6 @@ class _Budget:
             )
             print(f"ACCEPTANCE {self.criterion}: PASS ({elapsed:.3f}s)")
         return False
-
-
-def sinc_sq_plain(x: float) -> float:
-    return (math.sin(x) / x) ** 2 if x != 0.0 else 1.0
 
 
 def test_criterion_01_j_equivalent_characterization():
@@ -110,10 +103,10 @@ def test_criterion_02_threshold_jump_at_third_order():
         jump = above - below
         assert jump == pytest.approx(0.048, abs=0.007)
         # same two-sided evaluation with the normalizing integrals taken along
-        # the independent adaptive route instead of the Si closed form
+        # the tests' Gauss-Legendre route instead of the Si closed form
         def one_sided(at, n):
             strips = 1.0 + 2.0 * math.fsum(sinc_sq_at_order(j, 0.5) for j in range(1, n + 1))
-            denom = adaptive_integrate(sinc_sq_plain, Interval(-at, at), 1e-11).value
+            denom = gauss_legendre(sinc_sq_plain, -at, at)
             return math.pi * 0.5 * strips / denom
 
         jump_oracle = one_sided(A3 + 1e-6, 3) - one_sided(A3 - 1e-6, 2)
@@ -151,11 +144,12 @@ def test_criterion_04_dense_sampling_conservation():
 
 def test_criterion_05_interference_factor_subinterval_identity():
     with _Budget("criterion 5 (subinterval identity)", 5.0):
+        # the interference factor over order 1's strip, one quadrature panel per pi sigma/N
         for n_slits in (4, 64):
             for sigma in (0.125, 0.5):
-                value = grating_factor_subinterval_integral(
-                    1, sigma, n_slits, frozen_envelope=True
-                )
+                a1, strip = order_alpha(1, sigma), math.pi * sigma
+                value = gauss_legendre(lambda a: grating_factor(a, sigma, n_slits),
+                                       a1 - strip / 2.0, a1 + strip / 2.0, strip / n_slits)
                 assert value == pytest.approx(n_slits * math.pi * sigma, rel=1e-6)
 
 
@@ -165,10 +159,7 @@ def test_criterion_06_sine_integral_against_quadrature():
         worst = 0.0
         for _ in range(50):
             x = rng.uniform(0.0, 30 * math.pi)
-            oracle = adaptive_integrate(
-                lambda t: math.sin(t) / t if t != 0.0 else 1.0, Interval(0.0, x), 1e-10
-            )
-            worst = max(worst, abs(si(x) - oracle.value))
+            worst = max(worst, abs(si(x) - gauss_legendre(sinc_plain, 0.0, x)))
         assert worst <= 1e-8, worst
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from grating_orders import __version__, cli
-from grating_orders.figures import load_dataset
+from grating_orders.figures import _MAX_SLITS, load_dataset
 
 # The invocations that need no array: every omega and table of the benchmark
 # catalogue, the measured pulse pair and the four refused calls.
@@ -490,8 +490,11 @@ def test_table_row_bound(tmp_path, monkeypatch, capsys):
      "alpha range must be finite with alpha_min < alpha_max, got (-1e+308, 1e+308)"),
     (["--id", "fig3", "--alpha-min", "1e308", "--alpha-max", "1.1e308", "--samples", "3"],
      "alpha/sigma overflows a float at alpha=1e+308, sigma=0.125"),
-    *[pytest.param(["--id", fid, "--n-slits", f"1{'0' * 400}"], "int too large to convert to float",
-                   id=f"{fid}-n-slits-1e400") for fid in ("fig3", "fig4", "fig5")],
+    *[pytest.param(["--id", fid, "--n-slits", str(n)],
+                   "n_slits must be at most 1.34e+154, where the peak N**2 of the grating factor "
+                   f"is still a finite float, got {n}", id=f"{fid}-n-slits-{label}")
+      for fid in ("fig3", "fig4", "fig5")
+      for n, label in ((10**400, "1e400"), (_MAX_SLITS + 1, "one-over-bound"))],
 ])
 def test_intensity_refusals(argv, message, tmp_path, monkeypatch, capsys):
     code, out, err = run(["figure", *argv], tmp_path, monkeypatch, capsys)

@@ -7,6 +7,7 @@ import pytest
 from grating_orders.diffraction import GratingSpec, order_alpha, sinc_sq
 from grating_orders.figures import (
     _BLOCK,
+    _MAX_SLITS,
     FIGURE_IDS,
     FigureDataset,
     _write_atomic,
@@ -58,6 +59,14 @@ class TestDatasetAndEmit:
         for data in (b"", b"# figure: fig6\n# version: 0.1.0\n"):
             with pytest.raises(ValueError, match="CSV data has no column row"):
                 load_dataset(data, "csv")
+        # JSON without the dataset's keys is refused by name, not by KeyError or TypeError.
+        for data, missing in ((b"{}", "figure, params, columns, rows, version"),
+                              (b"[]", "figure, params, columns, rows, version"),
+                              (b'{"figure": "x"}', "params, columns, rows, version")):
+            with pytest.raises(ValueError) as exc:
+                load_dataset(data, "json")
+            assert str(exc.value) == ("JSON data must be an object with the dataset's keys; "
+                                      f"missing: {missing}")
         for fmt in ("csv", "json"):
             empty = FigureDataset("fig6", {}, ("a", "b", "c"), np.zeros((0, 3)))
             assert load_dataset(emit(empty, fmt), fmt).rows.shape == (0, 3)
@@ -205,6 +214,13 @@ class TestBuilders:
             math.pi * 0.125 * 4 * sinc_sq(float(order_alpha(12, 0.125))), rel=1e-12
         )
         assert ds.params["peak_base_width"] == pytest.approx(2 * math.pi * 0.125 / 4, rel=1e-12)
+
+    def test_slit_bound_is_the_last_finite_peak(self):
+        # fig3/4/5 take every N whose peak N**2 rounds to a finite float; the
+        # next N is refused (see test_cli), where N**2 no longer converts.
+        with pytest.raises(OverflowError):
+            float((_MAX_SLITS + 1) ** 2)
+        assert np.isfinite(build_figure("fig4", n_slits=_MAX_SLITS).rows).all()
 
     def test_fig6_shows_threshold_jumps(self):
         ds = build_figure("fig6", samples=500)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_quadrature import gauss_legendre, sinc_sq_plain
 
 from grating_orders.diffraction import GratingSpec, order_alpha, sinc_sq_at_order, truncation_alpha
 from grating_orders.figures import load_dataset, write_order_table
@@ -12,6 +13,7 @@ from grating_orders.orders import (
     MAX_ORDER_TERMS,
     MAX_POINTS,
     _TERM_BLOCK,
+    _cap,
     _order_counts,
     _order_terms,
     CURVE_KINDS,
@@ -28,18 +30,13 @@ from grating_orders.orders import (
     zero_order_energy,
     zero_order_share,
 )
-from grating_orders.quadrature import (
-    Interval,
-    adaptive_integrate,
-    fsum_prefixes,
-    sinc_sq_integral,
-)
+from grating_orders.quadrature import fsum_prefixes
 
 LAMBDA = 633.0
 ALPHA_3 = float(order_alpha(3, 0.5))
 
 # Frozen from the 25-digit oracle (sum of sinc^2 strips over the Si-based
-# envelope integral), cross-checked against adaptive quadrature below.
+# envelope integral), cross-checked against Gauss-Legendre quadrature below.
 P_R_BELOW_3 = 0.9722832831
 P_R_ABOVE_3 = 1.0206475706
 OMEGA_BELOW_3 = 1.0285068327
@@ -135,6 +132,21 @@ class TestTieAtEveryMagnitude:
             aj = order_alpha(j, sigma)
             assert propagating_orders(aj - 0.5e-9, sigma)[-1] == j
             assert propagating_orders(aj - 1.5e-9, sigma)[-1] == j - 1
+
+    def test_array_cap_equals_scalar(self):
+        # Inputs like those above, as arrays: order positions of magnitude 1 to
+        # 3e7 and up to 3 ulp below them, the powers of two, where the ulp
+        # steps, and the grating built at its own threshold.
+        rng = np.random.default_rng(104)
+        built = truncation_alpha(GratingSpec(5127303418.2, 0.9, 633.0))
+        for sigma in (1e-3, 0.37, 0.5, 0.9, 0.99):
+            mags = 10.0 ** rng.uniform(0.0, math.log10(3e7), 500)
+            below = [order_alpha(np.maximum(1, np.rint(mags / (math.pi * sigma))).astype(np.int64),
+                                 sigma)]
+            for _ in range(3):
+                below.append(np.nextafter(below[-1], 0.0))
+            alphas = np.concatenate([*below, 2.0 ** np.arange(26), [built]])
+            assert _cap(alphas, sigma).tolist() == [_cap(a, sigma) for a in alphas.tolist()]
 
 
 SIGMAS = st.one_of(st.floats(1e-3, 0.99), st.floats(1e-11, 1e-8))
@@ -238,10 +250,7 @@ class TestNormalizedResultantProbability:
 
     def test_cross_checked_by_quadrature_oracle(self):
         at = ALPHA_3 - 1e-6
-        oracle_denominator = adaptive_integrate(
-            lambda a: (math.sin(a) / a) ** 2 if a else 1.0, Interval(-at, at), 1e-10
-        ).value
-        expected = SUM_BELOW_3 / oracle_denominator
+        expected = SUM_BELOW_3 / gauss_legendre(sinc_sq_plain, -at, at)
         assert normalized_resultant_probability(at, 0.5) == pytest.approx(expected, rel=1e-8)
 
     def test_domain_requires_first_strip(self):

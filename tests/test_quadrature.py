@@ -9,28 +9,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_quadrature import gauss_legendre, sinc_plain, sinc_sq_plain
 
 from grating_orders import quadrature
-from grating_orders.diffraction import grating_factor, order_alpha, sinc_sq
+from grating_orders.diffraction import grating_factor, grating_intensity, order_alpha
 from grating_orders.orders import _order_terms
 from grating_orders.quadrature import (
     _CF_BLOCK,
     _SERIES_BLOCK,
     _SUM_BLOCK,
     Interval,
-    QuadratureError,
     _si_continued_fraction_array,
     _si_power_series_array,
-    adaptive_integrate,
     fsum_prefixes,
-    grating_factor_subinterval_integral,
     si,
     sinc_sq_integral,
     sinc_sq_primitive,
 )
 
 # Reference values frozen from a 25-digit evaluation, cross-checked below
-# against the in-package adaptive quadrature.
+# against the tests' Gauss-Legendre quadrature.
 SI_REFERENCE = {
     1.0: 0.94608307036718301,
     3.5: 1.833125398665997,
@@ -46,10 +44,6 @@ SI_REFERENCE = {
 }
 
 INT_SINC_SQ_3PI_2 = 1.4625552081907675  # integral of sinc^2 on [0, 3pi/2]
-
-
-def sinc_sq_plain(x: float) -> float:
-    return sinc_sq(x)
 
 
 class TestSi:
@@ -100,10 +94,7 @@ class TestSi:
         rng = random.Random(71)
         for _ in range(12):
             x = rng.uniform(0.0, 30 * math.pi)
-            oracle = adaptive_integrate(
-                lambda t: math.sin(t) / t if t != 0.0 else 1.0, Interval(0.0, x), 1e-12
-            )
-            assert abs(si(x) - oracle.value) <= max(1e-10, oracle.abs_error_estimate)
+            assert abs(si(x) - gauss_legendre(sinc_plain, 0.0, x)) <= 1e-10
 
 
 class TestSincSqIntegral:
@@ -138,8 +129,7 @@ class TestSincSqIntegral:
             if lo > hi:
                 lo, hi = hi, lo
             closed = sinc_sq_integral(Interval(lo, hi))
-            oracle = adaptive_integrate(sinc_sq_plain, Interval(lo, hi), 1e-10)
-            assert abs(closed - oracle.value) <= 1e-8
+            assert abs(closed - gauss_legendre(sinc_sq_plain, lo, hi)) <= 1e-8
 
     def test_symmetric_interval_is_two_sided_difference(self):
         # The odd primitive and the one-primitive symmetric integral give the
@@ -192,43 +182,35 @@ class TestMpmathOracle:
             assert abs(sinc_sq_integral(Interval(lo, a)) - float(oracle)) <= 1e-10, (lo, a)
 
 
-class TestAdaptiveIntegrate:
+class TestReferenceQuadrature:
+    """The tests' Gauss-Legendre rule against closed forms."""
+
     def test_constant(self):
-        r = adaptive_integrate(lambda x: 1.0, Interval(0.0, 2.0), 1e-10)
-        assert r.value == pytest.approx(2.0, rel=1e-14)
-        assert r.evaluations > 0
+        assert gauss_legendre(np.ones_like, 0.0, 2.0) == pytest.approx(2.0, rel=1e-14)
 
     def test_sinc_sq_against_closed_form(self):
-        r = adaptive_integrate(sinc_sq_plain, Interval(0.0, 1.5 * math.pi), 1e-10)
-        assert r.value == pytest.approx(INT_SINC_SQ_3PI_2, abs=1e-9)
-        assert abs(r.value - INT_SINC_SQ_3PI_2) <= max(1e-10, r.abs_error_estimate)
+        value = gauss_legendre(sinc_sq_plain, 0.0, 1.5 * math.pi)
+        assert value == pytest.approx(INT_SINC_SQ_3PI_2, abs=1e-10)
 
-    def test_error_estimate_is_honest_for_smooth_integrand(self):
-        r = adaptive_integrate(math.cos, Interval(0.0, 10.0), 1e-9)
-        assert abs(r.value - math.sin(10.0)) <= max(1e-9, r.abs_error_estimate)
-
-    def test_deterministic(self):
-        a = adaptive_integrate(sinc_sq_plain, Interval(0.0, 20.0), 1e-10)
-        b = adaptive_integrate(sinc_sq_plain, Interval(0.0, 20.0), 1e-10)
-        assert a == b
-
-    def test_depth_exhaustion_raises_with_partial(self):
-        spike = lambda x: 1.0 / math.sqrt(abs(x - 0.7112) + 1e-14)
-        with pytest.raises(QuadratureError) as err:
-            adaptive_integrate(spike, Interval(0.0, 1.0), 1e-12, max_depth=4)
-        partial = err.value.partial
-        assert math.isfinite(partial.value)
-        assert partial.abs_error_estimate > 1e-12
-
-    def test_rejects_non_finite_integrand(self):
-        with pytest.raises(ValueError):
-            adaptive_integrate(lambda x: float("nan"), Interval(0.0, 1.0), 1e-8)
+    def test_cosine_against_sine(self):
+        assert gauss_legendre(np.cos, 0.0, 10.0) == pytest.approx(math.sin(10.0), abs=1e-9)
 
 
 class TestGratingFactorSubinterval:
+    """The grating intensity over one order subinterval, by the tests' quadrature."""
+
+    @staticmethod
+    def subinterval(j, sigma, n_slits, frozen_envelope=False):
+        # The strip [alpha_j - pi sigma/2, alpha_j + pi sigma/2] sampled by order j,
+        # one panel per pi sigma/N, half a main lobe. Frozen, the envelope is 1.
+        kernel = grating_factor if frozen_envelope else grating_intensity
+        aj, half = order_alpha(j, sigma), math.pi * sigma / 2.0
+        return gauss_legendre(lambda a: kernel(a, sigma, n_slits), aj - half, aj + half,
+                              2.0 * half / n_slits)
+
     def test_single_slit_reduces_to_envelope_integral(self):
         # N = 1 has a unit grating factor, leaving the sinc^2 strip integral
-        v = grating_factor_subinterval_integral(0, 0.5, 1)
+        v = self.subinterval(0, 0.5, 1)
         assert v == pytest.approx(
             sinc_sq_integral(Interval(-math.pi / 4, math.pi / 4)), abs=1e-9
         )
@@ -237,18 +219,18 @@ class TestGratingFactorSubinterval:
     @pytest.mark.parametrize("n_slits", [4, 64])
     @pytest.mark.parametrize("sigma", [0.125, 0.5])
     def test_frozen_envelope_subinterval_equals_n_pi_sigma(self, n_slits, sigma):
-        v = grating_factor_subinterval_integral(1, sigma, n_slits, frozen_envelope=True)
+        v = self.subinterval(1, sigma, n_slits, frozen_envelope=True)
         assert v == pytest.approx(n_slits * math.pi * sigma, rel=1e-6)
 
     def test_frozen_envelope_independent_of_j(self):
-        a = grating_factor_subinterval_integral(0, 0.125, 4, frozen_envelope=True)
-        b = grating_factor_subinterval_integral(5, 0.125, 4, frozen_envelope=True)
+        a = self.subinterval(0, 0.125, 4, frozen_envelope=True)
+        b = self.subinterval(5, 0.125, 4, frozen_envelope=True)
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_narrow_subinterval_approaches_riemann_strip(self):
         # with a nearly flat envelope the strip value N pi sigma sinc^2(0) is
         # reproduced well below the 1% level
-        v = grating_factor_subinterval_integral(0, 0.125, 4)
+        v = self.subinterval(0, 0.125, 4)
         assert v == pytest.approx(4 * math.pi * 0.125, rel=0.01)
         assert v == pytest.approx(1.569410813, rel=1e-6)
 
@@ -257,7 +239,7 @@ class TestGratingFactorSubinterval:
         # N it is far below the strip scale (about 4e-3 of it at N = 4,
         # 2.7e-4 at N = 64)
         n_slits = 64
-        v = grating_factor_subinterval_integral(2, 0.5, n_slits)
+        v = self.subinterval(2, 0.5, n_slits)
         assert v <= 1e-3 * n_slits * math.pi * 0.5
 
     def test_main_lobe_alone_carries_about_ninety_percent(self):
@@ -265,12 +247,7 @@ class TestGratingFactorSubinterval:
         # subinterval value N pi sigma, good only to about the 10% level
         sigma, n_slits = 0.125, 64
         half_lobe = math.pi * sigma / n_slits
-        lobe = adaptive_integrate(
-            lambda a: grating_factor(a, sigma, n_slits),
-            Interval(-half_lobe, half_lobe),
-            1e-9,
-            initial_panels=64,
-        ).value
+        lobe = gauss_legendre(lambda a: grating_factor(a, sigma, n_slits), -half_lobe, half_lobe)
         assert lobe == pytest.approx(n_slits * math.pi * sigma, rel=0.10)
         assert lobe < 0.95 * n_slits * math.pi * sigma
 
