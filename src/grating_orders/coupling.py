@@ -232,6 +232,8 @@ def synthesize_pulse_train(
         raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd!r}")
     if not math.isfinite(baseline_bias):
         raise ValueError(f"baseline_bias must be finite, got {baseline_bias!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
 
     s = replace(scenario, omega_id=omega_id)
     amp_coupled = _annular_coupled_amplitude(s, apparent_omega_finite_reservoir(s))

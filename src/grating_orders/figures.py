@@ -1,4 +1,4 @@
-"""Figure datasets: building, serialization and parsing.
+"""Figure datasets: building and serialization.
 
 Each dataset is a rectangular numeric table plus a metadata header. CSV output
 carries the metadata in '#'-prefixed lines before a plain column-name row;
@@ -37,7 +37,6 @@ __all__ = [
     "FigureDataset",
     "FIGURE_IDS",
     "emit",
-    "load_dataset",
     "write_dataset",
     "build_figure",
     "write_order_table",
@@ -139,55 +138,6 @@ def emit(dataset: FigureDataset, fmt: str = "csv") -> bytes:
     blocks = (rows[i:i + _BLOCK].ravel().tolist() for i in range(0, len(rows), _BLOCK))
     return "".join(_encode(dataset.figure_id, dataset.version, dataset.params,
                            dataset.columns, blocks, fmt)).encode("ascii")
-
-
-def load_dataset(data: bytes, fmt: str = "csv") -> FigureDataset:
-    """Parse bytes produced by :func:`emit` back into a dataset."""
-    if fmt == "csv":
-        lines = data.decode("ascii").splitlines()
-        figure_id = ""
-        version = __version__
-        params: dict = {}
-        for idx, line in enumerate(lines):
-            if not line.startswith("#"):
-                break
-            key, _, value = line[1:].partition(":")
-            key, value = key.strip(), value.strip()
-            if key == "figure":
-                figure_id = value
-            elif key == "version":
-                version = value
-            else:
-                try:
-                    params[key] = float(value)
-                except ValueError:
-                    params[key] = value
-        else:
-            raise ValueError("CSV data has no column row after its '#' header lines")
-        columns = tuple(lines[idx].split(","))
-        return FigureDataset(
-            figure_id=figure_id,
-            params=params,
-            columns=columns,
-            rows=[[float(v) for v in line.split(",")] for line in lines[idx + 1 :] if line],
-            version=version,
-        )
-    if fmt == "json":
-        import json
-        payload = json.loads(data.decode("ascii"))
-        keys = ("figure", "params", "columns", "rows", "version")
-        missing = [k for k in keys if not isinstance(payload, dict) or k not in payload]
-        if missing:
-            raise ValueError(f"JSON data must be an object with the dataset's keys; "
-                             f"missing: {', '.join(missing)}")
-        return FigureDataset(
-            figure_id=payload["figure"],
-            params=payload["params"],
-            columns=tuple(payload["columns"]),
-            rows=payload["rows"],
-            version=payload["version"],
-        )
-    raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
 
 
 def _write_atomic(path: Path | str, pieces) -> Path:

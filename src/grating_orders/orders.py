@@ -23,7 +23,7 @@ from .diffraction import (
     sinc_sq_at_order,
     truncation_alpha,
 )
-from .quadrature import Interval, fsum_prefixes, sinc_sq_integral, sinc_sq_primitive
+from .quadrature import fsum_prefixes, sinc_sq_integral
 
 __all__ = [
     "CURVE_KINDS",
@@ -212,7 +212,7 @@ def output_probability(alpha_t: float, n_slits: int) -> float:
         raise ValueError(f"alpha_t must be positive, got {at!r}")
     if n_slits < 1:
         raise ValueError(f"n_slits must be >= 1, got {n_slits!r}")
-    return n_slits * sinc_sq_integral(Interval(-at, at))
+    return n_slits * sinc_sq_integral(at)
 
 
 def resultant_sum(alpha_t: float, sigma: float, n_slits: int) -> float:
@@ -236,7 +236,7 @@ def normalized_resultant_probability(alpha_t: float, sigma: float) -> float:
             f"alpha_t={at!r} below pi*sigma={math.pi * sigma!r}; "
             "normalized resultant probability is defined for alpha_t >= pi*sigma"
         )
-    return _normalized(sigma, _envelope_sum(at, sigma), sinc_sq_integral(Interval(-at, at)))
+    return _normalized(sigma, _envelope_sum(at, sigma), sinc_sq_integral(at))
 
 
 def order_probability(j: int, alpha_t: float, sigma: float) -> float:
@@ -245,7 +245,7 @@ def order_probability(j: int, alpha_t: float, sigma: float) -> float:
     orders = propagating_orders(at, sigma)
     if j not in orders:
         raise ValueError(f"order j={j} is not propagating at alpha_t={at!r} (|j| <= {orders[-1]})")
-    return math.pi * sigma * sinc_sq_at_order(j, sigma) / sinc_sq_integral(Interval(-at, at))
+    return math.pi * sigma * sinc_sq_at_order(j, sigma) / sinc_sq_integral(at)
 
 
 def occupation_value(alpha_t: float, sigma: float) -> float:
@@ -333,7 +333,7 @@ def order_table(spec: GratingSpec) -> OrderTable:
             f"table would have {len(orders)} rows, more than {MAX_POINTS:.3g}; "
             "use omega for the totals"
         )
-    denom = sinc_sq_integral(Interval(-at, at))
+    denom = sinc_sq_integral(at)
     p_rj = array("d", (math.pi * sigma * sinc_sq_at_order(j, sigma) / denom
                        for j in range(orders[-1] + 1)))
     p_r = math.fsum(chain(p_rj, memoryview(p_rj)[1:]))  # a view: the column is not copied
@@ -380,8 +380,7 @@ def curve(
     first n terms comes from one checked array pass over the terms at the
     distinct counts n, ascending from ``np.unique`` (``fsum_prefixes``), the
     envelope and per-kind arithmetic run elementwise in the scalar's order,
-    and the envelope integral is ``2.0 * sinc_sq_primitive``, the scalar
-    ``sinc_sq_integral``'s own expression, over the array.
+    and the envelope integral is ``sinc_sq_integral`` over the array.
     """
     import numpy as np
     f = _CURVE_FUNCS.get(kind)
@@ -425,6 +424,6 @@ def curve(
     counts, slot = np.unique(_order_counts(pts, sigma), return_inverse=True)
     terms = _order_terms(int(counts[-1]), sigma)
     envelope = 1.0 + 2.0 * fsum_prefixes(terms[1:, None], counts)[:, 0]
-    integral = None if f is _share else 2.0 * sinc_sq_primitive(pts)
+    integral = None if f is _share else sinc_sq_integral(pts)
     values = f(sigma, envelope[slot], integral)
     return ProbabilityCurve(pts, values)

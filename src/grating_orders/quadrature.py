@@ -1,10 +1,11 @@
 """Sine-integral kernels and exact prefix sums.
 
 The closed forms built on Si(x) are the production path for every envelope
-integral in the package. ``sinc_sq_primitive`` takes a float, by ``math``
-alone through the scalar ``si``, or the many points of a curve as an array,
-through array copies of both Si branches that give the same float at every
-point: the continued fraction runs every point's iterations together, and
+integral in the package: ``sinc_sq_integral``, the integral over
+[-alpha_t, alpha_t], is twice ``sinc_sq_primitive``. Both take a float, by
+``math`` alone through the scalar ``si``, or the many points of a curve as an
+array, through array copies of both Si branches that give the same float at
+every point: the continued fraction runs every point's iterations together, and
 the power series sums each point's terms with ``fsum_prefixes``, checked
 array passes that return what ``math.fsum`` would at ascending prefix ends,
 settling ties with one exact walk. ``orders.curve`` takes its order sums
@@ -18,10 +19,8 @@ suite cross-checks it against an independent composite Gauss-Legendre rule.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 __all__ = [
-    "Interval",
     "si",
     "sinc_sq_primitive",
     "sinc_sq_integral",
@@ -33,21 +32,9 @@ _SERIES_MAX_TERMS = 120
 _SERIES_TOL = 1e-20
 _CF_TOL = 1e-16
 _CF_MAX_ITER = 300
-
-
-class Interval(namedtuple("Interval", "lo hi")):
-    """Closed integration interval [lo, hi] in alpha-space, lo <= hi."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"interval endpoints must be finite: [{self.lo!r}, {self.hi!r}]")
-        if self.lo > self.hi:
-            raise ValueError(f"interval requires lo <= hi, got [{self.lo!r}, {self.hi!r}]")
-        return self
+# Below this x the primitive x - x^3/9 + ... rounds to x (x^2/9 < 2**-1022),
+# and sin(x)^2 in the closed form would go subnormal, then to zero.
+_TINY = 2.0**-511
 
 
 def _si_power_series(x: float) -> float:
@@ -110,13 +97,14 @@ def sinc_sq_primitive(x):
 
     A float gives a float by ``math`` alone; a positive float64 array gives
     the same floats elementwise, as the ``diffraction`` kernels do, with Si
-    from the array copies of both branches of ``si``.
+    from the array copies of both branches of ``si``. Below _TINY it is x,
+    correctly rounded.
     """
     if isinstance(x, (int, float)):
         if x < 0.0:
             return -sinc_sq_primitive(-x)
-        if x == 0.0:
-            return 0.0
+        if x < _TINY:
+            return float(x)
         s, si_2x = math.sin(x), si(2.0 * x)
     else:
         import numpy as np
@@ -126,17 +114,17 @@ def sinc_sq_primitive(x):
         si_2x[cf] = _si_continued_fraction_array(y[cf])
         si_2x[~cf] = _si_power_series_array(y[~cf])
         s = np.sin(x)
+        return np.where(x < _TINY, x, si_2x - s * s / x)
     return si_2x - s * s / x
 
 
-def sinc_sq_integral(iv: Interval) -> float:
-    """Integral of sinc^2(alpha) over [lo, hi] via the Si closed form.
+def sinc_sq_integral(alpha_t):
+    """Integral of sinc^2(alpha) over [-alpha_t, alpha_t] via the Si closed form.
 
-    A symmetric interval [-a, a] costs one primitive: p - (-p) is exactly 2p.
+    The primitive is odd, so the integral is exactly twice it; a float gives
+    a float and a positive float64 array the same floats elementwise.
     """
-    if iv.lo == -iv.hi:
-        return 2.0 * sinc_sq_primitive(iv.hi)
-    return sinc_sq_primitive(iv.hi) - sinc_sq_primitive(iv.lo)
+    return 2.0 * sinc_sq_primitive(alpha_t)
 
 
 def _cprod(p, q, out):

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -6,9 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from dataset_csv import read_csv
 
 from grating_orders import __version__, cli
-from grating_orders.figures import _MAX_SLITS, load_dataset
+from grating_orders.figures import _MAX_SLITS
 
 # The invocations that need no array: every omega and table of the benchmark
 # catalogue, the measured pulse pair and the four refused calls.
@@ -227,9 +229,9 @@ class TestFigureCommand:
             tmp_path, monkeypatch, capsys,
         )
         assert code == 0
-        ds = load_dataset((tmp_path / "fig6.csv").read_bytes())
-        assert ds.columns == ("alpha_t", "j_equiv", "p_r")
-        alpha, p_r = ds.rows[:, 0], ds.rows[:, 2]
+        columns, rows = read_csv((tmp_path / "fig6.csv").read_bytes())
+        assert columns == ("alpha_t", "j_equiv", "p_r")
+        alpha, p_r = rows[:, 0], rows[:, 2]
         for j in (3, 5):
             aj = j * math.pi * 0.5
             left = p_r[np.searchsorted(alpha, aj - 1e-6)]
@@ -266,8 +268,7 @@ class TestFigureCommand:
             ["figure", "--id", "fig8", "--format", "json"], tmp_path, monkeypatch, capsys
         )
         assert code == 0
-        ds = load_dataset((tmp_path / "fig8.json").read_bytes(), "json")
-        assert ds.figure_id == "fig8"
+        assert json.loads((tmp_path / "fig8.json").read_bytes())["figure"] == "fig8"
 
     def test_unknown_figure_is_usage_error(self, tmp_path, monkeypatch, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -362,9 +363,9 @@ class TestTableCommand:
         )
         assert code == 0
         assert "j-equiv 3.1596" in out
-        ds = load_dataset((tmp_path / "table.csv").read_bytes())
-        assert ds.rows.shape == (7, 4)
-        assert math.fsum(ds.rows[:, 2]) == pytest.approx(1.0, abs=1e-9)
+        _, rows = read_csv((tmp_path / "table.csv").read_bytes())
+        assert rows.shape == (7, 4)
+        assert math.fsum(rows[:, 2]) == pytest.approx(1.0, abs=1e-9)
 
     def test_nanometre_widths_match(self, tmp_path, monkeypatch, capsys):
         run(["table", "--w", "1000e-9", "--lambda", "633e-9",
@@ -583,6 +584,12 @@ class TestExperimentCommand:
         assert out == ""
         assert err.startswith("error: cycles=") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("noise", [["--noise-sd", "0.1"], []])
+    def test_negative_seed_is_refused_by_name(self, noise, tmp_path, monkeypatch, capsys):
+        # refused before any draw, with or without noise to draw
+        code, out, err = run(["experiment", "--seed", "-1", *noise], tmp_path, monkeypatch, capsys)
+        assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
+
 
 class TestSweepCommand:
     def test_occupation_sweep(self, tmp_path, monkeypatch, capsys):
@@ -592,10 +599,10 @@ class TestSweepCommand:
             tmp_path, monkeypatch, capsys,
         )
         assert code == 0
-        ds = load_dataset((tmp_path / "sweep.csv").read_bytes())
-        assert ds.columns == ("alpha_t", "j_equiv", "occupation")
-        assert ds.rows[:, 1].min() >= 2.0
-        assert ds.rows[:, 1].max() <= 6.0
+        columns, rows = read_csv((tmp_path / "sweep.csv").read_bytes())
+        assert columns == ("alpha_t", "j_equiv", "occupation")
+        assert rows[:, 1].min() >= 2.0
+        assert rows[:, 1].max() <= 6.0
 
     def test_header_params(self, tmp_path, monkeypatch, capsys):
         code, _, _ = run(

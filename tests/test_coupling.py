@@ -288,6 +288,8 @@ class TestSynthesizePulseTrain:
         for bad in (-0.1, math.nan, math.inf):
             with pytest.raises(ValueError, match="noise_sd"):
                 synthesize_pulse_train(1.025, PAPER_SCENARIO, noise_sd=bad)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            synthesize_pulse_train(1.025, PAPER_SCENARIO, noise_sd=0.1, seed=-1)
         with pytest.raises(ValueError, match="samples"):
             synthesize_pulse_train(1.025, PAPER_SCENARIO, cycles=31_251)
         assert synthesize_pulse_train(1.025, PAPER_SCENARIO, cycles=31_250).blocked.size == 10**6

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from dataset_csv import read_csv
 from hypothesis import given, settings, strategies as st
 from reference_quadrature import gauss_legendre, sinc_sq_plain
 
 from grating_orders.diffraction import GratingSpec, order_alpha, sinc_sq_at_order, truncation_alpha
-from grating_orders.figures import load_dataset, write_order_table
+from grating_orders.figures import write_order_table
 from grating_orders.orders import (
     EDGE_OFFSET,
     EPS_TIE,
@@ -45,6 +46,13 @@ SUM_BELOW_3 = 2.8440358715  # pi/2 * (1 + 2 sinc^2(pi/2))
 SUM_ABOVE_3 = 2.9855069321  # ... + 2 sinc^2(3pi/2)
 SHARE_UP_TO_3 = 0.5523124172  # 1 / (1 + 2 sinc^2(pi/2))
 SHARE_3_TO_5 = 0.5261405726
+# The scalar each curve kind samples.
+SCALARS = {
+    "resultant_probability": normalized_resultant_probability,
+    "occupation": occupation_value,
+    "zero_order_share": zero_order_share,
+    "zero_order_energy": zero_order_energy,
+}
 
 
 class TestPropagatingOrders:
@@ -293,6 +301,13 @@ class TestOccupationValue:
     def test_asymptote(self):
         assert 0.99 <= occupation_value(100 * math.pi, 0.5) <= 1.01
 
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-200, 1e-160, 1e-155])
+    def test_tiny_sigma_keeps_the_small_angle_limit(self, sigma):
+        # Seven orders of sinc^2 = 1 over the envelope integral 2 alpha_t =
+        # 6 pi sigma. alpha_t is below 2**-511, where sin(alpha)**2 in the
+        # closed form would underflow.
+        assert occupation_value(3 * math.pi * sigma, sigma) == pytest.approx(6 / 7, rel=4e-16)
+
     @given(st.floats(1.8, 40.0), st.sampled_from([0.5, 0.125]))
     @settings(max_examples=150)
     def test_reciprocity(self, at, sigma):
@@ -436,8 +451,8 @@ class TestOrderTable:
             assert g316.e_rj[j] == 0.0
 
     def test_symmetric_rows(self, g316, tmp_path):
-        ds = load_dataset(write_order_table(g316, 3.16, tmp_path / "table.csv").read_bytes())
-        by_j = {int(r[0]): r for r in ds.rows}
+        _, rows = read_csv(write_order_table(g316, 3.16, tmp_path / "table.csv").read_bytes())
+        by_j = {int(r[0]): r for r in rows}
         assert sorted(by_j) == list(range(1 - len(g316.p_rj), len(g316.p_rj)))
         for j in (1, 2, 3):
             assert by_j[j][1:].tolist() == by_j[-j][1:].tolist()
@@ -495,7 +510,7 @@ class TestCurve:
             assert np.all(np.diff(seg) <= 1e-15)
 
     def test_jump_magnitude_matches_strip_formula(self):
-        from grating_orders.quadrature import Interval, sinc_sq_integral
+        from grating_orders.quadrature import sinc_sq_integral
 
         c = curve("resultant_probability", 0.5, (math.pi, 3 * math.pi), 400)
         aj = float(order_alpha(3, 0.5))
@@ -503,7 +518,7 @@ class TestCurve:
         right = c.ordinate[np.searchsorted(c.abscissa, aj + 1e-6)]
         expected = (
             2 * math.pi * 0.5 * sinc_sq_at_order(3, 0.5)
-            / sinc_sq_integral(Interval(-aj, aj))
+            / sinc_sq_integral(aj)
         )
         assert right - left == pytest.approx(expected, rel=1e-4)
 
@@ -532,12 +547,7 @@ class TestCurve:
         # The shared order table and the per-count sums give the scalar's
         # float exactly, on both sides of every inserted threshold edge and,
         # for the share kinds, below the first order.
-        scalar = {
-            "resultant_probability": normalized_resultant_probability,
-            "occupation": occupation_value,
-            "zero_order_share": zero_order_share,
-            "zero_order_energy": zero_order_energy,
-        }[kind]
+        scalar = SCALARS[kind]
         step = math.pi * sigma
         lo = step if kind in ("resultant_probability", "occupation") else 0.3 * step
         c = curve(kind, sigma, (lo, 41.5 * step), 101)
@@ -556,12 +566,7 @@ class TestCurve:
     )
     @settings(max_examples=100, deadline=None)
     def test_random_curves_equal_scalar(self, kind, sigma, j_lo, j_width, samples):
-        scalar = {
-            "resultant_probability": normalized_resultant_probability,
-            "occupation": occupation_value,
-            "zero_order_share": zero_order_share,
-            "zero_order_energy": zero_order_energy,
-        }[kind]
+        scalar = SCALARS[kind]
         lo = j_lo * math.pi * sigma
         hi = lo + j_width * math.pi * sigma
         c = curve(kind, sigma, (lo, hi), samples)
@@ -569,6 +574,13 @@ class TestCurve:
         assert c.ordinate.tolist() == [scalar(at, sigma) for at in alphas]
         counts = [propagating_orders(at, sigma)[-1] for at in alphas]
         assert _order_counts(c.abscissa, sigma).tolist() == counts
+
+    @pytest.mark.parametrize("kind", CURVE_KINDS)
+    def test_tiny_sigma_curve_equals_scalar(self, kind):
+        # every alpha here is below 2**-511, where the envelope integral is 2 alpha
+        sigma = 1e-300
+        c = curve(kind, sigma, (math.pi * sigma, 9.5 * math.pi * sigma), 41)
+        assert c.ordinate.tolist() == [SCALARS[kind](at, sigma) for at in c.abscissa.tolist()]
 
     @pytest.mark.parametrize("sigma", [1e-6, 2e-7, 1e-7])
     def test_edge_samples_admit_their_own_order(self, sigma):

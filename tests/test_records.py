@@ -17,7 +17,6 @@ from grating_orders.diffraction import DEFAULT_SLIT_COUNT, GratingSpec
 from grating_orders.figures import FigureDataset
 from grating_orders.orders import ProbabilityCurve, curve, order_table
 from grating_orders.pulses import PulsePair
-from grating_orders.quadrature import Interval
 
 SPEC = GratingSpec(1250.0, 0.5, 633.0)
 
@@ -25,7 +24,6 @@ SPEC = GratingSpec(1250.0, 0.5, 633.0)
 def records():
     return [
         SPEC,
-        Interval(0.0, 1.0),
         order_table(SPEC),
         curve("occupation", 0.5, (2.0, 9.0), 5),
         FigureDataset("fig0", {}, ("a", "b"), [[1.0, 2.0]]),
@@ -47,7 +45,6 @@ def test_keywords_defaults_and_repr():
     assert spec == SPEC and spec.slit_count_N == DEFAULT_SLIT_COUNT
     assert repr(spec) == ("GratingSpec(slit_width_w=1250.0, duty_sigma=0.5, "
                           "wavelength_lambda=633.0, slit_count_N=257)")
-    assert repr(Interval(hi=2.0, lo=-1.0)) == "Interval(lo=-1.0, hi=2.0)"
     assert repr(PulsePair(dv_gc=0.97, dv_g=1.0)) == "PulsePair(dv_g=1.0, dv_gc=0.97)"
     ds = FigureDataset(figure_id="fig0", params={"k": 1}, columns=["a"], rows=[[1.0]])
     assert ds.version == __version__ and ds.columns == ("a",)
@@ -71,8 +68,6 @@ REFUSALS = [
      "sub-wavelength slit rejected: w=500.0 nm < lambda=633.0 nm"),
     (GratingSpec, (1250.0, 0.5, 633.0, 2.0),
      "slit_count_N must be an integer >= 1, got 2.0"),
-    (Interval, (0.0, float("nan")), "interval endpoints must be finite: [0.0, nan]"),
-    (Interval, (2.0, 1.0), "interval requires lo <= hi, got [2.0, 1.0]"),
     (PulsePair, (1.0, 0.0), "pulse heights must be finite and positive, got 1.0, 0.0"),
     (ProbabilityCurve, ([1.0, 2.0], [1.0]),
      "abscissa and ordinate must be equal-length 1-D arrays"),
@@ -113,8 +108,7 @@ def test_replace_and_make_refuse_as_construction(cls, args, message):
 def test_replace_keeps_valid_records_whole():
     spec = SPEC._replace(duty_sigma=0.25)
     assert spec == GratingSpec(1250.0, 0.25, 633.0) and spec.period_p == 5000.0
-    assert Interval._make([1.0, 2.0]) == Interval(1.0, 2.0)
-    c = records()[3]
+    c = records()[2]
     doubled = c._replace(ordinate=(2.0 * c.ordinate).tolist())
     assert doubled.ordinate.tolist() == (2.0 * c.ordinate).tolist()
     assert doubled.abscissa is c.abscissa

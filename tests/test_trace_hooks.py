@@ -30,9 +30,10 @@ def test_tracer_sees_every_patch_point():
     tracer.install()
     try:
         traced = orders.curve("occupation", 1 / 16, (1.0, 3.0), 40)
+        # curve takes the envelope integral of all its points in one
+        # sinc_sq_integral call; the scalar path is what reaches Si's patch point.
+        curve_integrals = tracer.stats["quadrature.sinc_sq_integral"][0]
         share = orders.zero_order_share(2.0, 1 / 16)
-        # curve evaluates the envelope integral in one array pass, so the
-        # scalar path is what reaches sinc_sq_integral and Si's patch points.
         omega = orders.occupation_value(2.0, 1 / 16)
     finally:
         tracer.uninstall()
@@ -46,6 +47,7 @@ def test_tracer_sees_every_patch_point():
                  "quadrature.sinc_sq_integral", "quadrature.si"):
         assert tracer.stats[name][0] > 0, name
     assert tracer.counts["orders.curve.points"] == traced.abscissa.size
+    assert curve_integrals == 1
 
 
 def test_traced_curve_reaches_the_scalar_rule():
