@@ -38,12 +38,20 @@ class TestDatasetAndEmit:
             FigureDataset("fig6", {}, ("a", "b"), np.array([[1.0, float("nan")]]))
         with pytest.raises(ValueError, match="columns"):
             FigureDataset("fig6", {}, ("a", "b"), np.zeros((2, 3)))
+
+    def test_load_checks_width(self):
         # Rows of one width under columns of another, and ragged rows, fail
         # the dataset's own check, not numpy's inhomogeneous-shape error.
         with pytest.raises(ValueError, match=r"rows must be 2-D with 3 columns, got shape \(2, 2\)"):
             FigureDataset("fig6", {}, ("a", "b", "c"), [[1.0, 2.0], [3.0, 4.0]])
         with pytest.raises(ValueError, match=r"rows must be 2-D with 2 columns, got ragged rows"):
             FigureDataset("fig6", {}, ("a", "b"), [[1.0, 2.0], [3.0]])
+        # An empty table, emitted and read back in either format, is (0, ncols).
+        empty = FigureDataset("fig6", {}, ("a", "b", "c"), np.zeros((0, 3)))
+        payload = json.loads(emit(empty, "json"))
+        back = FigureDataset("fig6", {}, tuple(payload["columns"]), payload["rows"])
+        assert back.rows.shape == (0, 3)
+        assert emit(empty, "csv").decode().splitlines()[-1] == "a,b,c"
 
     def test_csv_layout(self, small_dataset):
         text = emit(small_dataset, "csv").decode()
