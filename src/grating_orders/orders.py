@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import namedtuple
+from functools import lru_cache
 from itertools import chain
 
 from .diffraction import (
@@ -57,7 +58,8 @@ EPS_TIE = 1e-9
 # grating built at its own threshold, with w = j sigma lambda in any order
 # of operations, lands at most 3 ulp below the position of order j (1.6e6
 # random constructions, j up to 1e7). Where an order sum is admitted, 4 ulp stay
-# below 9e-9 pi sigma, far inside the quarter spacing that bounds the tie.
+# below 9e-9 pi sigma, far inside the quarter spacing that bounds the tie,
+# except at subnormal sigma, where the quarter spacing caps them.
 TIE_ULPS = 4.0
 
 # Most order terms one sum may take. ``propagating_orders`` refuses an alpha_t
@@ -89,12 +91,15 @@ def _tie(sigma: float) -> float:
 def _tie_at(alpha_t, sigma: float):
     """The tie in effect at alpha_t: how far above it an order is still admitted.
 
-    A float gives a float by ``math``; a positive float64 array, the same floats elementwise.
+    The larger of ``_tie(sigma)`` and TIE_ULPS ulp of alpha_t, capped at
+    pi sigma / 4 again, since at subnormal sigma the ulp floor passes it. A
+    float gives a float by ``math``; a positive float64 array, the same
+    floats elementwise.
     """
     if isinstance(alpha_t, (int, float)):
-        return max(_tie(sigma), TIE_ULPS * math.ulp(alpha_t))
+        return min(max(_tie(sigma), TIE_ULPS * math.ulp(alpha_t)), math.pi * sigma / 4)
     import numpy as np
-    return np.maximum(_tie(sigma), TIE_ULPS * np.spacing(alpha_t))
+    return np.minimum(np.maximum(_tie(sigma), TIE_ULPS * np.spacing(alpha_t)), math.pi * sigma / 4)
 
 
 def _cap(alpha_t, sigma: float):
@@ -129,10 +134,12 @@ def propagating_orders(alpha_t: float, sigma: float) -> range:
     """Symmetric set {-n, ..., n} of orders admitted below truncation, as a range.
 
     Order j is admitted when its position ``order_alpha(j, sigma)`` is at
-    most the cap alpha_t + EPS_TIE (the tie shrinks to pi sigma / 4 for
-    sigma below about 1.3e-9, and grows to TIE_ULPS ulp of alpha_t where
-    that is larger, from alpha_t ~ 2**21), so an order sitting exactly at
-    alpha_t, or a few ulp above it, counts. This is the one inclusion rule.
+    most the cap alpha_t + tie, so an order sitting exactly at alpha_t, or
+    a few ulp above it, counts. The tie is EPS_TIE, or TIE_ULPS ulp of
+    alpha_t where that is larger (from alpha_t ~ 2**21), and never more
+    than a quarter of the order spacing, pi sigma / 4, so the next order
+    never counts; that cap binds below sigma ~ 1.3e-9, over the ulp floor
+    only at subnormal sigma. This is the one inclusion rule.
     Positions never decrease with j, so the two walks from the estimate
     cap / (pi sigma), which test that one condition, stop at the last
     admitted order. An alpha_t that admits order
@@ -172,8 +179,19 @@ def _order_counts(alphas: np.ndarray, sigma: float) -> np.ndarray:
     return j[np.searchsorted(order_alpha(j, sigma), _cap(alphas, sigma), side="right") - 1]
 
 
-def _envelope_sum(alpha_t: float, sigma: float) -> float:
-    n = propagating_orders(alpha_t, sigma)[-1]
+# Envelope sums kept by ``_envelope_sum``, each entry about 220 bytes.
+_ENVELOPE_MEMO_SIZE = 128
+
+
+@lru_cache(maxsize=_ENVELOPE_MEMO_SIZE, typed=True)
+def _envelope_sum(n: int, sigma: float) -> float:
+    """sum_j sinc^2(alpha_j) over the orders -n..n, remembered by (n, sigma).
+
+    The sum depends on alpha_t only through its order count n, so one entry
+    serves every alpha_t between two thresholds, and a grating's second
+    scalar costs a lookup. The key is typed, so a float64 sigma keeps its
+    own entry; a hit returns the float that the fsum returned.
+    """
     return 1.0 + 2.0 * math.fsum(sinc_sq_at_order(j, sigma) for j in range(1, n + 1))
 
 
@@ -216,11 +234,14 @@ def output_probability(alpha_t: float, n_slits: int) -> float:
 
 
 def resultant_sum(alpha_t: float, sigma: float, n_slits: int) -> float:
-    """Total resultant probability: strip sum pi sigma N sinc^2(alpha_j) over orders."""
+    """Total resultant probability: strip sum pi sigma N sinc^2(alpha_j) over orders.
+
+    The order sum is the one ``_envelope_sum`` remembers by (order count, sigma).
+    """
     if n_slits < 1:
         raise ValueError(f"n_slits must be >= 1, got {n_slits!r}")
     at = as_alpha(alpha_t)
-    return math.pi * sigma * n_slits * _envelope_sum(at, sigma)
+    return math.pi * sigma * n_slits * _envelope_sum(propagating_orders(at, sigma)[-1], sigma)
 
 
 def normalized_resultant_probability(alpha_t: float, sigma: float) -> float:
@@ -228,7 +249,8 @@ def normalized_resultant_probability(alpha_t: float, sigma: float) -> float:
 
     Requires alpha_t >= pi sigma, i.e. at least the 0th order propagating with
     a full strip of margin; below that the strip sum is not a meaningful
-    Riemann approximation of the envelope integral.
+    Riemann approximation of the envelope integral. The order sum is the
+    one ``_envelope_sum`` remembers by (order count, sigma).
     """
     at = as_alpha(alpha_t)
     if at < math.pi * sigma:
@@ -236,7 +258,8 @@ def normalized_resultant_probability(alpha_t: float, sigma: float) -> float:
             f"alpha_t={at!r} below pi*sigma={math.pi * sigma!r}; "
             "normalized resultant probability is defined for alpha_t >= pi*sigma"
         )
-    return _normalized(sigma, _envelope_sum(at, sigma), sinc_sq_integral(at))
+    envelope = _envelope_sum(propagating_orders(at, sigma)[-1], sigma)
+    return _normalized(sigma, envelope, sinc_sq_integral(at))
 
 
 def order_probability(j: int, alpha_t: float, sigma: float) -> float:
@@ -253,7 +276,8 @@ def occupation_value(alpha_t: float, sigma: float) -> float:
 
     With output energy conserved onto the resultants, this is the exact
     reciprocal of the normalized resultant probability: above 1 the orders are
-    enriched, below 1 depleted, 1 is ordinary.
+    enriched, below 1 depleted, 1 is ordinary. Its order sum is the
+    remembered one of ``normalized_resultant_probability``.
     """
     return 1.0 / normalized_resultant_probability(alpha_t, sigma)
 
@@ -283,10 +307,11 @@ def zero_order_share(alpha_t: float, sigma: float) -> float:
 
     Piecewise constant in alpha_t: the strip factors cancel, leaving
     1 / sum_j sinc^2(alpha_j), which changes only when the propagating set
-    changes, and only at orders that are not envelope nulls.
+    changes, and only at orders that are not envelope nulls. That sum is
+    the one ``_envelope_sum`` remembers by (order count, sigma).
     """
     at = as_alpha(alpha_t)
-    return _share(sigma, _envelope_sum(at, sigma))
+    return _share(sigma, _envelope_sum(propagating_orders(at, sigma)[-1], sigma))
 
 
 def zero_order_energy(alpha_t: float, sigma: float, e_o: float = 1.0) -> float:
@@ -294,7 +319,8 @@ def zero_order_energy(alpha_t: float, sigma: float, e_o: float = 1.0) -> float:
 
     Energy distributes across the propagating orders in proportion to their
     probabilities, so the 0th-order energy is e_o times its probability share;
-    the step-downs as orders reach threshold are the anomaly edges.
+    the step-downs as orders reach threshold are the anomaly edges. The
+    order sum is the remembered one of ``zero_order_share``.
     """
     if not e_o > 0:
         raise ValueError(f"e_o must be positive, got {e_o!r}")

@@ -6,6 +6,7 @@ from dataset_csv import read_csv
 from hypothesis import given, settings, strategies as st
 from reference_quadrature import gauss_legendre, sinc_sq_plain
 
+from grating_orders import orders
 from grating_orders.diffraction import GratingSpec, order_alpha, sinc_sq_at_order, truncation_alpha
 from grating_orders.figures import write_order_table
 from grating_orders.orders import (
@@ -13,8 +14,10 @@ from grating_orders.orders import (
     EPS_TIE,
     MAX_ORDER_TERMS,
     MAX_POINTS,
+    _ENVELOPE_MEMO_SIZE,
     _TERM_BLOCK,
     _cap,
+    _envelope_sum,
     _order_counts,
     _order_terms,
     CURVE_KINDS,
@@ -155,6 +158,22 @@ class TestTieAtEveryMagnitude:
                 below.append(np.nextafter(below[-1], 0.0))
             alphas = np.concatenate([*below, 2.0 ** np.arange(26), [built]])
             assert _cap(alphas, sigma).tolist() == [_cap(a, sigma) for a in alphas.tolist()]
+        # Subnormal sigma, where the ulp floor alone would pass the next order:
+        # the order positions and the floats either side of them.
+        for sigma in (1e-310, 5e-324):
+            at = order_alpha(np.arange(1, 200), sigma)
+            alphas = np.concatenate([at, np.nextafter(at, 0.0), np.nextafter(at, 1.0)])
+            assert _cap(alphas, sigma).tolist() == [_cap(a, sigma) for a in alphas.tolist()]
+
+    @pytest.mark.parametrize("sigma", [1e-310, 5e-324])
+    def test_tie_stops_short_of_the_next_order_at_subnormal_sigma(self, sigma):
+        # At 5e-324 the order spacing pi*sigma is 3 or 4 units of 2**-1074,
+        # within the TIE_ULPS floor: the quarter-spacing cap keeps each order's
+        # own position at its own count. At 1e-310 the cap does not bind.
+        j = np.arange(1, 200)
+        at = order_alpha(j, sigma)
+        assert [propagating_orders(a, sigma)[-1] for a in at.tolist()] == j.tolist()
+        assert _order_counts(at, sigma).tolist() == j.tolist()
 
 
 SIGMAS = st.one_of(st.floats(1e-3, 0.99), st.floats(1e-11, 1e-8))
@@ -301,11 +320,12 @@ class TestOccupationValue:
     def test_asymptote(self):
         assert 0.99 <= occupation_value(100 * math.pi, 0.5) <= 1.01
 
-    @pytest.mark.parametrize("sigma", [1e-300, 1e-200, 1e-160, 1e-155])
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-200, 1e-160, 1e-155, 5e-324])
     def test_tiny_sigma_keeps_the_small_angle_limit(self, sigma):
         # Seven orders of sinc^2 = 1 over the envelope integral 2 alpha_t =
         # 6 pi sigma. alpha_t is below 2**-511, where sin(alpha)**2 in the
-        # closed form would underflow.
+        # closed form would underflow. At the least subnormal sigma pi*sigma
+        # rounds to 3 units and alpha_t to 9, so the ratio is still 6/7.
         assert occupation_value(3 * math.pi * sigma, sigma) == pytest.approx(6 / 7, rel=4e-16)
 
     @given(st.floats(1.8, 40.0), st.sampled_from([0.5, 0.125]))
@@ -387,6 +407,95 @@ class TestZeroOrderShare:
     def test_energy_requires_positive_total(self):
         with pytest.raises(ValueError):
             zero_order_energy(2.0, 0.5, 0.0)
+
+
+# The scalars that take their envelope sum from the memo, each as f(alpha_t, sigma).
+MEMOIZED = {
+    "occupation_value": occupation_value,
+    "normalized_resultant_probability": normalized_resultant_probability,
+    "zero_order_share": zero_order_share,
+    "zero_order_energy": lambda at, sigma: zero_order_energy(at, sigma, 3.5),
+    "resultant_sum": lambda at, sigma: resultant_sum(at, sigma, 257),
+}
+
+
+def memo_points():
+    """The benchmark's point-query sigmas at log-uniform alpha_t up to 3e4, and
+    at 1-3 ulp either side of order thresholds from j = 2 to 2e4."""
+    rng = np.random.default_rng(23)
+    pts = []
+    for sigma in (0.5, 1 / 3, 0.3, 1 / 8):
+        h = math.pi * sigma
+        pts += [(at, sigma) for at in np.exp(rng.uniform(math.log(h), math.log(3e4), 6)).tolist()]
+        for j in np.exp(rng.uniform(math.log(2), math.log(2e4), 3)).astype(int).tolist():
+            up = down = order_alpha(j, sigma)
+            for _ in range(3):
+                up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+                pts += [(up, sigma), (down, sigma)]
+    return pts
+
+
+class TestEnvelopeMemo:
+    """``_envelope_sum`` remembers each (order count, sigma) sum: the scalars
+    return the floats they return uncached, and each sum runs once."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        _envelope_sum.cache_clear()
+        yield
+        _envelope_sum.cache_clear()
+
+    @staticmethod
+    def uncached(f, at, sigma):
+        _envelope_sum.cache_clear()
+        return f(at, sigma)
+
+    def test_warm_equals_cold_in_either_order(self):
+        names = list(MEMOIZED)
+        for at, sigma in memo_points():
+            want = {name: self.uncached(MEMOIZED[name], at, sigma) for name in names}
+            for order in (names, names[::-1]):
+                _envelope_sum.cache_clear()
+                got = {name: MEMOIZED[name](at, sigma) for name in order}
+                assert got == want, (at, sigma)
+
+    def test_float64_sigma_keeps_its_own_entry(self):
+        at = 40.0
+        for sigma in (0.3, 1 / 8):
+            for name, f in MEMOIZED.items():
+                # a float and a float64 sigma are equal dict keys, so index by type
+                cold = {type(s): self.uncached(f, at, s) for s in (sigma, np.float64(sigma))}
+                _envelope_sum.cache_clear()
+                for s in (sigma, np.float64(sigma), sigma):
+                    got, want = f(at, s), cold[type(s)]
+                    assert got == want and type(got) is type(want), (name, type(s))
+                assert _envelope_sum.cache_info().currsize == 2
+
+    def test_one_sum_per_order_count(self, monkeypatch):
+        calls = []
+
+        def counted(j, sigma):
+            calls.append(j)
+            return sinc_sq_at_order(j, sigma)
+
+        monkeypatch.setattr(orders, "sinc_sq_at_order", counted)
+        sigma = 0.3
+        n = 2000
+        at, same_n = order_alpha(n + 0.25, sigma), order_alpha(n + 0.75, sigma)
+        for f in MEMOIZED.values():
+            f(at, sigma)
+        occupation_value(same_n, sigma)
+        assert propagating_orders(at, sigma)[-1] == propagating_orders(same_n, sigma)[-1] == n
+        assert sorted(calls) == list(range(1, n + 1))
+
+    def test_memo_stays_bounded(self):
+        sigma = 0.5
+        for n in range(3 * _ENVELOPE_MEMO_SIZE):
+            zero_order_share(order_alpha(n + 0.5, sigma), sigma)
+        info = _envelope_sum.cache_info()
+        assert info.maxsize == _ENVELOPE_MEMO_SIZE
+        assert info.currsize <= info.maxsize
+        assert info.misses == 3 * _ENVELOPE_MEMO_SIZE
 
 
 class TestOrderSumBound:
@@ -577,10 +686,12 @@ class TestCurve:
 
     @pytest.mark.parametrize("kind", CURVE_KINDS)
     def test_tiny_sigma_curve_equals_scalar(self, kind):
-        # every alpha here is below 2**-511, where the envelope integral is 2 alpha
-        sigma = 1e-300
-        c = curve(kind, sigma, (math.pi * sigma, 9.5 * math.pi * sigma), 41)
-        assert c.ordinate.tolist() == [SCALARS[kind](at, sigma) for at in c.abscissa.tolist()]
+        # every alpha here is below 2**-511, where the envelope integral is 2
+        # alpha; at the least subnormal sigma the order spacing is 3 or 4 units
+        for sigma in (1e-300, 5e-324):
+            c = curve(kind, sigma, (math.pi * sigma, 9.5 * math.pi * sigma), 41)
+            want = [SCALARS[kind](at, sigma) for at in c.abscissa.tolist()]
+            assert c.ordinate.tolist() == want
 
     @pytest.mark.parametrize("sigma", [1e-6, 2e-7, 1e-7])
     def test_edge_samples_admit_their_own_order(self, sigma):

@@ -33,12 +33,15 @@ def test_tracer_sees_every_patch_point():
         # curve takes the envelope integral of all its points in one
         # sinc_sq_integral call; the scalar path is what reaches Si's patch point.
         curve_integrals = tracer.stats["quadrature.sinc_sq_integral"][0]
+        # the scalars remember their order sum; clear it so each side sums
+        orders._envelope_sum.cache_clear()
         share = orders.zero_order_share(2.0, 1 / 16)
         omega = orders.occupation_value(2.0, 1 / 16)
     finally:
         tracer.uninstall()
     assert (orders.propagating_orders, orders.sinc_sq_at_order, orders.sinc_sq_integral,
             orders.curve, quadrature.si, figures.curve) == originals
+    orders._envelope_sum.cache_clear()
     assert traced.abscissa.tobytes() == untraced.abscissa.tobytes()
     assert traced.ordinate.tobytes() == untraced.ordinate.tobytes()
     assert share == orders.zero_order_share(2.0, 1 / 16)
