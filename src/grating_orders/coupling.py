@@ -64,6 +64,9 @@ class CouplingScenario:
             raise ValueError(f"omega_id must be positive, got {self.omega_id!r}")
         if not (math.isfinite(self.p_ratio) and self.p_ratio > 0):
             raise ValueError(f"p_ratio must be positive, got {self.p_ratio!r}")
+        if math.isinf(self.omega_id + self.p_ratio):  # equilibrated_omega's numerator
+            raise ValueError(f"omega_id + p_ratio overflows a float: "
+                             f"{self.omega_id!r} + {self.p_ratio!r}")
         if not 0.0 < self.f_g <= 1.0:
             raise ValueError(f"f_g must lie in (0, 1], got {self.f_g!r}")
         if not 0.0 <= self.f_r <= self.f_g:
@@ -118,9 +121,8 @@ def apparent_omega_annular(scenario: CouplingScenario) -> float:
 
 def composed_apparent_omega(scenario: CouplingScenario) -> float:
     """Both biases applied in sequence: annular map of the finite-reservoir map."""
-    return apparent_omega_annular(
-        replace(scenario, omega_id=apparent_omega_finite_reservoir(scenario))
-    )
+    return scenario.f_g / _annular_coupled_amplitude(
+        scenario, apparent_omega_finite_reservoir(scenario))
 
 
 @dataclass(frozen=True)
@@ -255,5 +257,5 @@ def synthesize_pulse_train(
         coupled=coupled,
         pulses=pulses,
         omega_recovered=omega_ex(pulses),
-        omega_predicted=composed_apparent_omega(s),
+        omega_predicted=s.f_g / amp_coupled,
     )

@@ -163,25 +163,19 @@ def sinc_sq(alpha):
     """Single-slit intensity envelope (sin(alpha)/alpha)^2, in [0, 1].
 
     The removable singularity at alpha = 0 is evaluated by series inside a
-    +-1e-6 window. A float gives a float by ``math`` alone; anything else is
-    taken as an array of alphas and gives the same floats elementwise, in the
-    same order of operations.
+    +-1e-6 window. Takes a float, which gives a float, or an array of alphas,
+    which gives an array; one numpy body serves both, so a float's value is
+    its element of an array call, bit for bit.
     """
-    if not isinstance(alpha, (int, float)):
-        import numpy as np
-        a = _alphas(alpha)
-        # Both branches run at every point: the series overflows far out, and
-        # the closed form divides by zero at 0; np.where keeps the right one.
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            a2 = a * a
-            s = np.sin(a) / a
-            return np.where(abs(a) < _SERIES_WINDOW, 1.0 - a2 / 3.0 + 2.0 * a2 * a2 / 45.0, s * s)
-    a = as_alpha(alpha)
-    if abs(a) < _SERIES_WINDOW:
+    import numpy as np
+    a = _alphas(alpha)
+    # Both branches run at every point: the series overflows far out, and
+    # the closed form divides by zero at 0; np.where keeps the right one.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         a2 = a * a
-        return 1.0 - a2 / 3.0 + 2.0 * a2 * a2 / 45.0
-    s = math.sin(a) / a
-    return s * s
+        s = np.sin(a) / a
+        v = np.where(abs(a) < _SERIES_WINDOW, 1.0 - a2 / 3.0 + 2.0 * a2 * a2 / 45.0, s * s)
+    return float(v) if isinstance(alpha, (int, float)) else v
 
 
 def sinc_sq_at_order(j, sigma: float):
@@ -190,10 +184,10 @@ def sinc_sq_at_order(j, sigma: float):
     Evaluates sin(pi t) with t = j sigma reduced modulo 1 before multiplying
     by pi, so order positions that are exact envelope nulls (integer t, e.g.
     even orders of a Ronchi ruling) come out as exactly 0.0 instead of
-    inheriting the rounding of pi. An int gives a float by ``math`` alone;
-    an int numpy array of orders gives the same floats elementwise, as
-    ``sinc_sq`` does (``np.float_power(q, 2.0)`` is ``q ** 2``; ``q * q`` is
-    not).
+    inheriting the rounding of pi. An int gives a float by ``math`` alone,
+    for the numpy-free commands; an int numpy array of orders gives the same
+    floats elementwise (``np.float_power(q, 2.0)`` is ``q ** 2``; ``q * q``
+    is not).
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma!r}")
@@ -225,32 +219,24 @@ def grating_factor(alpha, sigma: float, n_slits: int):
         raise ValueError(f"n_slits must be an integer >= 1, got {n_slits!r}")
     n = n_slits
     window = min(_SERIES_WINDOW / sigma, 1e-3 / n)
+    import numpy as np
+    a = _alphas(alpha)
+    with np.errstate(over="ignore"):
+        beta = a / sigma
+    overflow = np.isinf(beta)
+    if overflow.any():
+        raise ValueError(f"alpha/sigma overflows a float at alpha={float(a[overflow][0])!r}, "
+                         f"sigma={sigma!r}")
     # sin(N beta)/sin(beta) is invariant (up to sign) under beta -> beta - k pi
     # for integer N and k, and the square kills the sign.
-    if not isinstance(alpha, (int, float)):
-        import numpy as np
-        a = _alphas(alpha)
-        with np.errstate(over="ignore"):
-            beta = a / sigma
-        overflow = np.isinf(beta)
-        if overflow.any():
-            grating_factor(float(a[overflow][0]), sigma, n)  # the scalar's refusal
-        u = beta - np.rint(beta / math.pi) * math.pi
-        # As in sinc_sq: the closed form divides by zero at the maxima, and far
-        # out, where beta's ulp exceeds pi, u is not small and the series overflows.
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            u2 = u * u
-            r = np.sin(n * u) / np.sin(u)
-            return np.where(abs(u) < window, n * n * (1.0 - (n * n - 1.0) * u2 / 3.0), r * r)
-    beta = as_alpha(alpha) / sigma
-    if math.isinf(beta):
-        raise ValueError(f"alpha/sigma overflows a float at alpha={alpha!r}, sigma={sigma!r}")
-    u = beta - round(beta / math.pi) * math.pi
-    if abs(u) < window:
+    u = beta - np.rint(beta / math.pi) * math.pi
+    # As in sinc_sq: the closed form divides by zero at the maxima, and far
+    # out, where beta's ulp exceeds pi, u is not small and the series overflows.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         u2 = u * u
-        return n * n * (1.0 - (n * n - 1.0) * u2 / 3.0)
-    r = math.sin(n * u) / math.sin(u)
-    return r * r
+        r = np.sin(n * u) / np.sin(u)
+        v = np.where(abs(u) < window, n * n * (1.0 - (n * n - 1.0) * u2 / 3.0), r * r)
+    return float(v) if isinstance(alpha, (int, float)) else v
 
 
 def grating_intensity(alpha, sigma: float, n_slits: int):

@@ -84,22 +84,17 @@ MAX_POINTS = 10**6
 # Neither the tie tolerance nor a curve's edge offset may reach the next
 # order, so both are capped at a quarter of the order spacing pi*sigma. The
 # cap binds only below sigma ~ 1.3e-9 (tie) and ~ 1.3e-6 (edge).
-def _tie(sigma: float) -> float:
-    return min(EPS_TIE, math.pi * sigma / 4)
-
-
 def _tie_at(alpha_t, sigma: float):
     """The tie in effect at alpha_t: how far above it an order is still admitted.
 
-    The larger of ``_tie(sigma)`` and TIE_ULPS ulp of alpha_t, capped at
-    pi sigma / 4 again, since at subnormal sigma the ulp floor passes it. A
-    float gives a float by ``math``; a positive float64 array, the same
+    The larger of EPS_TIE and TIE_ULPS ulp of alpha_t, capped at pi sigma / 4.
+    A float gives a float by ``math``; a positive float64 array, the same
     floats elementwise.
     """
     if isinstance(alpha_t, (int, float)):
-        return min(max(_tie(sigma), TIE_ULPS * math.ulp(alpha_t)), math.pi * sigma / 4)
+        return min(max(EPS_TIE, TIE_ULPS * math.ulp(alpha_t)), math.pi * sigma / 4)
     import numpy as np
-    return np.minimum(np.maximum(_tie(sigma), TIE_ULPS * np.spacing(alpha_t)), math.pi * sigma / 4)
+    return np.minimum(np.maximum(EPS_TIE, TIE_ULPS * np.spacing(alpha_t)), math.pi * sigma / 4)
 
 
 def _cap(alpha_t, sigma: float):
@@ -228,8 +223,8 @@ def output_probability(alpha_t: float, n_slits: int) -> float:
     at = as_alpha(alpha_t)
     if at <= 0:
         raise ValueError(f"alpha_t must be positive, got {at!r}")
-    if n_slits < 1:
-        raise ValueError(f"n_slits must be >= 1, got {n_slits!r}")
+    if not (isinstance(n_slits, int) and n_slits >= 1):
+        raise ValueError(f"n_slits must be an integer >= 1, got {n_slits!r}")
     return n_slits * sinc_sq_integral(at)
 
 
@@ -238,8 +233,8 @@ def resultant_sum(alpha_t: float, sigma: float, n_slits: int) -> float:
 
     The order sum is the one ``_envelope_sum`` remembers by (order count, sigma).
     """
-    if n_slits < 1:
-        raise ValueError(f"n_slits must be >= 1, got {n_slits!r}")
+    if not (isinstance(n_slits, int) and n_slits >= 1):
+        raise ValueError(f"n_slits must be an integer >= 1, got {n_slits!r}")
     at = as_alpha(alpha_t)
     return math.pi * sigma * n_slits * _envelope_sum(propagating_orders(at, sigma)[-1], sigma)
 
@@ -251,6 +246,11 @@ def normalized_resultant_probability(alpha_t: float, sigma: float) -> float:
     a full strip of margin; below that the strip sum is not a meaningful
     Riemann approximation of the envelope integral. The order sum is the
     one ``_envelope_sum`` remembers by (order count, sigma).
+
+    Accuracy, in ulp of the model's exact value at the given floats, as
+    measured for sigma in [1/48, 0.9] and alpha_t up to 200: 8 for alpha_t
+    <= 2, 100 to 4, 4000 to 6, 1.5e5 to 8 (there Si(2 alpha_t) runs its power
+    series near the switch at 16) and 6 above 8 (tests/test_accuracy.py).
     """
     at = as_alpha(alpha_t)
     if at < math.pi * sigma:
@@ -277,7 +277,8 @@ def occupation_value(alpha_t: float, sigma: float) -> float:
     With output energy conserved onto the resultants, this is the exact
     reciprocal of the normalized resultant probability: above 1 the orders are
     enriched, below 1 depleted, 1 is ordinary. Its order sum is the
-    remembered one of ``normalized_resultant_probability``.
+    remembered one of ``normalized_resultant_probability``, and its bounds
+    in ulp are that function's.
     """
     return 1.0 / normalized_resultant_probability(alpha_t, sigma)
 
@@ -289,10 +290,10 @@ def omega_from_delta_p(delta_p: float, p_o: float, sign: str) -> float:
     drops below 1); ``'annihilated'`` means it lost probability (occupation
     rises above 1).
     """
-    if not p_o > 0:
-        raise ValueError(f"p_o must be positive, got {p_o!r}")
-    if delta_p < 0:
-        raise ValueError(f"delta_p must be >= 0, got {delta_p!r}")
+    if not (math.isfinite(p_o) and p_o > 0):
+        raise ValueError(f"p_o must be positive and finite, got {p_o!r}")
+    if not (math.isfinite(delta_p) and delta_p >= 0):
+        raise ValueError(f"delta_p must be finite and >= 0, got {delta_p!r}")
     if sign == "created":
         return 1.0 / (1.0 + delta_p / p_o)
     if sign == "annihilated":
@@ -308,7 +309,9 @@ def zero_order_share(alpha_t: float, sigma: float) -> float:
     Piecewise constant in alpha_t: the strip factors cancel, leaving
     1 / sum_j sinc^2(alpha_j), which changes only when the propagating set
     changes, and only at orders that are not envelope nulls. That sum is
-    the one ``_envelope_sum`` remembers by (order count, sigma).
+    the one ``_envelope_sum`` remembers by (order count, sigma). It needs
+    no Si: within 4 ulp of the exact value, as measured for sigma in
+    [1/48, 0.9] and alpha_t up to 200.
     """
     at = as_alpha(alpha_t)
     return _share(sigma, _envelope_sum(propagating_orders(at, sigma)[-1], sigma))
@@ -322,8 +325,8 @@ def zero_order_energy(alpha_t: float, sigma: float, e_o: float = 1.0) -> float:
     the step-downs as orders reach threshold are the anomaly edges. The
     order sum is the remembered one of ``zero_order_share``.
     """
-    if not e_o > 0:
-        raise ValueError(f"e_o must be positive, got {e_o!r}")
+    if not (math.isfinite(e_o) and e_o > 0):
+        raise ValueError(f"e_o must be positive and finite, got {e_o!r}")
     return e_o * zero_order_share(alpha_t, sigma)
 
 

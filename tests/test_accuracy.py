@@ -1,0 +1,120 @@
+"""The accuracy contract of the public scalars, against mpmath at 40 digits.
+
+Each scalar is compared with the model's exact value at the same float
+inputs: the envelope sum S = sum_j sinc^2(j pi sigma) over the orders with
+j pi sigma <= alpha_t + EPS_TIE, counted in exact arithmetic, so the order
+count is part of the contract; the normalized resultant probability
+pi sigma S / (2 (Si(2 alpha_t) - sin^2(alpha_t) / alpha_t)), its reciprocal
+the occupation, and the 0th-order share 1 / S. An error of k ulp is at most
+k units in the last place of the exact value.
+
+The bounds are the ones the docstrings and the README state, by band of
+alpha_t. Below alpha_t = 8, Si(2 alpha_t) runs its power series, which
+cancels more the nearer 2 alpha_t is to the switch at 16.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from grating_orders.diffraction import order_alpha
+from grating_orders.orders import (
+    EPS_TIE,
+    TIE_ULPS,
+    normalized_resultant_probability,
+    occupation_value,
+    zero_order_share,
+)
+
+# (top of the band of alpha_t, bound in ulp) for the normalized resultant
+# probability and the occupation. Measured at 7,000 seeded points like these:
+# largest errors 5.7, 63, 2.3e3, 7.7e4 and 3.7 ulp.
+NORMALIZED_BOUNDS = ((2.0, 8), (4.0, 100), (6.0, 4_000), (8.0, 150_000), (math.inf, 6))
+# The share needs no Si: 3.2 ulp measured.
+SHARE_BOUND = 4
+
+DENSE_SWEEP_SIGMAS = (1 / 16, 1 / 24, 1 / 32, 1 / 48)
+TOP = 200.0
+
+
+def contract_points():
+    """Seeded (alpha_t, sigma): the dense-sweep sigmas and six log-uniform in
+    [0.05, 0.9], each at pi sigma, log-uniform alpha_t up to 200, a dense band
+    in [5, 8], and 1-3 ulp either side of three order positions."""
+    rng = np.random.default_rng(24)
+    sigmas = [*DENSE_SWEEP_SIGMAS, *np.exp(rng.uniform(math.log(0.05), math.log(0.9), 6)).tolist()]
+    pts = []
+    for sigma in sigmas:
+        h = math.pi * sigma
+        ats = [h, *np.exp(rng.uniform(math.log(h), math.log(TOP), 16)).tolist(),
+               *rng.uniform(5.0, 8.0, 12).tolist()]
+        for j in rng.integers(1, int(TOP / h) + 1, 3).tolist():
+            up = down = order_alpha(j, sigma)
+            for _ in range(3):
+                up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+                ats += [up, down]
+        pts += [(at, sigma) for at in ats if h <= at]
+    return pts
+
+
+@pytest.fixture(scope="module")
+def exact():
+    """{(alpha_t, sigma): (normalized, occupation, share)}, 40-digit mpmath values."""
+    mp = pytest.importorskip("mpmath")
+    pts = contract_points()
+    out = {}
+    with mp.workdps(40):
+        for sigma in sorted({s for _, s in pts}):
+            mine = [at for at, s in pts if s == sigma]
+            # in this range the tie is EPS_TIE: the ulp floor and the
+            # quarter-spacing cap do not bind
+            assert TIE_ULPS * math.ulp(max(mine)) < EPS_TIE < math.pi * sigma / 4
+            h = mp.pi * mp.mpf(sigma)
+
+            def count(at):
+                return int(mp.floor((mp.mpf(at) + mp.mpf(EPS_TIE)) / h))
+
+            sums = [mp.mpf(1)]  # S over orders -n..n, by n
+            for j in range(1, count(max(mine)) + 1):
+                sums.append(sums[-1] + 2 * (mp.sin(j * h) / (j * h)) ** 2)
+            for at in mine:
+                a = mp.mpf(at)
+                s = sums[count(at)]
+                normalized = h * s / (2 * (mp.si(2 * a) - mp.sin(a) ** 2 / a))
+                out[at, sigma] = (normalized, 1 / normalized, 1 / s)
+    return out
+
+
+def ulps(got, want):
+    return float(abs(got - want)) / math.ulp(float(want))
+
+
+def normalized_bound(at):
+    return next(bound for top, bound in NORMALIZED_BOUNDS if at <= top)
+
+
+def test_points_cover_every_band_and_the_thresholds():
+    ats = [at for at, _ in contract_points()]
+    assert len(ats) >= 400 and max(ats) <= TOP
+    edges = [0.0, *(top for top, _ in NORMALIZED_BOUNDS[:-1]), TOP]
+    for lo, hi in zip(edges, edges[1:]):
+        assert sum(lo < at <= hi for at in ats) >= 10, (lo, hi)
+    assert sum(8.0 < at <= 10.0 for at in ats) >= 3  # where a later Si switch would move
+
+
+@pytest.mark.parametrize("f,column", [
+    (normalized_resultant_probability, 0),
+    (occupation_value, 1),
+])
+def test_normalized_scalars_within_their_band_bounds(exact, f, column):
+    # the worst error as a fraction of its band's bound
+    worst = max((ulps(f(at, sigma), e[column]) / normalized_bound(at), at, sigma)
+                for (at, sigma), e in exact.items())
+    assert worst[0] <= 1.0, worst
+
+
+def test_zero_order_share_within_its_bound(exact):
+    worst = max((ulps(zero_order_share(at, sigma), e[2]), at, sigma)
+                for (at, sigma), e in exact.items())
+    assert worst[0] <= SHARE_BOUND, worst

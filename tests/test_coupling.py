@@ -45,6 +45,7 @@ class TestScenarioValidation:
             {"f_r": -0.1},
             {"f_r": 0.5},  # above f_g
             {"eta": 1.5},
+            {"omega_id": 1.7e308, "p_ratio": 1.7e308},  # their sum overflows
         ],
     )
     def test_invalid_parameters(self, kw):

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -200,45 +201,58 @@ class TestGratingFactorAndIntensity:
 
 
 def random_alphas(sigma, rng):
-    """102,006 alphas: uniform over +-40 pi, log-uniform in magnitude up to 1e300,
-    and within 1e-6 of 0 and of the order positions j pi sigma, |j| <= 40 / sigma
-    (half of the latter within 3e-6, across the edge of the series window), with
-    0 and the positions themselves."""
+    """About 1,700 alphas: uniform over +-40 pi, log-uniform in magnitude up to
+    1e300, within 1e-6 of 0 and of the order positions j pi sigma, |j| <= 40 /
+    sigma (half of the latter within 3e-6, across the edge of the series
+    window), 0 and the positions themselves, both sides of each edge of the
+    sinc^2 window and of the grating-factor window at N = 1, 4 and 257, +-0,
+    +-5e-324, +-1e300 and alpha/sigma within an ulp or so of overflow."""
     top = math.ceil(40 / sigma)
     positions = np.arange(-top, top + 1) * math.pi * sigma
-    near = rng.choice(positions, 10_000) + rng.uniform(-1e-6, 1e-6, 10_000) * ([1.0, 3.0] * 5_000)
+    near = rng.choice(positions, 300) + rng.uniform(-1e-6, 1e-6, 300) * ([1.0, 3.0] * 150)
+    edges = [1e-6, *(min(1e-6 / sigma, 1e-3 / n) * sigma for n in (1, 4, 257))]
+    edges = [e + d * math.ulp(e) for e in edges for d in (-1, 0, 1)]
+    largest = np.finfo(float).max * sigma
+    special = [0.0, 5e-324, 1e300, largest, np.nextafter(largest, 0), *edges,
+               *(p + e for p in rng.choice(positions, 8) for e in edges)]
     return np.concatenate([
-        rng.uniform(-40 * math.pi, 40 * math.pi, 60_000),
-        rng.choice([-1.0, 1.0], 30_000) * 10.0 ** rng.uniform(-300, 300, 30_000),
+        rng.uniform(-40 * math.pi, 40 * math.pi, 700),
+        rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-300, 300, 300),
         near,
-        rng.choice(positions, 1_000),
-        rng.uniform(-1e-6, 1e-6, 1_000) * 10.0 ** rng.uniform(-10, 0, 1_000),
-        [0.0, -0.0, 1e-6, -1e-6, 1e300, -1e300],
+        rng.choice(positions, 100),
+        rng.uniform(-1e-6, 1e-6, 100) * 10.0 ** rng.uniform(-10, 0, 100),
+        special,
+        np.negative(special),
     ])
 
 
 class TestArrayKernels:
-    """An array of alphas gives, bit for bit, the floats of the scalar at each alpha."""
+    """A float gives, bit for bit, its own element of an array call."""
 
     @pytest.mark.parametrize("sigma", [1 / 8, 0.37, 1 / 2])
     def test_equal_to_scalar_loop(self, sigma):
         alphas = random_alphas(sigma, np.random.default_rng(round(1 / sigma)))
-        assert alphas.size >= 100_000
+        assert alphas.size >= 1_500 and np.isfinite(alphas / sigma).all()
         points = alphas.tolist()
-        assert sinc_sq(alphas).tobytes() == np.array([sinc_sq(a) for a in points]).tobytes()
-        for n_slits in (1, 4, 257):
-            expected = np.array([grating_intensity(a, sigma, n_slits) for a in points])
-            assert grating_intensity(alphas, sigma, n_slits).tobytes() == expected.tobytes()
+        kernels = [sinc_sq, *(partial(f, sigma=sigma, n_slits=n)
+                              for f in (grating_factor, grating_intensity) for n in (1, 4, 257))]
+        for kernel in kernels:
+            values = [kernel(a) for a in points]
+            assert {type(v) for v in values} == {float}
+            assert np.array(values).tobytes() == kernel(alphas).tobytes()
 
     @pytest.mark.parametrize("sigma,n_slits", [(1 / 8, 1), (0.37, 257), (1 / 2, 4)])
     @pytest.mark.parametrize("include_single", [False, True])
     def test_intensity_rows_equal_scalar_rows(self, sigma, n_slits, include_single):
         rows = _intensity_rows(-25.0, 31.0, 20_001, sigma, n_slits, include_single)
-        expected = []
-        for a in np.linspace(-25.0, 31.0, 20_001):
-            single = [sinc_sq(a)] if include_single else []
-            expected.append([a, *single, n_slits * sinc_sq(a), grating_intensity(a, sigma, n_slits)])
-        assert rows.tobytes() == np.asarray(expected, dtype=float).tobytes()
+        a = np.linspace(-25.0, 31.0, 20_001)
+        single = [sinc_sq(a)] if include_single else []
+        expected = np.column_stack([a, *single, n_slits * sinc_sq(a), grating_intensity(a, sigma, n_slits)])
+        assert rows.tobytes() == expected.tobytes()
+        for row in rows[::97].tolist():  # and every 97th row by float calls
+            x = row[0]
+            single = [sinc_sq(x)] if include_single else []
+            assert row == [x, *single, n_slits * sinc_sq(x), grating_intensity(x, sigma, n_slits)]
 
     @pytest.mark.parametrize("sigma", [1 / 2, 1 / 3, 0.3, 1 / 8, 1 / 48])
     def test_order_terms_equal_scalar(self, sigma):

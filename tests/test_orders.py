@@ -409,6 +409,21 @@ class TestZeroOrderShare:
             zero_order_energy(2.0, 0.5, 0.0)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: omega_from_delta_p(math.nan, 1.0, "created"), "delta_p must be finite and >= 0, got nan"),
+    (lambda: omega_from_delta_p(math.inf, 1.0, "created"), "delta_p must be finite and >= 0, got inf"),
+    (lambda: omega_from_delta_p(0.1, math.inf, "annihilated"), "p_o must be positive and finite, got inf"),
+    (lambda: zero_order_energy(2.0, 0.5, math.inf), "e_o must be positive and finite, got inf"),
+    (lambda: resultant_sum(2.0, 0.5, 2.5), "n_slits must be an integer >= 1, got 2.5"),
+    (lambda: output_probability(2.0, 2.5), "n_slits must be an integer >= 1, got 2.5"),
+], ids=["delta_p-nan", "delta_p-inf", "p_o-inf", "e_o-inf", "resultant_sum-n_slits",
+        "output_probability-n_slits"])
+def test_scalars_refuse_what_has_no_answer_by_name(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 # The scalars that take their envelope sum from the memo, each as f(alpha_t, sigma).
 MEMOIZED = {
     "occupation_value": occupation_value,
