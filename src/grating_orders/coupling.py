@@ -6,7 +6,8 @@ occupation value is recovered as the ratio of chopped square-wave pulse
 heights measured with the reference beam blocked versus coupled. The maps in
 this module quantify the systematic biases of that measurement: a finite
 reference reservoir, and partial overlap of both beams in the annular
-detector sampling region.
+detector sampling region; ``bias_report`` gives each map's apparent value and
+underestimate as one row.
 """
 
 from __future__ import annotations
@@ -17,17 +18,12 @@ from dataclasses import dataclass, replace
 from .orders import MAX_POINTS
 from .pulses import PulsePair, omega_ex
 
-# A bias whose underestimate is below this, in occupation units, is reported
-# as insignificant.
-SIGNIFICANCE_THRESHOLD = 0.001
-
 # Detector samples in each half of a chopper cycle.
 SAMPLES_PER_HALF_CYCLE = 16
 
 __all__ = [
     "CouplingScenario",
     "PulsePair",
-    "BiasReport",
     "PulseTrain",
     "omega_ex",
     "equilibrated_omega",
@@ -125,73 +121,19 @@ def composed_apparent_omega(scenario: CouplingScenario) -> float:
         scenario, apparent_omega_finite_reservoir(scenario))
 
 
-@dataclass(frozen=True)
-class BiasReport:
-    """Idealized versus apparent occupation values and their underestimates.
+def bias_report(scenario: CouplingScenario) -> list[tuple[str, float, float]]:
+    """One ``(name, apparent omega, underestimate)`` row per bias map.
 
-    Underestimates are idealized modulation magnitude minus apparent
-    modulation magnitude, in occupation units; the summary lines give them
-    in percentage points. A bias is flagged insignificant when the
-    magnitude of its underestimate is below ``SIGNIFICANCE_THRESHOLD``.
+    The rows are the finite reservoir, the annulus and both composed. An
+    underestimate is the idealized modulation magnitude minus the apparent
+    one, in occupation units.
     """
-
-    scenario: CouplingScenario
-    omega_equilibrated: float
-    omega_finite_reservoir: float
-    omega_annular: float
-    omega_composed: float
-    underestimate_finite: float
-    underestimate_annular: float
-    underestimate_composed: float
-
-    @property
-    def finite_insignificant(self) -> bool:
-        return abs(self.underestimate_finite) < SIGNIFICANCE_THRESHOLD
-
-    @property
-    def annular_insignificant(self) -> bool:
-        return abs(self.underestimate_annular) < SIGNIFICANCE_THRESHOLD
-
-    @property
-    def composed_insignificant(self) -> bool:
-        return abs(self.underestimate_composed) < SIGNIFICANCE_THRESHOLD
-
-    def summary_lines(self) -> list[str]:
-        lines = [
-            f"idealized omega:        {self.scenario.omega_id:.6f}",
-            f"equilibrated omega:     {self.omega_equilibrated:.6f}",
-        ]
-        for label, omega, under, ok in (
-            ("apparent (reservoir):", self.omega_finite_reservoir, self.underestimate_finite,
-             self.finite_insignificant),
-            ("apparent (annular):", self.omega_annular, self.underestimate_annular,
-             self.annular_insignificant),
-            ("apparent (composed):", self.omega_composed, self.underestimate_composed,
-             self.composed_insignificant),
-        ):
-            lines.append(
-                f"{label:<24}{omega:.6f}  underestimate {100.0 * under:+.4f} pp"
-                f" [{'insignificant' if ok else 'SIGNIFICANT'}]"
-            )
-        return lines
-
-
-def bias_report(scenario: CouplingScenario) -> BiasReport:
-    """Evaluate every bias map for a scenario and flag significance."""
     ideal_mod = abs(scenario.omega_id - 1.0)
-    fin = apparent_omega_finite_reservoir(scenario)
-    ann = apparent_omega_annular(scenario)
-    comp = composed_apparent_omega(scenario)
-    return BiasReport(
-        scenario=scenario,
-        omega_equilibrated=equilibrated_omega(scenario),
-        omega_finite_reservoir=fin,
-        omega_annular=ann,
-        omega_composed=comp,
-        underestimate_finite=ideal_mod - abs(fin - 1.0),
-        underestimate_annular=ideal_mod - abs(ann - 1.0),
-        underestimate_composed=ideal_mod - abs(comp - 1.0),
-    )
+    return [(name, omega, ideal_mod - abs(omega - 1.0)) for name, omega in (
+        ("reservoir", apparent_omega_finite_reservoir(scenario)),
+        ("annular", apparent_omega_annular(scenario)),
+        ("composed", composed_apparent_omega(scenario)),
+    )]
 
 
 @dataclass(frozen=True)
@@ -202,7 +144,6 @@ class PulseTrain:
     coupled: np.ndarray
     pulses: PulsePair
     omega_recovered: float
-    omega_predicted: float
 
 
 def synthesize_pulse_train(
@@ -219,11 +160,13 @@ def synthesize_pulse_train(
     The blocked record pulses at the annulus-sampled grating-beam energy, the
     coupled record at that energy shifted by the net equilibration transfer;
     both sit on ``baseline_bias`` (steady reference-beam residue plus
-    background, removed exactly by peak-height differencing). Gaussian noise
-    of width ``noise_sd`` is added per sample; per-cycle peak heights are
-    averaged over all cycles. Deterministic for a fixed seed. With zero noise
-    the recovered occupation equals ``composed_apparent_omega`` of the
-    scenario to machine precision.
+    background), which peak-height differencing removes. A baseline is refused
+    where that differencing, without noise, would not return each pulse height
+    h to within 1e-9 h: where ``(baseline_bias + h) - baseline_bias`` loses h
+    to rounding. Gaussian noise of width ``noise_sd`` is added per sample;
+    per-cycle peak heights are averaged over all cycles. Deterministic for a
+    fixed seed. With zero noise the recovered occupation equals
+    ``composed_apparent_omega`` of the scenario to machine precision.
     """
     import numpy as np
     if cycles < 1:
@@ -239,6 +182,11 @@ def synthesize_pulse_train(
 
     s = replace(scenario, omega_id=omega_id)
     amp_coupled = _annular_coupled_amplitude(s, apparent_omega_finite_reservoir(s))
+    for h in (s.f_g, amp_coupled):
+        back = (baseline_bias + h) - baseline_bias
+        if abs(back - h) > 1e-9 * h:
+            raise ValueError(f"baseline_bias={baseline_bias!r} swamps the pulse height {h!r}: "
+                             f"differencing returns {back!r}")
 
     # Both records at once, by cycle and half-cycle, high half first: noise
     # for the blocked record is drawn before that for the coupled one.
@@ -246,16 +194,17 @@ def synthesize_pulse_train(
     records[:, :, 1] = baseline_bias
     records[0, :, 0] = baseline_bias + s.f_g  # the blocked amplitude
     records[1, :, 0] = baseline_bias + amp_coupled
-    if noise_sd > 0:
-        records += np.random.default_rng(seed).normal(0.0, noise_sd, records.shape)
-    high = records[:, :, 0].reshape(2, -1).mean(axis=1)
-    low = records[:, :, 1].reshape(2, -1).mean(axis=1)
+    # A noise_sd near the float range overflows here, and PulsePair alone refuses it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if noise_sd > 0:
+            records += np.random.default_rng(seed).normal(0.0, noise_sd, records.shape)
+        heights = (records[:, :, 0].reshape(2, -1).mean(axis=1)
+                   - records[:, :, 1].reshape(2, -1).mean(axis=1))
     blocked, coupled = records.reshape(2, -1)
-    pulses = PulsePair(dv_g=float(high[0] - low[0]), dv_gc=float(high[1] - low[1]))
+    pulses = PulsePair(dv_g=float(heights[0]), dv_gc=float(heights[1]))
     return PulseTrain(
         blocked=blocked,
         coupled=coupled,
         pulses=pulses,
         omega_recovered=omega_ex(pulses),
-        omega_predicted=s.f_g / amp_coupled,
     )

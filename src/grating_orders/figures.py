@@ -19,6 +19,7 @@ from . import __version__
 from .diffraction import (
     DEFAULT_SLIT_COUNT,
     GratingSpec,
+    equivalent_order,
     grating_intensity,
     order_alpha,
     sinc_sq,
@@ -68,13 +69,13 @@ WAVELENGTH_NM = 633.0  # HeNe line used for all j-equivalent conversions
 _TEMP_NUMBERS = count()  # numbers each write's temp file, so no two writes share one
 
 
-class FigureDataset(namedtuple("FigureDataset", "figure_id params columns rows version")):
+class FigureDataset(namedtuple("FigureDataset", "figure_id params columns rows")):
     """Rectangular numeric rows with named columns and a metadata header."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __new__(cls, figure_id, params, columns, rows, version=__version__):
+    def __new__(cls, figure_id, params, columns, rows):
         import numpy as np
         try:
             rows = np.asarray(rows, dtype=float)
@@ -94,14 +95,14 @@ class FigureDataset(namedtuple("FigureDataset", "figure_id params columns rows v
             raise ValueError(f"column names must be unique, got {columns!r}")
         if not np.all(np.isfinite(rows)):
             raise ValueError("row values must be finite")
-        return super().__new__(cls, figure_id, params, tuple(columns), rows, version)
+        return super().__new__(cls, figure_id, params, tuple(columns), rows)
 
 
 # Rows encoded per piece, so no list of every row is held at once.
 _BLOCK = 4096
 
 
-def _encode(figure_id, version, params, columns, blocks, fmt):
+def _encode(figure_id, params, columns, blocks, fmt):
     """The CSV or JSON text of a dataset: the header, then one piece per block of rows.
 
     ``blocks`` yields non-empty flat lists of floats, row after row, and each is
@@ -110,7 +111,7 @@ def _encode(figure_id, version, params, columns, blocks, fmt):
     """
     fields = ["%r"] * len(columns)
     if fmt == "csv":
-        head = [f"# figure: {figure_id}", f"# version: {version}"]
+        head = [f"# figure: {figure_id}", f"# version: {__version__}"]
         head += [f"# {key}: {params[key]}" for key in sorted(params)]
         yield "\n".join([*head, ",".join(columns)]) + "\n"
         row = ",".join(fields) + "\n"
@@ -118,7 +119,7 @@ def _encode(figure_id, version, params, columns, blocks, fmt):
             yield (row * (len(block) // len(fields))) % tuple(block)
     elif fmt == "json":
         import json
-        payload = {"figure": figure_id, "version": version,
+        payload = {"figure": figure_id, "version": __version__,
                    "params": {k: params[k] for k in sorted(params)},
                    "columns": list(columns), "rows": []}
         yield json.dumps(payload, indent=1).removesuffix("[]\n}")
@@ -136,8 +137,8 @@ def emit(dataset: FigureDataset, fmt: str = "csv") -> bytes:
     """Serialize a dataset to CSV or JSON bytes (deterministic)."""
     rows = dataset.rows
     blocks = (rows[i:i + _BLOCK].ravel().tolist() for i in range(0, len(rows), _BLOCK))
-    return "".join(_encode(dataset.figure_id, dataset.version, dataset.params,
-                           dataset.columns, blocks, fmt)).encode("ascii")
+    return "".join(_encode(dataset.figure_id, dataset.params, dataset.columns, blocks,
+                           fmt)).encode("ascii")
 
 
 def _write_atomic(path: Path | str, pieces) -> Path:
@@ -169,8 +170,7 @@ def _signed(column, n: int) -> np.ndarray:
     return values[np.abs(np.arange(-n, n + 1))]
 
 
-def write_order_table(table: OrderTable, j_equiv: float, path: Path | str,
-                      fmt: str = "csv") -> Path:
+def write_order_table(table: OrderTable, path: Path | str, fmt: str = "csv") -> Path:
     """Write the ``table`` dataset atomically: one row per signed order j, as a float.
 
     The grating and totals go in the header; rows are encoded block by block.
@@ -184,13 +184,13 @@ def write_order_table(table: OrderTable, j_equiv: float, path: Path | str,
         "total_p_r": table.p_r,
         "total_e_r": table.e_r,
         "omega": table.omega,
-        "j_equiv": j_equiv,
+        "j_equiv": equivalent_order(table.grating),
     }
     p_rj, e_rj, omega_j = table.p_rj, table.e_rj, table.omega_j
     blocks = ([value for j in range(lo, min(lo + _BLOCK, n + 1))
                for value in (float(j), p_rj[abs(j)], e_rj[abs(j)], omega_j[abs(j)])]
               for lo in range(-n, n + 1, _BLOCK))
-    pieces = _encode("table", __version__, params, ("j", "p_rj", "e_rj", "omega_j"), blocks, fmt)
+    pieces = _encode("table", params, ("j", "p_rj", "e_rj", "omega_j"), blocks, fmt)
     return _write_atomic(path, (piece.encode("ascii") for piece in pieces))
 
 

@@ -590,6 +590,29 @@ class TestExperimentCommand:
         code, out, err = run(["experiment", "--seed", "-1", *noise], tmp_path, monkeypatch, capsys)
         assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["--baseline", "1e15"],  # differencing returns 0.375 of 0.4
+        ["--baseline", "1e16"],  # and here 0.0
+        ["--f-g", "1e-300", "--f-r", "0"],
+    ])
+    def test_baseline_that_swamps_the_pulses_is_refused_by_name(
+            self, argv, tmp_path, monkeypatch, capsys):
+        code, out, err = run(["experiment", *argv], tmp_path, monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: baseline_bias=") and err.count("\n") == 1
+
+    def test_large_baseline_still_runs(self, tmp_path, monkeypatch, capsys):
+        code, out, _ = run(["experiment", "--baseline", "7.5"], tmp_path, monkeypatch, capsys)
+        assert code == 0
+        assert "recovered omega:        1.024724 (predicted 1.024724)" in out
+
+    def test_overflowing_noise_gives_one_line(self, tmp_path, monkeypatch, capsys):
+        # in-process, where pytest turns any numpy RuntimeWarning into an error
+        code, out, err = run(["experiment", "--noise-sd", "1e308", "--cycles", "1"],
+                             tmp_path, monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: pulse heights must be finite and positive, got -inf, nan\n"
+
 
 class TestSweepCommand:
     def test_occupation_sweep(self, tmp_path, monkeypatch, capsys):

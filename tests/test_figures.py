@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from dataset_csv import read_csv
 
-from grating_orders.diffraction import GratingSpec, order_alpha, sinc_sq
+from grating_orders import __version__
+from grating_orders.diffraction import GratingSpec, equivalent_order, order_alpha, sinc_sq
 from grating_orders.figures import (
     _BLOCK,
     _MAX_SLITS,
@@ -102,7 +103,7 @@ class TestDatasetAndEmit:
         # refused mid-write; neither the temp file nor the target remains.
         table = order_table(GratingSpec(1000.0, 0.5, 633.0))
         with pytest.raises(ValueError, match="format"):
-            write_order_table(table, 3.16, tmp_path / "table.xml", "xml")
+            write_order_table(table, tmp_path / "table.xml", "xml")
         assert list(tmp_path.iterdir()) == []
 
     def test_overlapping_writes_to_one_path_publish_one_payload(self, tmp_path):
@@ -124,14 +125,14 @@ class TestDatasetAndEmit:
 
 def per_row_csv(ds):
     """CSV as written one row at a time, with a join per row."""
-    head = [f"# figure: {ds.figure_id}", f"# version: {ds.version}"]
+    head = [f"# figure: {ds.figure_id}", f"# version: {__version__}"]
     head += [f"# {key}: {ds.params[key]}" for key in sorted(ds.params)]
     lines = [*head, ",".join(ds.columns)] + [",".join(map(repr, row)) for row in ds.rows.tolist()]
     return "\n".join(lines) + "\n"
 
 
 def dumped_json(ds):
-    payload = {"figure": ds.figure_id, "version": ds.version,
+    payload = {"figure": ds.figure_id, "version": __version__,
                "params": {k: ds.params[k] for k in sorted(ds.params)},
                "columns": list(ds.columns), "rows": ds.rows.tolist()}
     return json.dumps(payload, indent=1) + "\n"
@@ -159,14 +160,15 @@ class TestEncoder:
     @pytest.mark.parametrize("w", [1000.0, 2000.0 * _BLOCK / 3])
     def test_order_table_round_trip(self, fmt, w, tmp_path):
         table = order_table(GratingSpec(w, 0.5, 633.0, 257))
-        path = write_order_table(table, 3.16, tmp_path / f"table.{fmt}", fmt)
+        path = write_order_table(table, tmp_path / f"table.{fmt}", fmt)
         n = len(table.p_rj) - 1
         rows = [[float(j), table.p_rj[abs(j)], table.e_rj[abs(j)], table.omega_j[abs(j)]]
                 for j in range(-n, n + 1)]
         spec = table.grating
         params = {"w_nm": spec.slit_width_w, "lambda_nm": spec.wavelength_lambda,
                   "sigma": spec.duty_sigma, "n_slits": spec.slit_count_N, "total_p_r": table.p_r,
-                  "total_e_r": table.e_r, "omega": table.omega, "j_equiv": 3.16}
+                  "total_e_r": table.e_r, "omega": table.omega,
+                  "j_equiv": equivalent_order(spec)}
         ds = FigureDataset("table", params, ("j", "p_rj", "e_rj", "omega_j"), rows)
         expected = per_row_csv(ds) if fmt == "csv" else dumped_json(ds)
         assert path.read_text() == expected

@@ -575,7 +575,7 @@ class TestOrderTable:
             assert g316.e_rj[j] == 0.0
 
     def test_symmetric_rows(self, g316, tmp_path):
-        _, rows = read_csv(write_order_table(g316, 3.16, tmp_path / "table.csv").read_bytes())
+        _, rows = read_csv(write_order_table(g316, tmp_path / "table.csv").read_bytes())
         by_j = {int(r[0]): r for r in rows}
         assert sorted(by_j) == list(range(1 - len(g316.p_rj), len(g316.p_rj)))
         for j in (1, 2, 3):

@@ -11,8 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from grating_orders import __version__
-from grating_orders.coupling import BiasReport, CouplingScenario, PulseTrain
+from grating_orders.coupling import CouplingScenario, PulseTrain
 from grating_orders.diffraction import DEFAULT_SLIT_COUNT, GratingSpec
 from grating_orders.figures import FigureDataset
 from grating_orders.orders import ProbabilityCurve, curve, order_table
@@ -47,10 +46,10 @@ def test_keywords_defaults_and_repr():
                           "wavelength_lambda=633.0, slit_count_N=257)")
     assert repr(PulsePair(dv_gc=0.97, dv_g=1.0)) == "PulsePair(dv_g=1.0, dv_gc=0.97)"
     ds = FigureDataset(figure_id="fig0", params={"k": 1}, columns=["a"], rows=[[1.0]])
-    assert ds.version == __version__ and ds.columns == ("a",)
+    assert ds.columns == ("a",)
     assert isinstance(ds.rows, np.ndarray) and ds.rows.shape == (1, 1)
     assert repr(ds) == ("FigureDataset(figure_id='fig0', params={'k': 1}, columns=('a',), "
-                        f"rows=array([[1.]]), version='{__version__}')")
+                        "rows=array([[1.]]))")
     c = ProbabilityCurve(abscissa=[1, 2], ordinate=[3, 4])
     assert c.abscissa.dtype == c.ordinate.dtype == np.float64
     table = order_table(SPEC)
@@ -113,13 +112,13 @@ def test_replace_keeps_valid_records_whole():
     assert doubled.ordinate.tolist() == (2.0 * c.ordinate).tolist()
     assert doubled.abscissa is c.abscissa
     ds = FigureDataset("fig0", {}, ["a"], [[1.0]])._replace(rows=[[2.0], [3.0]])
-    assert ds.rows.shape == (2, 1) and ds.columns == ("a",) and ds.version == __version__
+    assert ds.rows.shape == (2, 1) and ds.columns == ("a",)
 
 
 def test_coupling_model_records_stay_dataclasses():
     scenario = dataclasses.replace(CouplingScenario(), omega_id=1.1)
     assert scenario == CouplingScenario(omega_id=1.1)
-    assert all(map(dataclasses.is_dataclass, (CouplingScenario, BiasReport, PulseTrain)))
+    assert all(map(dataclasses.is_dataclass, (CouplingScenario, PulseTrain)))
     with pytest.raises(ValueError, match="omega_id must be positive"):
         dataclasses.replace(scenario, omega_id=-1.0)
 
