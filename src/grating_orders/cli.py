@@ -22,7 +22,7 @@ from .diffraction import (
 )
 from .figures import (FIGURE_IDS, WAVELENGTH_NM, _curve_dataset, build_figure,
                       write_dataset, write_order_table)
-from .orders import CURVE_KINDS, EDGE_OFFSET, occupation_value, order_table
+from .orders import CURVE_KINDS, EDGE_OFFSET, occupation_value, order_table, propagating_orders
 
 OUTDIR_ENV = "GRATING_ORDERS_OUTDIR"
 
@@ -95,7 +95,9 @@ def _flag_type(parse, forms: str):
 
 
 _NUMBER = _flag_type(parse_number, "a number or multiple of pi, or a ratio: 0.5, 1/8, 3pi/2")
-_J_EQUIV = _flag_type(parse_j_equiv, "an order, or a whole order with - or +: 3, 3.94, 3-, 3+")
+# --j-equiv keeps its text beside its value, so a 'j-' form can be told apart.
+_J_EQUIV = _flag_type(lambda text: (parse_j_equiv(text), text.strip()),
+                      "an order, or a whole order with - or +: 3, 3.94, 3-, 3+")
 _LENGTH = _flag_type(parse_length_nm, "a positive finite length in nm, or metres below 1e-2")
 _FLOAT = _flag_type(float, "a decimal number: 2, 0.5, 1e-3")
 _INT = _flag_type(int, "a whole number: 4, 2001")
@@ -192,13 +194,22 @@ def _run_figure(args: argparse.Namespace) -> int:
     return 0
 
 
+def _refuse_tied_below(args: argparse.Namespace, at: float) -> None:
+    """Refuse a 'j-' --j-equiv whose offset below order j, 2e-6 sigma, the tie still admits."""
+    form = args.j_equiv[1] if args.w is None else ""
+    if form.endswith("-") and propagating_orders(at, args.sigma)[-1] >= int(form[:-1]):
+        raise ValueError(f"--j-equiv {form} at sigma={args.sigma!r} lies inside the threshold "
+                         f"tie, which admits order {form[:-1]}")
+
+
 def _run_table(args: argparse.Namespace) -> int:
     if args.w is None:
-        at = order_alpha(args.j_equiv, args.sigma)
+        at = order_alpha(args.j_equiv[0], args.sigma)
         spec = GratingSpec.from_truncation(at, args.wavelength, args.sigma, args.n_slits)
     else:
         spec = GratingSpec(args.w, args.sigma, args.wavelength, args.n_slits)
     table = order_table(spec)
+    _refuse_tied_below(args, truncation_alpha(spec))
     j_equiv = equivalent_order(spec)
     _write(args, "table", 2 * len(table.p_rj) - 1, write_order_table, table)
     print(f"grating j-equiv {j_equiv:.4f}: "
@@ -214,11 +225,12 @@ def _classify(omega: float) -> str:
 
 def _run_omega(args: argparse.Namespace) -> int:
     if args.w is None:
-        at, j_equiv = order_alpha(args.j_equiv, args.sigma), args.j_equiv
+        at, j_equiv = order_alpha(args.j_equiv[0], args.sigma), args.j_equiv[0]
     else:
         spec = GratingSpec(args.w, args.sigma, args.wavelength)
         at, j_equiv = truncation_alpha(spec), equivalent_order(spec)
     omega = occupation_value(at, args.sigma)
+    _refuse_tied_below(args, at)
     print(f"j_equiv: {j_equiv:.6f}")
     print(f"alpha_t: {at!r}")
     print(f"P_r: {1.0 / omega:.6f}")

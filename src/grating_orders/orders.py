@@ -239,6 +239,17 @@ def resultant_sum(alpha_t: float, sigma: float, n_slits: int) -> float:
     return math.pi * sigma * n_slits * _envelope_sum(propagating_orders(at, sigma)[-1], sigma)
 
 
+def _strip_alpha(alpha_t, sigma: float, quantity: str) -> float:
+    """alpha_t as a float, refused below pi sigma, where a strip sum means nothing."""
+    at = as_alpha(alpha_t)
+    if at < math.pi * sigma:
+        raise ValueError(
+            f"alpha_t={at!r} below pi*sigma={math.pi * sigma!r}; "
+            f"{quantity} is defined for alpha_t >= pi*sigma"
+        )
+    return at
+
+
 def normalized_resultant_probability(alpha_t: float, sigma: float) -> float:
     """Resultant probability normalized by output probability (N cancels).
 
@@ -252,19 +263,17 @@ def normalized_resultant_probability(alpha_t: float, sigma: float) -> float:
     <= 2, 100 to 4, 4000 to 6, 1.5e5 to 8 (there Si(2 alpha_t) runs its power
     series near the switch at 16) and 6 above 8 (tests/test_accuracy.py).
     """
-    at = as_alpha(alpha_t)
-    if at < math.pi * sigma:
-        raise ValueError(
-            f"alpha_t={at!r} below pi*sigma={math.pi * sigma!r}; "
-            "normalized resultant probability is defined for alpha_t >= pi*sigma"
-        )
+    at = _strip_alpha(alpha_t, sigma, "normalized resultant probability")
     envelope = _envelope_sum(propagating_orders(at, sigma)[-1], sigma)
     return _normalized(sigma, envelope, sinc_sq_integral(at))
 
 
 def order_probability(j: int, alpha_t: float, sigma: float) -> float:
-    """Normalized resultant probability carried by the single order j."""
-    at = as_alpha(alpha_t)
+    """Normalized resultant probability carried by the single order j.
+
+    Requires alpha_t >= pi sigma, as ``normalized_resultant_probability`` does.
+    """
+    at = _strip_alpha(alpha_t, sigma, "order probability")
     orders = propagating_orders(at, sigma)
     if j not in orders:
         raise ValueError(f"order j={j} is not propagating at alpha_t={at!r} (|j| <= {orders[-1]})")

@@ -28,5 +28,8 @@ class PulsePair(namedtuple("PulsePair", "dv_g dv_gc")):
 
 
 def omega_ex(pulses: PulsePair) -> float:
-    """Experimentally determined occupation value dv_g / dv_gc."""
-    return pulses.dv_g / pulses.dv_gc
+    """Experimentally determined occupation value dv_g / dv_gc; a ratio that overflows is refused."""
+    omega = pulses.dv_g / pulses.dv_gc
+    if math.isinf(omega):
+        raise ValueError(f"pulse ratio dv_g/dv_gc = {pulses.dv_g!r}/{pulses.dv_gc!r} overflows")
+    return omega

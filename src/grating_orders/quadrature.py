@@ -1,55 +1,53 @@
 """Sine-integral kernels and exact prefix sums.
 
-The closed forms built on Si(x) are the production path for every envelope
-integral in the package: ``sinc_sq_integral``, the integral over
-[-alpha_t, alpha_t], is twice ``sinc_sq_primitive``. Both take a float, by
-``math`` alone through the scalar ``si``, or the many points of a curve as an
-array, through array copies of both Si branches that give the same float at
-every point: the continued fraction runs every point's iterations together, and
-the power series sums each point's terms with ``fsum_prefixes``, checked
-array passes that return what ``math.fsum`` would at ascending prefix ends,
-settling ties with one exact walk. ``orders.curve`` takes its order sums
-from the same helper.
+The closed form built on Si(x) is the package's one route to every envelope
+integral: ``sinc_sq_integral`` is the integral of sinc^2 over
+[-alpha_t, alpha_t]. Si picks one of three branches by its argument: the power
+series up to 16, the continued fraction up to 2**32, and a closed-form tail
+above. A float goes by ``math`` alone, through the scalar ``si``; the many
+points of a curve go as an array, through array copies of the branches that
+give the same float at every point: the continued fraction runs every point's
+iterations together, and the power series sums each point's terms with
+``fsum_prefixes``, checked array passes that return what ``math.fsum`` would
+at ascending prefix ends, settling ties with one exact walk. ``orders.curve``
+takes its order sums from the same helper.
 No module of the package imports numpy at load, so ``omega``, ``table``,
 ``experiment --dv-g/--dv-gc`` and every refused CLI call run without it.
-The Si closed form is the package's one route to these integrals; the test
-suite cross-checks it against an independent composite Gauss-Legendre rule.
+The test suite cross-checks Si against an independent composite
+Gauss-Legendre rule and against mpmath.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 
-__all__ = [
-    "si",
-    "sinc_sq_primitive",
-    "sinc_sq_integral",
-    "fsum_prefixes",
-]
+__all__ = ["si", "sinc_sq_integral", "fsum_prefixes"]
 
+# Si's branch bounds: the power series up to 16, the continued fraction up to 2**32.
 _SI_SERIES_CUTOFF = 16.0
-_SERIES_MAX_TERMS = 120
+_SI_TAIL = 2.0**32
 _SERIES_TOL = 1e-20
 _CF_TOL = 1e-16
 _CF_MAX_ITER = 300
 # Below this x the primitive x - x^3/9 + ... rounds to x (x^2/9 < 2**-1022),
 # and sin(x)^2 in the closed form would go subnormal, then to zero.
 _TINY = 2.0**-511
+# The largest |alpha_t| whose Si argument 2 alpha_t is finite.
+_ALPHA_MAX = sys.float_info.max / 2.0
 
 
-def _si_power_series(x: float) -> float:
-    # Si(x) = sum_k (-1)^k x^(2k+1) / ((2k+1) (2k+1)!).  The terms alternate
-    # with large intermediate magnitude near the cutoff, so they are collected
-    # and compensated-summed rather than accumulated naively.
+def _series_terms(x: float) -> list[float]:
+    # The terms (-1)^k x^(2k+1) / ((2k+1) (2k+1)!) of Si(x) through the first
+    # past k = 0 below _SERIES_TOL. They grow with x: x = 16 takes the most, 38.
     term_sin = x  # (-1)^k x^(2k+1) / (2k+1)!
     terms = [x]
-    for k in range(1, _SERIES_MAX_TERMS):
+    for k in itertools.count(1):
         term_sin *= -x * x / ((2 * k) * (2 * k + 1))
-        term = term_sin / (2 * k + 1)
-        terms.append(term)
-        if abs(term) < _SERIES_TOL:
-            return math.fsum(terms)
-    raise ArithmeticError(f"sine-integral series did not converge for x={x!r}")
+        terms.append(term_sin / (2 * k + 1))
+        if abs(terms[-1]) < _SERIES_TOL:
+            return terms
 
 
 def _si_continued_fraction(x: float) -> float:
@@ -75,56 +73,57 @@ def _si_continued_fraction(x: float) -> float:
 
 
 def si(x: float) -> float:
-    """Sine integral Si(x) = integral of sin(t)/t from 0 to x.
+    """Sine integral Si(x) = integral of sin(t)/t from 0 to x, for every finite x.
 
-    Odd in x, tending to +-pi/2 as x -> +-inf. Power series up to |x| = 16,
-    continued-fraction auxiliary functions beyond; both branches are within
-    1e-10 of 50-digit references at the switchover.
+    Odd, tending to +-pi/2. The branch follows |x|: the power series, at
+    most 38 terms compensated-summed, up to 16; the continued-fraction
+    auxiliary functions up to 2**32; above that pi/2 - cos(x)/x - sin(x)/x^2,
+    whose dropped terms are below 2/x^3 < 3e-29. Within 1e-10 of 50-digit
+    references, least accurate just below 16, where the series cancels most;
+    above 2**32 within 2.3e-16.
     """
     if not math.isfinite(x):
         raise ValueError(f"si requires finite x, got {x!r}")
     if x < 0.0:
         return -si(-x)
-    if x == 0.0:
-        return 0.0
     if x <= _SI_SERIES_CUTOFF:
-        return _si_power_series(x)
-    return _si_continued_fraction(x)
-
-
-def sinc_sq_primitive(x):
-    """Si(2x) - sin^2(x)/x, the odd primitive of sinc^2 that vanishes at 0.
-
-    A float gives a float by ``math`` alone; a positive float64 array gives
-    the same floats elementwise, as the ``diffraction`` kernels do, with Si
-    from the array copies of both branches of ``si``. Below _TINY it is x,
-    correctly rounded.
-    """
-    if isinstance(x, (int, float)):
-        if x < 0.0:
-            return -sinc_sq_primitive(-x)
-        if x < _TINY:
-            return float(x)
-        s, si_2x = math.sin(x), si(2.0 * x)
-    else:
-        import numpy as np
-        y = 2.0 * x
-        si_2x = np.empty_like(x)
-        cf = y > _SI_SERIES_CUTOFF
-        si_2x[cf] = _si_continued_fraction_array(y[cf])
-        si_2x[~cf] = _si_power_series_array(y[~cf])
-        s = np.sin(x)
-        return np.where(x < _TINY, x, si_2x - s * s / x)
-    return si_2x - s * s / x
+        return math.fsum(_series_terms(x))
+    if x <= _SI_TAIL:
+        return _si_continued_fraction(x)
+    return math.pi / 2.0 - (math.cos(x) / x + math.sin(x) / (x * x))  # x * x may be inf
 
 
 def sinc_sq_integral(alpha_t):
-    """Integral of sinc^2(alpha) over [-alpha_t, alpha_t] via the Si closed form.
+    """Integral of sinc^2 over [-alpha_t, alpha_t]: 2 (Si(2 alpha_t) - sin^2(alpha_t) / alpha_t).
 
-    The primitive is odd, so the integral is exactly twice it; a float gives
-    a float and a positive float64 array the same floats elementwise.
+    Odd in alpha_t. A float gives a float by ``math`` alone, through ``si``;
+    a float64 array gives the same floats elementwise, with Si from array
+    copies of the branches of ``si``, each picked by the same bounds. Below
+    _TINY it is 2 alpha_t, correctly rounded. An alpha_t is refused unless
+    2 alpha_t is finite.
     """
-    return 2.0 * sinc_sq_primitive(alpha_t)
+    if isinstance(alpha_t, (int, float)):
+        if not abs(alpha_t) <= _ALPHA_MAX:
+            raise ValueError(f"sinc_sq_integral requires |alpha_t| <= {_ALPHA_MAX!r}, got {alpha_t!r}")
+        if alpha_t < 0.0:
+            return -sinc_sq_integral(-alpha_t)
+        if alpha_t < _TINY:
+            return 2.0 * alpha_t
+        s = math.sin(alpha_t)
+        return 2.0 * (si(2.0 * alpha_t) - s * s / alpha_t)
+    import numpy as np
+    a = np.abs(alpha_t)
+    if not (a <= _ALPHA_MAX).all():
+        bad = float(alpha_t[~(a <= _ALPHA_MAX)][0])
+        raise ValueError(f"sinc_sq_integral requires |alpha_t| <= {_ALPHA_MAX!r}, got {bad!r}")
+    y = 2.0 * a
+    si_y = np.empty_like(y)
+    branch = np.digitize(y, (_SI_SERIES_CUTOFF, _SI_TAIL), right=True)
+    for b, body in enumerate((_si_power_series_array, _si_continued_fraction_array, _si_tail_array)):
+        at = branch == b
+        si_y[at] = body(y[at])
+    s = np.sin(a)
+    return np.copysign(2.0 * np.where(a < _TINY, a, si_y - s * s / a), alpha_t)
 
 
 def _cprod(p, q, out):
@@ -229,10 +228,10 @@ def _continued_fraction_block(x):
 _SERIES_BLOCK = 256
 
 
-def _series_terms(x: np.ndarray, count: int) -> np.ndarray:
-    # Terms 0..count-1 of ``_si_power_series`` for every x, one column
-    # each. The running product accumulates down the rows, so term_sin
-    # takes the scalar's factors in the scalar's order and rounds alike.
+def _series_table(x: np.ndarray, count: int) -> np.ndarray:
+    # Terms 0..count-1 of ``_series_terms`` for every x, one column each.
+    # The running product accumulates down the rows, so term_sin takes the
+    # scalar's factors in the scalar's order and rounds alike.
     import numpy as np
     k = np.arange(1, count)[:, None]
     factors = np.empty((count, x.size))
@@ -244,34 +243,34 @@ def _series_terms(x: np.ndarray, count: int) -> np.ndarray:
 
 
 def _si_power_series_array(x: np.ndarray) -> np.ndarray:
-    """``_si_power_series`` at every x of an array, bit for bit.
+    """The series branch of ``si`` at every x of an array in [0, 16], bit for bit.
 
     Kept beside the scalar because it is faster over a curve's points and
-    far slower for one point. Each column holds the scalar's terms up to
-    the scalar's stopping term (later rows are zeroed), and
-    ``fsum_prefixes`` gives each column's correctly rounded sum, the
-    scalar's ``math.fsum``. Points go in blocks of _SERIES_BLOCK. A term's
-    magnitude never decreases with x, rounding included, so the block's
-    largest x needs the most terms and sets the block's term count.
-    ``ArithmeticError`` is raised where the scalar would raise it.
+    far slower for one point. Each column holds the scalar's terms up to its
+    stopping term (later rows are zeroed), and ``fsum_prefixes`` gives each
+    column's correctly rounded sum, the scalar's ``math.fsum``. Points go in
+    blocks of _SERIES_BLOCK. A term's magnitude never decreases with x,
+    rounding included, so the scalar's term count at the block's largest x
+    sizes the block's table.
     """
     import numpy as np
     out = np.empty_like(x)
     for start in range(0, x.size, _SERIES_BLOCK):
         xb = x[start:start + _SERIES_BLOCK]
-        # where a term past the first is below the tolerance that ends the series
-        top = np.abs(_series_terms(xb.max(keepdims=True), _SERIES_MAX_TERMS)[1:, 0]) < _SERIES_TOL
-        count = top.argmax() + 2 if top.any() else _SERIES_MAX_TERMS
-        terms = _series_terms(xb, count)
-        small = np.abs(terms[1:]) < _SERIES_TOL
-        stops = small.any(axis=0)
-        if not stops.all():
-            raise ArithmeticError(
-                f"sine-integral series did not converge for x={float(xb[~stops][0])!r}"
-            )
-        terms[np.arange(count)[:, None] > small.argmax(axis=0) + 1] = 0.0
+        count = len(_series_terms(float(xb.max())))
+        terms = _series_table(xb, count)
+        stop = (np.abs(terms[1:]) < _SERIES_TOL).argmax(axis=0) + 1  # each column's last term
+        terms[np.arange(count)[:, None] > stop] = 0.0
         out[start:start + xb.size] = fsum_prefixes(terms, [count])[0]
     return out
+
+
+def _si_tail_array(x: np.ndarray) -> np.ndarray:
+    # The tail branch of ``si`` at every x of an array above 2**32, bit for
+    # bit; x * x overflows to inf above about 1.3e154, as the scalar's does.
+    import numpy as np
+    with np.errstate(over="ignore"):
+        return math.pi / 2.0 - (np.cos(x) / x + np.sin(x) / (x * x))
 
 
 # Terms per block of ``fsum_prefixes``: its working arrays hold one block

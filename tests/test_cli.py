@@ -13,7 +13,7 @@ from grating_orders import __version__, cli
 from grating_orders.figures import _MAX_SLITS
 
 # The invocations that need no array: every omega and table of the benchmark
-# catalogue, the measured pulse pair and the four refused calls.
+# catalogue, the measured pulse pair and refused calls.
 NUMPY_FREE = [
     "omega --j-equiv 3-", "omega --j-equiv 3+", "omega --w 833",
     "omega --j-equiv 6.5 --sigma 1/3",
@@ -22,6 +22,8 @@ NUMPY_FREE = [
     "experiment --dv-g 1.0 --dv-gc 0.97",
     "omega --w 500", "omega --j-equiv 3 --sigma 1.0",
     "sweep --j-min 5 --j-max 2 --out sweep.csv", "figure --id fig99 --out fig99.csv",
+    "omega --j-equiv 3- --sigma 1e-4", "table --j-equiv 10001- --sigma 1e-4 --out table.csv",
+    "experiment --dv-g 1e308 --dv-gc 1e-308",
 ]
 LENGTH_FORMS = "expected a positive finite length in nm, or metres below 1e-2"
 DECIMAL_FORMS = "expected a decimal number: 2, 0.5, 1e-3"
@@ -420,6 +422,31 @@ class TestOmegaCommand:
         assert "--w" in err and "--j-equiv" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["omega", "--j-equiv", "3-", "--sigma", "1e-4"],
+    ["table", "--j-equiv", "10001-", "--sigma", "1e-4", "--out", "table.csv"],
+])
+def test_below_form_inside_the_tie_is_refused(argv, tmp_path, monkeypatch, capsys):
+    # 'j-' sits 2e-6 sigma below order j: at sigma 1e-4 that is inside the
+    # 1e-9 tie, which would admit order j, as 'j+' does
+    code, out, err = run(argv, tmp_path, monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    j = argv[2][:-1]
+    assert err == (f"error: --j-equiv {j}- at sigma=0.0001 lies inside the threshold tie, "
+                   f"which admits order {j}\n")
+    assert not (tmp_path / "table.csv").exists()
+
+
+def test_below_form_outside_the_tie_answers(tmp_path, monkeypatch, capsys):
+    # at sigma 6e-4 the offset, 1.2e-9, is outside the tie: order 3 is not counted
+    code, out, _ = run(["omega", "--j-equiv", "3-", "--sigma", "6e-4"], tmp_path, monkeypatch, capsys)
+    assert code == 0
+    assert "classification: enriched" in out
+    code, out, _ = run(["table", "--j-equiv", "2000-", "--sigma", "6e-4"], tmp_path, monkeypatch, capsys)
+    assert code == 0
+    assert "(3999 rows)" in out  # orders -1999..1999
+
+
 @pytest.mark.parametrize("subcommand", ["omega", "table"])
 def test_width_and_j_equiv_exclude_each_other(subcommand, tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -556,6 +583,12 @@ class TestExperimentCommand:
         assert code == 2
         assert out == ""
         assert err == f"error: {flag} is not taken with --dv-g/--dv-gc\n"
+
+    def test_overflowing_ratio_is_refused(self, tmp_path, monkeypatch, capsys):
+        code, out, err = run(["experiment", "--dv-g", "1e308", "--dv-gc", "1e-308"],
+                             tmp_path, monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: pulse ratio dv_g/dv_gc = 1e+308/1e-308 overflows\n"
 
     def test_half_pair_is_error(self, tmp_path, monkeypatch, capsys):
         code, _, err = run(["experiment", "--dv-g", "1.0"], tmp_path, monkeypatch, capsys)

@@ -69,6 +69,11 @@ class TestOmegaEx:
             omega_ex(PulsePair(a, b)), rel=1e-12
         )
 
+    def test_overflowing_ratio_refused(self):
+        with pytest.raises(ValueError, match=r"^pulse ratio dv_g/dv_gc = 1e\+308/1e-308 overflows$"):
+            omega_ex(PulsePair(1e308, 1e-308))
+        assert omega_ex(PulsePair(1e300, 1e-8)) == pytest.approx(1e308)
+
     def test_positive_heights_required(self):
         with pytest.raises(ValueError):
             PulsePair(0.0, 1.0)

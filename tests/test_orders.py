@@ -416,8 +416,10 @@ class TestZeroOrderShare:
     (lambda: zero_order_energy(2.0, 0.5, math.inf), "e_o must be positive and finite, got inf"),
     (lambda: resultant_sum(2.0, 0.5, 2.5), "n_slits must be an integer >= 1, got 2.5"),
     (lambda: output_probability(2.0, 2.5), "n_slits must be an integer >= 1, got 2.5"),
+    (lambda: order_probability(0, 0.1, 0.5),
+     f"alpha_t=0.1 below pi*sigma={math.pi * 0.5!r}; order probability is defined for alpha_t >= pi*sigma"),
 ], ids=["delta_p-nan", "delta_p-inf", "p_o-inf", "e_o-inf", "resultant_sum-n_slits",
-        "output_probability-n_slits"])
+        "output_probability-n_slits", "order_probability-below-first-strip"])
 def test_scalars_refuse_what_has_no_answer_by_name(call, message):
     with pytest.raises(ValueError) as exc:
         call()

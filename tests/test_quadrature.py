@@ -13,17 +13,18 @@ from reference_quadrature import gauss_legendre, sinc_plain, sinc_sq_plain
 
 from grating_orders import quadrature
 from grating_orders.diffraction import grating_factor, grating_intensity, order_alpha
-from grating_orders.orders import _order_terms
+from grating_orders.orders import MAX_ORDER_TERMS, _order_terms, output_probability
 from grating_orders.quadrature import (
     _CF_BLOCK,
     _SERIES_BLOCK,
+    _SI_TAIL,
     _SUM_BLOCK,
     _si_continued_fraction_array,
     _si_power_series_array,
+    _si_tail_array,
     fsum_prefixes,
     si,
     sinc_sq_integral,
-    sinc_sq_primitive,
 )
 
 # Reference values frozen from a 25-digit evaluation, cross-checked below
@@ -75,16 +76,16 @@ class TestSi:
         # math, which is far cheaper than a one-point array. A child process
         # with numpy unimportable must give the same floats.
         code = ("import sys; sys.modules['numpy'] = None\n"
-                "from grating_orders.quadrature import si, sinc_sq_integral, sinc_sq_primitive\n"
-                "for x in (1e-300, 0.5, 8.0, 16.0, 16.5, 200.0, 1e5):\n"
-                "    print(repr((si(x), sinc_sq_integral(x), sinc_sq_primitive(x / 3))))\n")
+                "from grating_orders.quadrature import si, sinc_sq_integral\n"
+                "for x in (1e-300, 0.5, 8.0, 16.0, 16.5, 200.0, 1e5, 1e11):\n"
+                "    print(repr((si(x), sinc_sq_integral(x), sinc_sq_integral(-x / 3))))\n")
         src = str(Path(quadrature.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
-            repr((si(x), sinc_sq_integral(x), sinc_sq_primitive(x / 3)))
-            for x in (1e-300, 0.5, 8.0, 16.0, 16.5, 200.0, 1e5)
+            repr((si(x), sinc_sq_integral(x), sinc_sq_integral(-x / 3)))
+            for x in (1e-300, 0.5, 8.0, 16.0, 16.5, 200.0, 1e5, 1e11)
         ]
 
     def test_against_quadrature_oracle(self):
@@ -96,8 +97,9 @@ class TestSi:
 
 
 def primitive_difference(lo, hi):
-    # the integral of sinc^2 over [lo, hi]
-    return sinc_sq_primitive(hi) - sinc_sq_primitive(lo)
+    # the integral of sinc^2 over [lo, hi], by the odd primitive: half the
+    # symmetric integral, exactly
+    return (sinc_sq_integral(hi) - sinc_sq_integral(lo)) / 2.0
 
 
 class TestSincSqIntegral:
@@ -135,8 +137,8 @@ class TestSincSqIntegral:
             assert abs(closed - gauss_legendre(sinc_sq_plain, lo, hi)) <= 1e-8
 
     def test_symmetric_interval_is_two_sided_difference(self):
-        # The odd primitive and the one-primitive symmetric integral give the
-        # floats the two-sided closed form gives, order edges included.
+        # The symmetric integral is odd and gives the floats the two-sided
+        # closed form gives, order edges included.
         def two_sided(x):
             s = math.sin(x)
             return si(2.0 * x) - s * s / x
@@ -144,7 +146,7 @@ class TestSincSqIntegral:
         rng = random.Random(5)
         edges = [order_alpha(j, sigma) for sigma in (0.5, 1 / 3, 1 / 16, 0.3) for j in range(1, 600)]
         for x in edges + [rng.uniform(1e-3, 3e4) for _ in range(1000)]:
-            assert sinc_sq_primitive(-x) == -sinc_sq_primitive(x) == two_sided(-x)
+            assert sinc_sq_integral(-x) == -sinc_sq_integral(x) == 2.0 * two_sided(-x)
             assert sinc_sq_integral(x) == two_sided(x) - two_sided(-x)
 
 
@@ -263,7 +265,7 @@ class TestArraySi:
         ])
         x = x[x > 0.0]
         assert x.size >= 200_000 and x.max() == 16.0 and x.min() == 5e-324
-        expected = [quadrature._si_power_series(v) for v in x.tolist()]
+        expected = [si(v) for v in x.tolist()]
         assert _si_power_series_array(x).tolist() == expected
         for size in (0, 1, _SERIES_BLOCK - 1, _SERIES_BLOCK, _SERIES_BLOCK + 1):
             assert _si_power_series_array(x[-size:] if size else x[:0]).tolist() == (
@@ -275,39 +277,8 @@ class TestArraySi:
         # stop, up to the block's longest row, change its sum visibly.
         monkeypatch.setattr(quadrature, "_SERIES_TOL", 1e-4)
         x = np.random.default_rng(5).uniform(0.0, 16.0, 2 * _SERIES_BLOCK)
-        expected = [quadrature._si_power_series(v) for v in x.tolist()]
+        expected = [si(v) for v in x.tolist()]
         assert _si_power_series_array(x).tolist() == expected
-
-    def test_series_non_convergence_raises(self, monkeypatch):
-        # The scalar at x = 15 stops at term k; with k + 1 terms allowed both
-        # copies converge alike, with k they both raise, also when 15 is the
-        # one failing point of a second block.
-        k = 1
-        term = 15.0
-        while abs(term) >= quadrature._SERIES_TOL:
-            term = 15.0 ** (2 * k + 1) / ((2 * k + 1) * math.factorial(2 * k + 1))
-            k += 1
-        x = np.concatenate([np.full(_SERIES_BLOCK, 0.5), [1.0, 15.0]])
-        raised = []
-        for limit in range(k - 3, k + 3):
-            monkeypatch.setattr(quadrature, "_SERIES_MAX_TERMS", limit)
-            try:
-                expected = quadrature._si_power_series(15.0)
-            except ArithmeticError:
-                raised.append(limit)
-                with pytest.raises(ArithmeticError, match="did not converge for x=15.0"):
-                    _si_power_series_array(x)
-            else:
-                assert _si_power_series_array(x)[-1] == expected
-        assert raised == list(range(k - 3, raised[-1] + 1)) and raised[-1] < k + 2
-        monkeypatch.setattr(quadrature, "_SERIES_MAX_TERMS", 4)
-        with pytest.raises(ArithmeticError, match="did not converge"):
-            quadrature._si_power_series(1.0)
-        with pytest.raises(ArithmeticError, match="did not converge"):
-            _si_power_series_array(np.array([1e-30, 1.0]))
-        monkeypatch.undo()
-        with pytest.raises(ArithmeticError, match="did not converge"):
-            _si_power_series_array(np.array([1.0, math.nan]))
 
     def test_power_series_memory_is_bounded(self):
         # Blocks of _SERIES_BLOCK points keep the term table small, and
@@ -405,7 +376,66 @@ class TestArraySi:
                                       math.nextafter(tiny, 1.0), 1e-150])])
         expected = [sinc_sq_integral(v) for v in a.tolist()]
         assert sinc_sq_integral(a).tolist() == expected
+        assert sinc_sq_integral(-a).tolist() == [-v for v in expected]
         assert expected[-7:-3] == [2.0 * v for v in a[-7:-3].tolist()]
+
+
+class TestSiBranches:
+    """Si's three branches, each picked by its argument alone."""
+
+    # Every octave from 2**4 to 2**1023, the tail's edge 2**32 and its two
+    # neighbours, an x at which the continued fraction used to stall, and
+    # the largest floats.
+    X = sorted({2.0**k for k in range(4, 1024)} | {
+        math.nextafter(_SI_TAIL, 0.0), math.nextafter(_SI_TAIL, math.inf),
+        1e11, 4.7e307, sys.float_info.max})
+
+    def test_scalar_equals_array_and_mpmath_over_every_octave(self):
+        mpmath = pytest.importorskip("mpmath")
+        x = np.array(self.X)
+        scalar = [si(v) for v in self.X]
+        array = np.concatenate([  # x is sorted, so the branches come in order
+            _si_power_series_array(x[x <= 16.0]),
+            _si_continued_fraction_array(x[(x > 16.0) & (x <= _SI_TAIL)]),
+            _si_tail_array(x[x > _SI_TAIL]),
+        ])
+        assert array.tolist() == scalar
+        with mpmath.workdps(50):
+            for v, got in zip(self.X, scalar):
+                # x = 16 is the series' top, where it cancels most (2.7e-12 off)
+                assert abs(got - float(mpmath.si(v))) <= (1e-10 if v <= 16.0 else 2.3e-16), v
+        # the envelope integral picks the same branch for Si(2 alpha_t), over an array as for a float
+        assert sinc_sq_integral(x / 2.0).tolist() == [sinc_sq_integral(v / 2.0) for v in self.X]
+
+    def test_series_takes_at_most_38_terms(self):
+        # term magnitudes grow with x, so the top of the branch takes the most
+        assert len(quadrature._series_terms(16.0)) == 38
+        assert len(quadrature._series_terms(math.nextafter(16.0, 0.0))) == 38
+        x = np.random.default_rng(38).uniform(0.0, 16.0, 2000).tolist()
+        assert max(len(quadrature._series_terms(v)) for v in x) == 38
+
+    def test_no_command_reaches_the_tail(self):
+        # an admitted order sum has alpha_t below order MAX_ORDER_TERMS + 1 at some sigma < 1
+        assert 2 * order_alpha(MAX_ORDER_TERMS + 1, math.nextafter(1.0, 0.0)) < _SI_TAIL
+
+    def test_where_the_continued_fraction_stalled_answers(self):
+        # At x = 1e11 the continued fraction's delta settles one float short
+        # of its tolerance; the tail answers there.
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            quadrature._si_continued_fraction(1e11)
+        assert si(1e11) == pytest.approx(math.pi / 2, abs=1e-11)
+        assert sinc_sq_integral(-1e11) == pytest.approx(-math.pi, abs=1e-10)
+        assert output_probability(1e11, 1) == -sinc_sq_integral(-1e11)
+        assert sinc_sq_integral(np.array([1e11])).tolist() == [-sinc_sq_integral(-1e11)]
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e308, -1e308])
+    def test_integral_refuses_an_alpha_t_whose_si_argument_is_not_finite(self, bad):
+        message = f"sinc_sq_integral requires |alpha_t| <= {quadrature._ALPHA_MAX!r}, got {bad!r}"
+        for arg in (bad, np.array([1.0, bad, math.nan])):
+            with pytest.raises(ValueError) as exc:
+                sinc_sq_integral(arg)
+            assert str(exc.value) == message
+        assert sinc_sq_integral(quadrature._ALPHA_MAX) == pytest.approx(math.pi)
 
 
 class TestFsumPrefixes:
