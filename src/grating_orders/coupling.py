@@ -13,6 +13,7 @@ underestimate as one row.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 from .orders import MAX_POINTS
@@ -136,14 +137,14 @@ def bias_report(scenario: CouplingScenario) -> list[tuple[str, float, float]]:
     )]
 
 
-@dataclass(frozen=True)
-class PulseTrain:
-    """Synthetic chopped-detector record and the pulse pair recovered from it."""
+class PulseTrain(namedtuple("PulseTrain", "blocked coupled pulses omega_recovered")):
+    """Synthetic chopped-detector record and the pulse pair recovered from it.
 
-    blocked: np.ndarray
-    coupled: np.ndarray
-    pulses: PulsePair
-    omega_recovered: float
+    blocked and coupled are the two float64 sample records, pulses the
+    ``PulsePair`` of mean pulse heights, omega_recovered its ``omega_ex``.
+    """
+
+    __slots__ = ()
 
 
 def synthesize_pulse_train(

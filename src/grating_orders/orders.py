@@ -58,8 +58,8 @@ EPS_TIE = 1e-9
 # grating built at its own threshold, with w = j sigma lambda in any order
 # of operations, lands at most 3 ulp below the position of order j (1.6e6
 # random constructions, j up to 1e7). Where an order sum is admitted, 4 ulp stay
-# below 9e-9 pi sigma, far inside the quarter spacing that bounds the tie,
-# except at subnormal sigma, where the quarter spacing caps them.
+# below 9e-9 pi sigma, far inside the eighth of the spacing that bounds the
+# tie, except at subnormal sigma, where that eighth caps them.
 TIE_ULPS = 4.0
 
 # Most order terms one sum may take. ``propagating_orders`` refuses an alpha_t
@@ -71,8 +71,9 @@ MAX_ORDER_TERMS = 10**7
 # orders), the points of a ``curve``, the rows of a fig3/4/5 intensity
 # section and the samples of a ``coupling`` pulse train. Peak RSS and CPU of
 # the largest admitted CLI request of each kind, CSV/JSON (Python 3.11, numpy
-# 2.4, 2-core x86-64 Linux): a 1e6-point curve 169/211 MB, 6.9/6.8 s
-# (continued-fraction Si; 184/226 MB, 6.8/6.7 s by the series), a 20-point
+# 2.4, 2-core x86-64 Linux): a 1e6-point curve 167/209 MB, 3.0/3.1 s
+# (continued-fraction Si; 167/240 MB, 3.0/3.2 s by the series; the figures
+# after it are older, taken when this curve took 6.9 s), a 20-point
 # curve at 1e7 orders 110/110 MB, 1.1/1.2 s, an 8e5-point curve from order
 # 9.6e6 to 1e7 with 4e5 distinct order counts 178/192 MB, 3.0/3.1 s (no sum
 # left to the exact walk), a 1e6-row fig3 190/234 MB, 5.3/5.4 s (4 s of it is
@@ -82,19 +83,21 @@ MAX_POINTS = 10**6
 
 
 # Neither the tie tolerance nor a curve's edge offset may reach the next
-# order, so both are capped at a quarter of the order spacing pi*sigma. The
-# cap binds only below sigma ~ 1.3e-9 (tie) and ~ 1.3e-6 (edge).
+# order, so the edge is capped at a quarter of the order spacing pi*sigma and
+# the tie at an eighth, so that the tie above a below-edge sample
+# alpha_j - pi sigma / 4 stops short of alpha_j. The caps bind only below
+# sigma ~ 2.5e-9 (tie) and ~ 1.3e-6 (edge).
 def _tie_at(alpha_t, sigma: float):
     """The tie in effect at alpha_t: how far above it an order is still admitted.
 
-    The larger of EPS_TIE and TIE_ULPS ulp of alpha_t, capped at pi sigma / 4.
+    The larger of EPS_TIE and TIE_ULPS ulp of alpha_t, capped at pi sigma / 8.
     A float gives a float by ``math``; a positive float64 array, the same
     floats elementwise.
     """
     if isinstance(alpha_t, (int, float)):
-        return min(max(EPS_TIE, TIE_ULPS * math.ulp(alpha_t)), math.pi * sigma / 4)
+        return min(max(EPS_TIE, TIE_ULPS * math.ulp(alpha_t)), math.pi * sigma / 8)
     import numpy as np
-    return np.minimum(np.maximum(EPS_TIE, TIE_ULPS * np.spacing(alpha_t)), math.pi * sigma / 4)
+    return np.minimum(np.maximum(EPS_TIE, TIE_ULPS * np.spacing(alpha_t)), math.pi * sigma / 8)
 
 
 def _cap(alpha_t, sigma: float):
@@ -132,9 +135,11 @@ def propagating_orders(alpha_t: float, sigma: float) -> range:
     most the cap alpha_t + tie, so an order sitting exactly at alpha_t, or
     a few ulp above it, counts. The tie is EPS_TIE, or TIE_ULPS ulp of
     alpha_t where that is larger (from alpha_t ~ 2**21), and never more
-    than a quarter of the order spacing, pi sigma / 4, so the next order
-    never counts; that cap binds below sigma ~ 1.3e-9, over the ulp floor
-    only at subnormal sigma. This is the one inclusion rule.
+    than an eighth of the order spacing, pi sigma / 8, so it reaches
+    neither the next order nor, from a curve's below-edge sample a quarter
+    spacing under order j, order j itself; that cap binds below
+    sigma ~ 2.5e-9, over the ulp floor only at subnormal sigma. This is the
+    one inclusion rule.
     Positions never decrease with j, so the two walks from the estimate
     cap / (pi sigma), which test that one condition, stop at the last
     admitted order. An alpha_t that admits order
@@ -185,7 +190,10 @@ def _envelope_sum(n: int, sigma: float) -> float:
     The sum depends on alpha_t only through its order count n, so one entry
     serves every alpha_t between two thresholds, and a grating's second
     scalar costs a lookup. The key is typed, so a float64 sigma keeps its
-    own entry; a hit returns the float that the fsum returned.
+    own entry; a hit returns the float that the fsum returned. Within 2 ulp
+    of the exact sum at the float sigma (1.25 measured, at dyadic sigma 1/2,
+    3/8 and 1/16 and up to 1e6 orders, against the closed form in
+    tests/envelope_oracle.py).
     """
     return 1.0 + 2.0 * math.fsum(sinc_sq_at_order(j, sigma) for j in range(1, n + 1))
 

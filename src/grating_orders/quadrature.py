@@ -6,12 +6,14 @@ integral: ``sinc_sq_integral`` is the integral of sinc^2 over
 series up to 16, the continued fraction up to 2**32, and a closed-form tail
 above. A float goes by ``math`` alone, through the scalar ``si``; the many
 points of a curve go as an array, through array copies of the branches that
-give the same float at every point: the continued fraction runs every point's
-iterations together, and the power series sums each point's terms with
-``fsum_prefixes``, checked array passes that return what ``math.fsum`` would
-at ascending prefix ends, settling ties with one exact walk. ``orders.curve``
-takes its order sums from the same helper.
-No module of the package imports numpy at load, so ``omega``, ``table``,
+give the same float at every point: the continued fraction is the scalar's
+loop line for line on real and imaginary float64 arrays, with each complex
+operation spelled out as CPython rounds it (numpy's complex multiply may fuse
+a multiply and an add, and its divide rounds otherwise), and the power
+series sums each point's terms with ``fsum_prefixes``, checked array passes
+that return what ``math.fsum`` would at ascending prefix ends, settling ties
+with one exact walk. ``orders.curve`` takes its order sums from the same
+helper. No module of the package imports numpy at load, so ``omega``, ``table``,
 ``experiment --dv-g/--dv-gc`` and every refused CLI call run without it.
 The test suite cross-checks Si against an independent composite
 Gauss-Legendre rule and against mpmath.
@@ -126,39 +128,27 @@ def sinc_sq_integral(alpha_t):
     return np.copysign(2.0 * np.where(a < _TINY, a, si_y - s * s / a), alpha_t)
 
 
-def _cprod(p, q, out):
-    # CPython's complex product (_Py_c_prod) of p and q, each a (real, imag)
-    # pair of arrays along axis 0, one float64 operation at a time.
+def _quotient(u, zr, zi):
+    # u / (zr + i zi) for a real u, as CPython's complex quotient
+    # (_Py_c_quot) rounds it: Smith's method, scaled by the larger component
+    # of the divisor. With the numerator's imaginary part 0.0 its formulas
+    # reduce to these exactly; "+ 0.0" and "0.0 -" keep its signed zeros.
+    # Returns the real and imaginary arrays. Callers hold np.errstate.
     import numpy as np
-    m = p[:, None] * q[None]  # m[i, k] = p[i] q[k]
-    np.subtract(m[0, 0], m[1, 1], out=out[0])
-    np.add(m[0, 1], m[1, 0], out=out[1])
-    return out
-
-
-def _real_quotient(u, z, out):
-    # u / z for a real u and a (real, imag) pair z, as CPython's complex
-    # quotient (_Py_c_quot) rounds it: Smith's method, scaled by the larger
-    # component of the divisor. With the numerator's imaginary part 0.0 its
-    # formulas reduce to these exactly; "+ 0.0" and "0.0 -" keep its signed
-    # zeros. numpy's complex divide multiplies by a reciprocal instead and
-    # rounds differently, so it is not used. Callers hold np.errstate.
-    import numpy as np
-    size = np.abs(z)
-    real_major = size[0] >= size[1]
-    big = np.where(real_major, z[0], z[1])
-    small = np.where(real_major, z[1], z[0])
+    real_major = np.abs(zr) >= np.abs(zi)
+    big = np.where(real_major, zr, zi)
+    small = np.where(real_major, zi, zr)
     ratio = small / big
     denom = big + small * ratio
     t = u * ratio
-    np.divide(np.where(real_major, u, t + 0.0), denom, out=out[0])
-    np.divide(0.0 - np.where(real_major, t, u), denom, out=out[1])
-    return out
+    return np.where(real_major, u, t + 0.0) / denom, (0.0 - np.where(real_major, t, u)) / denom
 
 
 # Points per block of the array continued fraction. Every point of a block
-# iterates until the block's slowest one converges (at most 15 iterations
-# above the cutoff), and blocks keep the working arrays small.
+# iterates until the block's slowest one converges (2 to 20 iterations at
+# 2e4 log-uniform points over the branch, the most just above 16, but up to
+# the cap within a few units below 2**23..2**26), and blocks keep the
+# working arrays small.
 _CF_BLOCK = 4096
 
 
@@ -166,12 +156,14 @@ def _si_continued_fraction_array(x: np.ndarray) -> np.ndarray:
     """``_si_continued_fraction`` at every x of an array, bit for bit.
 
     Kept beside the scalar because it is faster over a curve's points and
-    far slower for one point. Each complex operation of the scalar is
-    spelled out in real float64 arithmetic in the scalar's order, so every
-    point takes the same iterations and rounds alike. Complex values are
-    (real, imag) pairs along a leading axis, the scalar's two divisions per
-    iteration, 1/(a d + b) and a/c, are one quotient over a stack of both
-    divisors, and a point's h is recorded on the iteration at which the
+    far slower for one point. It is the scalar's loop line for line, each
+    complex value a real and an imaginary float64 array (b, c, d, h and
+    delta as br, cr/ci, dr/di, hr/hi and er/ei), each complex operation
+    spelled out as CPython rounds it: the products as ``_Py_c_prod``, the
+    two divisions by ``_quotient``. b.imag stays x, since x + 0.0 is x. The
+    scalar's a d takes complex(a, 0.0), whose zero part changes only the
+    signs of zeros in the product, and + b (b.real >= 3, b.imag = x > 16)
+    absorbs them. A point's h is recorded on the iteration at which the
     scalar would return. Points go in blocks of _CF_BLOCK. np.sin and np.cos
     are assumed to return what math.sin and math.cos do, which
     ``TestCurve::test_ordinates_equal_scalar`` and the output digests check.
@@ -181,65 +173,35 @@ def _si_continued_fraction_array(x: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, x.size, _CF_BLOCK):
             xb = x[start:start + _CF_BLOCK]
-            hr, hi = _continued_fraction_block(xb)
-            out[start:start + xb.size] = math.pi / 2.0 + (hr * -np.sin(xb) + hi * np.cos(xb))
+            br = np.ones_like(xb)
+            cr, ci = 1e300, 0.0
+            dr, di = hr, hi = _quotient(1.0, br, xb)
+            hr_out, hi_out = np.empty_like(xb), np.empty_like(xb)
+            pending = np.ones(xb.size, dtype=bool)
+            for i in range(2, _CF_MAX_ITER):
+                a = float(-((i - 1) ** 2))
+                br = br + 2.0
+                dr, di = _quotient(1.0, a * dr + br, a * di + xb)
+                qr, qi = _quotient(a, cr, ci)
+                cr, ci = br + qr, xb + qi
+                er, ei = cr * dr - ci * di, cr * di + ci * dr
+                hr, hi = hr * er - hi * ei, hr * ei + hi * er
+                np.copyto(hr_out, hr, where=pending)  # h as of each point's last pending step
+                np.copyto(hi_out, hi, where=pending)
+                pending &= ~(np.abs(er - 1.0) + np.abs(ei) < _CF_TOL)
+                if not pending.any():
+                    break
+            else:
+                raise ArithmeticError("sine-integral continued fraction did not converge "
+                                      f"for x={float(xb[pending.argmax()])!r}")
+            out[start:start + xb.size] = math.pi / 2.0 + (
+                hr_out * -np.sin(xb) + hi_out * np.cos(xb))
     return out
-
-
-def _continued_fraction_block(x):
-    # h of ``_si_continued_fraction`` at every x, before its turn by e^-ix.
-    # The scalar's a * d takes complex(a, 0.0), whose zero part changes only
-    # the signs of zeros in the product, and + b (b.real >= 3, b.imag = x > 16)
-    # absorbs them: d * a + b, real by complex, is the scalar's a d + b.
-    import numpy as np
-    n = x.size
-    b = np.stack([np.ones(n), x])  # b = 1 + ix; b.imag stays x, since x + 0.0 is x
-    # Column 0 holds the divisor a d + b of d and column 1 the divisor c of
-    # a/c; u holds their numerators 1 and a.
-    z, q = np.empty((2, 2, n)), np.empty((2, 2, n))
-    z[0, 1], z[1, 1] = 1e300, 0.0
-    u = np.ones((2, 1))
-    d = h = _real_quotient(1.0, b, np.empty((2, n)))
-    delta = np.empty((2, n))
-    unit = np.array([[1.0], [0.0]])
-    h_out = np.empty((2, n))
-    pending = np.ones(n, dtype=bool)
-    for i in range(2, _CF_MAX_ITER):
-        u[1] = a = float(-((i - 1) ** 2))
-        b[0] += 2.0
-        np.add(np.multiply(d, a, out=z[:, 0]), b, out=z[:, 0])
-        _real_quotient(u, z, q)
-        d = q[:, 0]
-        c = np.add(b, q[:, 1], out=z[:, 1])
-        _cprod(c, d, delta)
-        h = _cprod(h, delta, np.empty((2, n)))
-        dev = np.abs(delta - unit)
-        np.copyto(h_out, h, where=pending)  # h as of each point's last pending step
-        pending &= ~(dev[0] + dev[1] < _CF_TOL)
-        if not pending.any():
-            return h_out
-    raise ArithmeticError(
-        f"sine-integral continued fraction did not converge for x={float(x[pending.argmax()])!r}"
-    )
 
 
 # Points per block of the array power series: its term table holds a block's
 # points only, so memory stays flat in the curve's length.
 _SERIES_BLOCK = 256
-
-
-def _series_table(x: np.ndarray, count: int) -> np.ndarray:
-    # Terms 0..count-1 of ``_series_terms`` for every x, one column each.
-    # The running product accumulates down the rows, so term_sin takes the
-    # scalar's factors in the scalar's order and rounds alike.
-    import numpy as np
-    k = np.arange(1, count)[:, None]
-    factors = np.empty((count, x.size))
-    factors[0] = x
-    factors[1:] = -x * x / ((2 * k) * (2 * k + 1))
-    terms = np.multiply.accumulate(factors, axis=0)
-    terms[1:] /= 2 * k + 1
-    return terms
 
 
 def _si_power_series_array(x: np.ndarray) -> np.ndarray:
@@ -248,17 +210,24 @@ def _si_power_series_array(x: np.ndarray) -> np.ndarray:
     Kept beside the scalar because it is faster over a curve's points and
     far slower for one point. Each column holds the scalar's terms up to its
     stopping term (later rows are zeroed), and ``fsum_prefixes`` gives each
-    column's correctly rounded sum, the scalar's ``math.fsum``. Points go in
-    blocks of _SERIES_BLOCK. A term's magnitude never decreases with x,
-    rounding included, so the scalar's term count at the block's largest x
-    sizes the block's table.
+    column's correctly rounded sum, the scalar's ``math.fsum``. The running
+    product accumulates down the rows, so term_sin takes the scalar's
+    factors in the scalar's order and rounds alike. Points go in blocks of
+    _SERIES_BLOCK. A term's magnitude never decreases with x, rounding
+    included, so the scalar's term count at the block's largest x sizes the
+    block's table.
     """
     import numpy as np
     out = np.empty_like(x)
     for start in range(0, x.size, _SERIES_BLOCK):
         xb = x[start:start + _SERIES_BLOCK]
         count = len(_series_terms(float(xb.max())))
-        terms = _series_table(xb, count)
+        k = np.arange(1, count)[:, None]
+        factors = np.empty((count, xb.size))
+        factors[0] = xb
+        factors[1:] = -xb * xb / ((2 * k) * (2 * k + 1))
+        terms = np.multiply.accumulate(factors, axis=0)
+        terms[1:] /= 2 * k + 1
         stop = (np.abs(terms[1:]) < _SERIES_TOL).argmax(axis=0) + 1  # each column's last term
         terms[np.arange(count)[:, None] > stop] = 0.0
         out[start:start + xb.size] = fsum_prefixes(terms, [count])[0]

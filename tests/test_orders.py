@@ -17,6 +17,7 @@ from grating_orders.orders import (
     _ENVELOPE_MEMO_SIZE,
     _TERM_BLOCK,
     _cap,
+    _edge,
     _envelope_sum,
     _order_counts,
     _order_terms,
@@ -84,7 +85,7 @@ class TestPropagatingOrders:
 
     @pytest.mark.parametrize("sigma", [1e-10, 1e-11])
     def test_tie_stays_below_next_order(self, sigma):
-        # orders closer together than EPS_TIE: the tie shrinks to a quarter
+        # orders closer together than EPS_TIE: the tie shrinks to an eighth
         # spacing, so an order at its own threshold admits no later order
         for j in range(1, 2000):
             assert propagating_orders(order_alpha(j, sigma), sigma)[-1] == j
@@ -168,12 +169,22 @@ class TestTieAtEveryMagnitude:
     @pytest.mark.parametrize("sigma", [1e-310, 5e-324])
     def test_tie_stops_short_of_the_next_order_at_subnormal_sigma(self, sigma):
         # At 5e-324 the order spacing pi*sigma is 3 or 4 units of 2**-1074,
-        # within the TIE_ULPS floor: the quarter-spacing cap keeps each order's
+        # within the TIE_ULPS floor: the eighth-spacing cap keeps each order's
         # own position at its own count. At 1e-310 the cap does not bind.
         j = np.arange(1, 200)
         at = order_alpha(j, sigma)
         assert [propagating_orders(a, sigma)[-1] for a in at.tolist()] == j.tolist()
         assert _order_counts(at, sigma).tolist() == j.tolist()
+
+    @pytest.mark.parametrize("sigma", [1e-8, 1e-9, 1e-11, 5e-324])
+    def test_below_edge_sample_stops_short_of_its_order(self, sigma):
+        # A curve's below-edge sample lies a quarter spacing under order j
+        # where the spacing is small; the tie, capped at an eighth, keeps it
+        # at order j - 1.
+        j = np.arange(1, 2000)
+        below = order_alpha(j, sigma) - _edge(sigma)
+        assert [propagating_orders(a, sigma)[-1] for a in below.tolist()] == (j - 1).tolist()
+        assert _order_counts(below, sigma).tolist() == (j - 1).tolist()
 
 
 SIGMAS = st.one_of(st.floats(1e-3, 0.99), st.floats(1e-11, 1e-8))
@@ -196,7 +207,7 @@ class TestArrayOrderCounts:
     @settings(max_examples=300)
     def test_equal_scalar_at_and_within_tie_of_threshold(self, j, sigma):
         aj = order_alpha(j, sigma)
-        tie = min(EPS_TIE, math.pi * sigma / 4)
+        tie = orders._tie_at(aj, sigma)
         pts = [p for c in (aj, aj - tie, aj + tie, aj - EDGE_OFFSET, aj + EDGE_OFFSET)
                for p in self.near(c, 3) if p > 0]
         expected = [propagating_orders(p, sigma)[-1] for p in pts]
@@ -618,6 +629,16 @@ class TestCurve:
             right = c.ordinate[np.searchsorted(c.abscissa, aj + 1e-6)]
             jumps[j] = right - left
         assert jumps[3] > jumps[5] > 0
+
+    def test_threshold_jump_lies_between_its_edge_samples_at_tiny_sigma(self):
+        # Order 3's edge samples at 2.75 and 3.25 pi sigma: the one below
+        # counts 5 orders, as the grid point at 2.5 does; 7 only from 3 on.
+        sigma = 1e-9
+        c = curve("occupation", sigma, (order_alpha(2.5, sigma), order_alpha(3.5, sigma)), 5)
+        assert (c.abscissa / (math.pi * sigma)).round(12).tolist() == [2.5, 2.75, 3.0, 3.25, 3.5]
+        assert _order_counts(c.abscissa, sigma).tolist() == [2, 2, 3, 3, 3]
+        assert c.ordinate[1] == pytest.approx(1.1, rel=1e-12)
+        assert c.ordinate.tolist() == [occupation_value(a, sigma) for a in c.abscissa.tolist()]
 
     def test_edge_pairs_are_inserted(self):
         c = curve("resultant_probability", 0.5, (math.pi, 3 * math.pi), 50)

@@ -338,10 +338,22 @@ class TestArraySi:
             assert _si_continued_fraction_array(x[:size]).tolist() == expected[:size]
             assert _si_continued_fraction_array(x[-size:]).tolist() == expected[-size:]
 
+    def test_every_iteration_count_in_one_block(self):
+        # Over the branch (16, 2**32] a point stops after 2 to 20 iterations
+        # at these 20,002 points: about 20 just above 16, 2 from about 1e5
+        # up. Shuffled, one block mixes points that stop at every count;
+        # sorted and reversed, the counts change within and across blocks.
+        rng = np.random.default_rng(20114)
+        x = np.exp(rng.uniform(math.log(16.0), math.log(_SI_TAIL), 20_000))
+        x = np.sort(np.concatenate([x[x > 16.0], [math.nextafter(16.0, math.inf), _SI_TAIL]]))
+        expected = np.array([quadrature._si_continued_fraction(v) for v in x.tolist()])
+        for order in (np.arange(x.size), np.arange(x.size)[::-1], rng.permutation(x.size)):
+            assert _si_continued_fraction_array(x[order]).tolist() == expected[order].tolist()
+
     def test_slowest_and_fastest_points_in_one_block(self):
-        # x = 16 + 1 ulp takes the most iterations and x = 1e8 among the
-        # fewest; each keeps its own h whatever its neighbours need, in
-        # either order and interleaved.
+        # x = 16 + 1 ulp takes 16 iterations and x = 1e8 among the fewest,
+        # 3; each keeps its own h whatever its neighbours need, in either
+        # order and interleaved.
         slow, fast = math.nextafter(16.0, math.inf), 1e8
         x = np.array([slow, fast] * 8 + [fast] * 5 + [slow] * 3 + [fast, 25.0, slow])
         expected = [quadrature._si_continued_fraction(v) for v in x.tolist()]

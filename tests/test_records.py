@@ -2,8 +2,9 @@
 
 The records on the numpy-free path are namedtuple subclasses that validate in
 ``__new__``, and their ``_make`` and ``_replace`` construct through it; a
-``ProbabilityCurve`` is just its abscissa and ordinate arrays. The coupling
-model's records stay dataclasses, so ``dataclasses.replace`` works on them.
+``ProbabilityCurve`` is just its abscissa and ordinate arrays. A coupling
+``PulseTrain`` is a namedtuple record too; ``CouplingScenario`` stays a
+dataclass, so ``dataclasses.replace`` works on it.
 """
 
 import dataclasses
@@ -11,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from grating_orders.coupling import CouplingScenario, PulseTrain
+from grating_orders.coupling import CouplingScenario, PulseTrain, synthesize_pulse_train
 from grating_orders.diffraction import DEFAULT_SLIT_COUNT, GratingSpec
 from grating_orders.figures import FigureDataset
 from grating_orders.orders import ProbabilityCurve, curve, order_table
@@ -27,6 +28,7 @@ def records():
         curve("occupation", 0.5, (2.0, 9.0), 5),
         FigureDataset("fig0", {}, ("a", "b"), [[1.0, 2.0]]),
         PulsePair(1.0, 0.97),
+        synthesize_pulse_train(1.025, CouplingScenario(), cycles=1),
     ]
 
 
@@ -115,10 +117,12 @@ def test_replace_keeps_valid_records_whole():
     assert ds.rows.shape == (2, 1) and ds.columns == ("a",)
 
 
-def test_coupling_model_records_stay_dataclasses():
+def test_coupling_scenario_stays_a_dataclass():
     scenario = dataclasses.replace(CouplingScenario(), omega_id=1.1)
     assert scenario == CouplingScenario(omega_id=1.1)
-    assert all(map(dataclasses.is_dataclass, (CouplingScenario, PulseTrain)))
+    assert dataclasses.is_dataclass(CouplingScenario)
+    assert not dataclasses.is_dataclass(PulseTrain)
+    assert PulseTrain._fields == ("blocked", "coupled", "pulses", "omega_recovered")
     with pytest.raises(ValueError, match="omega_id must be positive"):
         dataclasses.replace(scenario, omega_id=-1.0)
 
