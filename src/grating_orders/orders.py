@@ -71,14 +71,13 @@ MAX_ORDER_TERMS = 10**7
 # orders), the points of a ``curve``, the rows of a fig3/4/5 intensity
 # section and the samples of a ``coupling`` pulse train. Peak RSS and CPU of
 # the largest admitted CLI request of each kind, CSV/JSON (Python 3.11, numpy
-# 2.4, 2-core x86-64 Linux): a 1e6-point curve 167/209 MB, 3.0/3.1 s
-# (continued-fraction Si; 167/240 MB, 3.0/3.2 s by the series; the figures
-# after it are older, taken when this curve took 6.9 s), a 20-point
-# curve at 1e7 orders 110/110 MB, 1.1/1.2 s, an 8e5-point curve from order
-# 9.6e6 to 1e7 with 4e5 distinct order counts 178/192 MB, 3.0/3.1 s (no sum
-# left to the exact walk), a 1e6-row fig3 190/234 MB, 5.3/5.4 s (4 s of it is
-# repr of the 3e6 floats), a 999,999-row table 27/28 MB, 3.4/3.5 s, and a
-# 31,250-cycle experiment 55 MB, 0.5 s.
+# 2.4, 2-core x86-64 Linux, median of 3 to 5 runs; CPU varies by about 15%
+# between runs): a 1e6-point curve 167/209 MB, 3.0/3.0 s (continued-fraction
+# Si; 167/209-240 MB, 3.0/3.3 s by the series), a 20-point curve at 1e7 orders
+# 109/109 MB, 0.7/0.7 s, an 8e5-point curve from order 9.6e6 to 1e7 with 4e5
+# distinct order counts 190/191 MB, 2.3/2.2 s, a 1e6-row fig3 190/233 MB,
+# 2.4/2.4 s, a 999,999-row table 27/28 MB, 2.4/2.4 s, and a 31,250-cycle
+# experiment 51 MB, 0.2 s.
 MAX_POINTS = 10**6
 
 

@@ -3,18 +3,19 @@
 The closed form built on Si(x) is the package's one route to every envelope
 integral: ``sinc_sq_integral`` is the integral of sinc^2 over
 [-alpha_t, alpha_t]. Si picks one of three branches by its argument: the power
-series up to 16, the continued fraction up to 2**32, and a closed-form tail
+series up to 16, the continued fraction up to 2**21, and a closed-form tail
 above. A float goes by ``math`` alone, through the scalar ``si``; the many
-points of a curve go as an array, through array copies of the branches that
-give the same float at every point: the continued fraction is the scalar's
-loop line for line on real and imaginary float64 arrays, with each complex
-operation spelled out as CPython rounds it (numpy's complex multiply may fuse
-a multiply and an add, and its divide rounds otherwise), and the power
-series sums each point's terms with ``fsum_prefixes``, checked array passes
-that return what ``math.fsum`` would at ascending prefix ends, settling ties
-with one exact walk. ``orders.curve`` takes its order sums from the same
-helper. No module of the package imports numpy at load, so ``omega``, ``table``,
-``experiment --dv-g/--dv-gc`` and every refused CLI call run without it.
+points of a curve go as an array, in blocks of _SI_BLOCK points, through
+array copies of the branches that give the same float at every point: the
+continued fraction is the scalar's loop line for line on real and imaginary
+float64 arrays, with each complex operation spelled out as CPython rounds it
+(numpy's complex multiply may fuse a multiply and an add, and its divide
+rounds otherwise), and the power series sums each point's terms with
+``fsum_prefixes``, checked array passes that return what ``math.fsum`` would
+at ascending prefix ends, settling ties with one exact walk. ``orders.curve``
+takes its order sums from the same helper. No module of the package imports
+numpy at load, so ``omega``, ``table``, ``experiment --dv-g/--dv-gc`` and
+every refused CLI call run without it.
 The test suite cross-checks Si against an independent composite
 Gauss-Legendre rule and against mpmath.
 """
@@ -27,12 +28,20 @@ import sys
 
 __all__ = ["si", "sinc_sq_integral", "fsum_prefixes"]
 
-# Si's branch bounds: the power series up to 16, the continued fraction up to 2**32.
+# Si's branch bounds: the power series up to 16, the continued fraction up to
+# 2**21, the closed-form tail above.
 _SI_SERIES_CUTOFF = 16.0
-_SI_TAIL = 2.0**32
+_SI_TAIL = 2.0**21
 _SERIES_TOL = 1e-20
 _CF_TOL = 1e-16
+# The continued fraction's loop bound. Over its branch it stops by i = 27 at
+# 1e7 log-uniform points, and by i = 104 in the windows [m - 16, m] for
+# m = k 2**p, k odd up to 15, up to 2**21; below 2**23..2**26 it stalls.
 _CF_MAX_ITER = 300
+# Points per block of the array Si in ``sinc_sq_integral``: every point of a
+# block's continued fraction iterates until the block's slowest converges,
+# and the series' term table holds at most 38 rows of a block's points.
+_SI_BLOCK = 4096
 # Below this x the primitive x - x^3/9 + ... rounds to x (x^2/9 < 2**-1022),
 # and sin(x)^2 in the closed form would go subnormal, then to zero.
 _TINY = 2.0**-511
@@ -79,10 +88,10 @@ def si(x: float) -> float:
 
     Odd, tending to +-pi/2. The branch follows |x|: the power series, at
     most 38 terms compensated-summed, up to 16; the continued-fraction
-    auxiliary functions up to 2**32; above that pi/2 - cos(x)/x - sin(x)/x^2,
-    whose dropped terms are below 2/x^3 < 3e-29. Within 1e-10 of 50-digit
-    references, least accurate just below 16, where the series cancels most;
-    above 2**32 within 2.3e-16.
+    auxiliary functions up to 2**21; above that pi/2 - cos(x)/x - sin(x)/x^2,
+    whose dropped terms are below 2/x^3 < 2.2e-19. No finite x raises. Within
+    1e-10 of 50-digit references, least accurate just below 16, where the
+    series cancels most; above 2**21 within 2.3e-16.
     """
     if not math.isfinite(x):
         raise ValueError(f"si requires finite x, got {x!r}")
@@ -100,9 +109,10 @@ def sinc_sq_integral(alpha_t):
 
     Odd in alpha_t. A float gives a float by ``math`` alone, through ``si``;
     a float64 array gives the same floats elementwise, with Si from array
-    copies of the branches of ``si``, each picked by the same bounds. Below
-    _TINY it is 2 alpha_t, correctly rounded. An alpha_t is refused unless
-    2 alpha_t is finite.
+    copies of the branches of ``si``: the points go in blocks of _SI_BLOCK,
+    and each block hands every branch its own points, picked by the same
+    bounds. Below _TINY it is 2 alpha_t, correctly rounded. An alpha_t is
+    refused unless 2 alpha_t is finite.
     """
     if isinstance(alpha_t, (int, float)):
         if not abs(alpha_t) <= _ALPHA_MAX:
@@ -120,12 +130,16 @@ def sinc_sq_integral(alpha_t):
         raise ValueError(f"sinc_sq_integral requires |alpha_t| <= {_ALPHA_MAX!r}, got {bad!r}")
     y = 2.0 * a
     si_y = np.empty_like(y)
-    branch = np.digitize(y, (_SI_SERIES_CUTOFF, _SI_TAIL), right=True)
-    for b, body in enumerate((_si_power_series_array, _si_continued_fraction_array, _si_tail_array)):
-        at = branch == b
-        si_y[at] = body(y[at])
+    for start in range(0, y.size, _SI_BLOCK):
+        yb, out = y[start:start + _SI_BLOCK], si_y[start:start + _SI_BLOCK]
+        branch = np.digitize(yb, (_SI_SERIES_CUTOFF, _SI_TAIL), right=True)
+        for b, body in enumerate((_si_power_series_array, _si_continued_fraction_array, _si_tail_array)):
+            at = branch == b
+            out[at] = body(yb[at])
     s = np.sin(a)
-    return np.copysign(2.0 * np.where(a < _TINY, a, si_y - s * s / a), alpha_t)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at a = 0, where np.where picks a
+        closed = np.where(a < _TINY, a, si_y - s * s / a)
+    return np.copysign(2.0 * closed, alpha_t)
 
 
 def _quotient(u, zr, zi):
@@ -144,14 +158,6 @@ def _quotient(u, zr, zi):
     return np.where(real_major, u, t + 0.0) / denom, (0.0 - np.where(real_major, t, u)) / denom
 
 
-# Points per block of the array continued fraction. Every point of a block
-# iterates until the block's slowest one converges (2 to 20 iterations at
-# 2e4 log-uniform points over the branch, the most just above 16, but up to
-# the cap within a few units below 2**23..2**26), and blocks keep the
-# working arrays small.
-_CF_BLOCK = 4096
-
-
 def _si_continued_fraction_array(x: np.ndarray) -> np.ndarray:
     """``_si_continued_fraction`` at every x of an array, bit for bit.
 
@@ -164,44 +170,35 @@ def _si_continued_fraction_array(x: np.ndarray) -> np.ndarray:
     scalar's a d takes complex(a, 0.0), whose zero part changes only the
     signs of zeros in the product, and + b (b.real >= 3, b.imag = x > 16)
     absorbs them. A point's h is recorded on the iteration at which the
-    scalar would return. Points go in blocks of _CF_BLOCK. np.sin and np.cos
+    scalar would return; every point iterates until the slowest converges,
+    so ``sinc_sq_integral`` hands it one block at a time. np.sin and np.cos
     are assumed to return what math.sin and math.cos do, which
     ``TestCurve::test_ordinates_equal_scalar`` and the output digests check.
     """
     import numpy as np
-    out = np.empty_like(x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, x.size, _CF_BLOCK):
-            xb = x[start:start + _CF_BLOCK]
-            br = np.ones_like(xb)
-            cr, ci = 1e300, 0.0
-            dr, di = hr, hi = _quotient(1.0, br, xb)
-            hr_out, hi_out = np.empty_like(xb), np.empty_like(xb)
-            pending = np.ones(xb.size, dtype=bool)
-            for i in range(2, _CF_MAX_ITER):
-                a = float(-((i - 1) ** 2))
-                br = br + 2.0
-                dr, di = _quotient(1.0, a * dr + br, a * di + xb)
-                qr, qi = _quotient(a, cr, ci)
-                cr, ci = br + qr, xb + qi
-                er, ei = cr * dr - ci * di, cr * di + ci * dr
-                hr, hi = hr * er - hi * ei, hr * ei + hi * er
-                np.copyto(hr_out, hr, where=pending)  # h as of each point's last pending step
-                np.copyto(hi_out, hi, where=pending)
-                pending &= ~(np.abs(er - 1.0) + np.abs(ei) < _CF_TOL)
-                if not pending.any():
-                    break
-            else:
-                raise ArithmeticError("sine-integral continued fraction did not converge "
-                                      f"for x={float(xb[pending.argmax()])!r}")
-            out[start:start + xb.size] = math.pi / 2.0 + (
-                hr_out * -np.sin(xb) + hi_out * np.cos(xb))
-    return out
-
-
-# Points per block of the array power series: its term table holds a block's
-# points only, so memory stays flat in the curve's length.
-_SERIES_BLOCK = 256
+        br = np.ones_like(x)
+        cr, ci = 1e300, 0.0
+        dr, di = hr, hi = _quotient(1.0, br, x)
+        hr_out, hi_out = np.empty_like(x), np.empty_like(x)
+        pending = np.ones(x.size, dtype=bool)
+        for i in range(2, _CF_MAX_ITER):
+            a = float(-((i - 1) ** 2))
+            br = br + 2.0
+            dr, di = _quotient(1.0, a * dr + br, a * di + x)
+            qr, qi = _quotient(a, cr, ci)
+            cr, ci = br + qr, x + qi
+            er, ei = cr * dr - ci * di, cr * di + ci * dr
+            hr, hi = hr * er - hi * ei, hr * ei + hi * er
+            np.copyto(hr_out, hr, where=pending)  # h as of each point's last pending step
+            np.copyto(hi_out, hi, where=pending)
+            pending &= ~(np.abs(er - 1.0) + np.abs(ei) < _CF_TOL)
+            if not pending.any():
+                break
+        else:
+            raise ArithmeticError("sine-integral continued fraction did not converge "
+                                  f"for x={float(x[pending.argmax()])!r}")
+    return math.pi / 2.0 + (hr_out * -np.sin(x) + hi_out * np.cos(x))
 
 
 def _si_power_series_array(x: np.ndarray) -> np.ndarray:
@@ -212,30 +209,26 @@ def _si_power_series_array(x: np.ndarray) -> np.ndarray:
     stopping term (later rows are zeroed), and ``fsum_prefixes`` gives each
     column's correctly rounded sum, the scalar's ``math.fsum``. The running
     product accumulates down the rows, so term_sin takes the scalar's
-    factors in the scalar's order and rounds alike. Points go in blocks of
-    _SERIES_BLOCK. A term's magnitude never decreases with x, rounding
-    included, so the scalar's term count at the block's largest x sizes the
-    block's table.
+    factors in the scalar's order and rounds alike. A term's magnitude never
+    decreases with x, rounding included, so the scalar's term count at the
+    largest x sizes the table, at most 38 rows; ``sinc_sq_integral`` hands
+    it one block of points at a time.
     """
     import numpy as np
-    out = np.empty_like(x)
-    for start in range(0, x.size, _SERIES_BLOCK):
-        xb = x[start:start + _SERIES_BLOCK]
-        count = len(_series_terms(float(xb.max())))
-        k = np.arange(1, count)[:, None]
-        factors = np.empty((count, xb.size))
-        factors[0] = xb
-        factors[1:] = -xb * xb / ((2 * k) * (2 * k + 1))
-        terms = np.multiply.accumulate(factors, axis=0)
-        terms[1:] /= 2 * k + 1
-        stop = (np.abs(terms[1:]) < _SERIES_TOL).argmax(axis=0) + 1  # each column's last term
-        terms[np.arange(count)[:, None] > stop] = 0.0
-        out[start:start + xb.size] = fsum_prefixes(terms, [count])[0]
-    return out
+    count = len(_series_terms(float(x.max(initial=0.0))))
+    k = np.arange(1, count)[:, None]
+    factors = np.empty((count, x.size))
+    factors[0] = x
+    factors[1:] = -x * x / ((2 * k) * (2 * k + 1))
+    terms = np.multiply.accumulate(factors, axis=0)
+    terms[1:] /= 2 * k + 1
+    stop = (np.abs(terms[1:]) < _SERIES_TOL).argmax(axis=0) + 1  # each column's last term
+    terms[np.arange(count)[:, None] > stop] = 0.0
+    return fsum_prefixes(terms, [count])[0]
 
 
 def _si_tail_array(x: np.ndarray) -> np.ndarray:
-    # The tail branch of ``si`` at every x of an array above 2**32, bit for
+    # The tail branch of ``si`` at every x of an array above 2**21, bit for
     # bit; x * x overflows to inf above about 1.3e154, as the scalar's does.
     import numpy as np
     with np.errstate(over="ignore"):

@@ -14,6 +14,7 @@ cancels more the nearer 2 alpha_t is to the switch at 16.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,8 +24,10 @@ from grating_orders.orders import (
     EPS_TIE,
     TIE_ULPS,
     _envelope_sum,
+    _tie_at,
     normalized_resultant_probability,
     occupation_value,
+    propagating_orders,
     zero_order_share,
 )
 
@@ -158,3 +161,70 @@ def test_sum_over_all_orders_is_one_over_sigma(sigma):
         with mpmath.workdps(50):
             gap = 1 / mpmath.mpf(sigma) - total
             assert 0 <= gap <= 2 / ((mpmath.pi * sigma) ** 2 * n), (n, sigma)
+
+
+# Order counts by the full inclusion rule at dyadic sigma, and the envelope
+# sum at the count, against the closed form. Order j is admitted when its
+# position (j pi) sigma is at most the cap alpha_t + _tie_at(alpha_t, sigma),
+# both in floats, so its threshold is the least float alpha_t whose cap
+# reaches the position: a probe 1-3 ulp below it counts j - 1, one at it or
+# 1-3 ulp above counts j, as do probes 1-3 ulp either side of the position.
+# Past alpha_t = 2**21 the tie is TIE_ULPS ulp of alpha_t, not EPS_TIE.
+THRESHOLD_SIGMAS = (1 / 2, 3 / 8, 1 / 16, 1 / 32, 1 / 64)
+# Two odd orders at sigma = 1/2 whose positions lie just past 2**21.
+FLOOR_ORDERS = (int(2**22 / math.pi) + 1, int(2**22 / math.pi) + 3)
+
+
+def threshold_orders(sigma, rng):
+    """Seeded orders j, one below 100, one near 1e5 and one up to 1e6, none a null."""
+    q = Fraction(sigma).denominator
+    js = [int(rng.integers(lo, hi)) for lo, hi in ((1, 100), (8 * 10**4, 1.2 * 10**5), (5 * 10**5, 10**6))]
+    return [j + (j % q == 0) for j in js]
+
+
+def threshold_probes(j, sigma):
+    """(alpha_t, expected count) 1-3 ulp either side of order j's threshold and position."""
+    position = j * math.pi * sigma
+
+    def admits(at):
+        return position <= at + _tie_at(at, sigma)
+
+    at = position - _tie_at(position, sigma)
+    while admits(at):
+        at = math.nextafter(at, 0.0)
+    while not admits(at):
+        at = math.nextafter(at, math.inf)
+    probes = [(at, j)]
+    down = up = at
+    for _ in range(3):
+        down, up = math.nextafter(down, 0.0), math.nextafter(up, math.inf)
+        probes += [(down, j - 1), (up, j)]
+    down = up = position
+    for _ in range(3):
+        down, up = math.nextafter(down, 0.0), math.nextafter(up, math.inf)
+        probes += [(down, j), (up, j)]
+    return probes
+
+
+@pytest.mark.parametrize("sigma", THRESHOLD_SIGMAS)
+def test_order_counts_and_sums_at_thresholds(sigma):
+    pytest.importorskip("mpmath")
+    from envelope_oracle import envelope_sum
+
+    rng = np.random.default_rng(int(1 / sigma))
+    js = threshold_orders(sigma, rng)
+    if sigma == 1 / 2:
+        js += FLOOR_ORDERS
+    for j in js:
+        probes = threshold_probes(j, sigma)
+        assert [propagating_orders(at, sigma)[-1] for at, _ in probes] == [n for _, n in probes], j
+        assert ulps(_envelope_sum(j, sigma), envelope_sum(j, sigma)) <= ENVELOPE_BOUND, j
+
+
+@pytest.mark.parametrize("j", FLOOR_ORDERS)
+def test_ulp_floor_binds_past_two_to_the_21(j):
+    # There the probes 3 ulp below the position count order j through the
+    # floor alone: 3 ulp exceed EPS_TIE, and the tie is 4 ulp.
+    position = j * math.pi / 2
+    assert position > 2.0**21 and 3 * math.ulp(position) > EPS_TIE
+    assert _tie_at(position, 1 / 2) == TIE_ULPS * math.ulp(position)

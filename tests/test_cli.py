@@ -407,6 +407,14 @@ class TestOmegaCommand:
         assert code == 0
         assert "depleted" in out
 
+    def test_past_a_continued_fraction_stall(self, tmp_path, monkeypatch, capsys):
+        # 2 alpha_t = 8388607.957, just below 2**23, where Si's continued
+        # fraction never converged and this call exited 1; the tail serves it.
+        argv = ["omega", "--j-equiv", "1483431.58", "--sigma", "0.9"]
+        code, out, _ = run(argv, tmp_path, monkeypatch, capsys)
+        assert code == 0
+        assert "omega: 1.000000" in out.splitlines()
+
     def test_width_form(self, tmp_path, monkeypatch, capsys):
         code, out, _ = run(["omega", "--w", "833"], tmp_path, monkeypatch, capsys)
         assert code == 0

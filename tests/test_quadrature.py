@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +14,9 @@ from reference_quadrature import gauss_legendre, sinc_plain, sinc_sq_plain
 
 from grating_orders import quadrature
 from grating_orders.diffraction import grating_factor, grating_intensity, order_alpha
-from grating_orders.orders import MAX_ORDER_TERMS, _order_terms, output_probability
+from grating_orders.orders import _order_terms, output_probability
 from grating_orders.quadrature import (
-    _CF_BLOCK,
-    _SERIES_BLOCK,
+    _SI_BLOCK,
     _SI_TAIL,
     _SUM_BLOCK,
     _si_continued_fraction_array,
@@ -266,8 +266,11 @@ class TestArraySi:
         x = x[x > 0.0]
         assert x.size >= 200_000 and x.max() == 16.0 and x.min() == 5e-324
         expected = [si(v) for v in x.tolist()]
-        assert _si_power_series_array(x).tolist() == expected
-        for size in (0, 1, _SERIES_BLOCK - 1, _SERIES_BLOCK, _SERIES_BLOCK + 1):
+        # one block at a time, as sinc_sq_integral hands them: the table
+        # over all 200,000 points at once would take about 450 MB
+        blocks = [_si_power_series_array(x[i:i + _SI_BLOCK]) for i in range(0, x.size, _SI_BLOCK)]
+        assert np.concatenate(blocks).tolist() == expected
+        for size in (0, 1, _SI_BLOCK - 1, _SI_BLOCK, _SI_BLOCK + 1):
             assert _si_power_series_array(x[-size:] if size else x[:0]).tolist() == (
                 expected[-size:] if size else []
             )
@@ -276,23 +279,28 @@ class TestArraySi:
         # With a coarse tolerance the terms a row would take past its own
         # stop, up to the block's longest row, change its sum visibly.
         monkeypatch.setattr(quadrature, "_SERIES_TOL", 1e-4)
-        x = np.random.default_rng(5).uniform(0.0, 16.0, 2 * _SERIES_BLOCK)
+        x = np.random.default_rng(5).uniform(0.0, 16.0, 2 * _SI_BLOCK)
         expected = [si(v) for v in x.tolist()]
         assert _si_power_series_array(x).tolist() == expected
 
-    def test_power_series_memory_is_bounded(self):
-        # Blocks of _SERIES_BLOCK points keep the term table small, and
-        # only the block holding x = 16 needs the series' longest rows. One
-        # table over every point would take those columns for all 1e5.
+    def test_power_series_memory_is_bounded(self, monkeypatch):
+        # sinc_sq_integral hands the series one block of points at a time,
+        # and only the block holding x = 16 needs the series' longest rows:
+        # beside its arrays of the input's length (7 of them measured), the
+        # peak holds one block's table of 38 rows and its sum's working
+        # rows. One table over every point would take those rows for all
+        # 1e5 points, about 250 MB.
+        monkeypatch.setattr(quadrature, "_SI_BLOCK", 256)
         x = np.append(np.random.default_rng(7).uniform(0.0, 1e-7, 10**5 - 1), 16.0)
+        alpha = x / 2.0
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            _si_power_series_array(x)
+            sinc_sq_integral(alpha)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 4e6
+        assert peak < 8 * x.nbytes + 10 * 38 * 8 * 256
 
     def test_continued_fraction_equals_scalar(self):
         rng = np.random.default_rng(20111)
@@ -331,15 +339,15 @@ class TestArraySi:
 
     def test_sizes_around_the_block(self):
         rng = np.random.default_rng(20113)
-        x = np.concatenate([np.sort(rng.uniform(16.0, 60.0, _CF_BLOCK + 1)),
-                            rng.uniform(16.0, 1e4, _CF_BLOCK + 1)])
+        x = np.concatenate([np.sort(rng.uniform(16.0, 60.0, _SI_BLOCK + 1)),
+                            rng.uniform(16.0, 1e4, _SI_BLOCK + 1)])
         expected = [quadrature._si_continued_fraction(v) for v in x.tolist()]
-        for size in (_CF_BLOCK - 1, _CF_BLOCK, _CF_BLOCK + 1, 2 * _CF_BLOCK + 2):
+        for size in (_SI_BLOCK - 1, _SI_BLOCK, _SI_BLOCK + 1, 2 * _SI_BLOCK + 2):
             assert _si_continued_fraction_array(x[:size]).tolist() == expected[:size]
             assert _si_continued_fraction_array(x[-size:]).tolist() == expected[-size:]
 
     def test_every_iteration_count_in_one_block(self):
-        # Over the branch (16, 2**32] a point stops after 2 to 20 iterations
+        # Over the branch (16, 2**21] a point stops after 2 to 20 iterations
         # at these 20,002 points: about 20 just above 16, 2 from about 1e5
         # up. Shuffled, one block mixes points that stop at every count;
         # sorted and reversed, the counts change within and across blocks.
@@ -362,8 +370,8 @@ class TestArraySi:
 
     def test_non_convergence_names_first_unconverged_x(self, monkeypatch):
         # With 9 iterations 1e5 (3) and 500 converge and 17 (15) does not;
-        # the message names the first x that does not, in its own block or
-        # in a later one, as the scalar does.
+        # the message names the first Si argument that does not, in its own
+        # block of sinc_sq_integral or in a later one, as the scalar does.
         monkeypatch.setattr(quadrature, "_CF_MAX_ITER", 10)
         assert quadrature._si_continued_fraction(1e5) == si(1e5)
         assert quadrature._si_continued_fraction(500.0) == si(500.0)
@@ -371,12 +379,43 @@ class TestArraySi:
             quadrature._si_continued_fraction(17.0)
         x = np.array([1e5, 500.0, 17.0, 1e5, 18.5])
         with pytest.raises(ArithmeticError, match=r"did not converge for x=17\.0$"):
-            _si_continued_fraction_array(x)
-        monkeypatch.setattr(quadrature, "_CF_BLOCK", 2)
+            sinc_sq_integral(x / 2.0)
+        monkeypatch.setattr(quadrature, "_SI_BLOCK", 2)
         with pytest.raises(ArithmeticError, match=r"did not converge for x=17\.0$"):
-            _si_continued_fraction_array(x)
+            sinc_sq_integral(x / 2.0)
         with pytest.raises(ArithmeticError, match=r"did not converge for x=18\.5$"):
-            _si_continued_fraction_array(np.array([1e5, 500.0, 1e5, 18.5, 17.0]))
+            sinc_sq_integral(np.array([1e5, 500.0, 1e5, 18.5, 17.0]) / 2.0)
+
+    def test_blocks_mixing_branches_equal_scalar(self):
+        # Each block of sinc_sq_integral hands every branch its own points:
+        # in sorted, reversed and shuffled order, at sizes around the block,
+        # a block holds one branch, two, or all three.
+        rng = np.random.default_rng(20115)
+        a = np.concatenate([
+            rng.uniform(0.0, 8.0, _SI_BLOCK),
+            np.exp(rng.uniform(math.log(8.0), math.log(2.0**20), _SI_BLOCK)),
+            np.exp(rng.uniform(math.log(2.0**20), math.log(1e307), _SI_BLOCK)),
+            np.array([0.0, 8.0, math.nextafter(8.0, 9.0), 2.0**20, math.nextafter(2.0**20, 3e6),
+                      quadrature._ALPHA_MAX]),
+        ])
+        a *= rng.choice([-1.0, 1.0], a.size)
+        expected = np.array([sinc_sq_integral(v) for v in a.tolist()])
+        for order in (np.argsort(a), np.argsort(a)[::-1], rng.permutation(a.size)):
+            for size in (_SI_BLOCK - 1, _SI_BLOCK, _SI_BLOCK + 1, 2 * _SI_BLOCK + 2, a.size):
+                for part in (order[:size], order[-size:]):
+                    assert sinc_sq_integral(a[part]).tolist() == expected[part].tolist()
+
+    def test_zero_and_tiny_equal_scalar_without_warnings(self):
+        # At alpha_t = +-0 the closed form divides 0 by 0 before np.where
+        # picks 2 alpha_t; the array path neither warns there nor loses
+        # the scalar's bits, the sign of zero included.
+        tiny = 2.0**-511
+        a = [0.0, 5e-324, math.nextafter(tiny, 0.0), tiny, math.nextafter(tiny, 1.0), 1.0]
+        a += [-v for v in a]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sinc_sq_integral(np.array(a)).tolist()
+        assert list(map(repr, got)) == [repr(sinc_sq_integral(v)) for v in a]
 
     def test_symmetric_integrals_equal_scalar(self):
         rng = np.random.default_rng(48)
@@ -395,7 +434,7 @@ class TestArraySi:
 class TestSiBranches:
     """Si's three branches, each picked by its argument alone."""
 
-    # Every octave from 2**4 to 2**1023, the tail's edge 2**32 and its two
+    # Every octave from 2**4 to 2**1023, the tail's edge 2**21 and its two
     # neighbours, an x at which the continued fraction used to stall, and
     # the largest floats.
     X = sorted({2.0**k for k in range(4, 1024)} | {
@@ -426,9 +465,30 @@ class TestSiBranches:
         x = np.random.default_rng(38).uniform(0.0, 16.0, 2000).tolist()
         assert max(len(quadrature._series_terms(v)) for v in x) == 38
 
-    def test_no_command_reaches_the_tail(self):
-        # an admitted order sum has alpha_t below order MAX_ORDER_TERMS + 1 at some sigma < 1
-        assert 2 * order_alpha(MAX_ORDER_TERMS + 1, math.nextafter(1.0, 0.0)) < _SI_TAIL
+    @pytest.mark.parametrize("p", [23, 24, 25, 26])
+    def test_stalls_below_powers_of_two_are_served_by_the_tail(self, p):
+        # At some of these 4,001 points in [2**p - 4, 2**p] the continued
+        # fraction never converges (14, 145, 1,209 and 1,938 of them for
+        # p = 23..26); si and the envelope integral answer at every one.
+        x = 2.0**p - np.arange(4001) * 1e-3
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            _si_continued_fraction_array(x)
+        tail = [math.pi / 2.0 - (math.cos(v) / v + math.sin(v) / (v * v)) for v in x.tolist()]
+        assert [si(v) for v in x.tolist()] == tail
+        assert sinc_sq_integral(x / 2.0).tolist() == [sinc_sq_integral(v / 2.0) for v in x.tolist()]
+
+    def test_continued_fraction_converges_in_every_window_below_the_tail(self, monkeypatch):
+        # In [m - 4, m] for m = 2**p and 3 * 2**p up to 2**21 the fraction
+        # stops by i = 104, the slowest just below 2**21, as the comment on
+        # _CF_MAX_ITER states; 44 below 2**20, at most 19 further down.
+        ms = sorted({2.0**p for p in range(5, 22)} | {3 * 2.0**p for p in range(3, 20)})
+        assert ms[0] - 4.0 > 16.0 and ms[-1] == _SI_TAIL
+        monkeypatch.setattr(quadrature, "_CF_MAX_ITER", 105)
+        for m in ms:
+            _si_continued_fraction_array(m - np.arange(4001) * 1e-3)
+        monkeypatch.setattr(quadrature, "_CF_MAX_ITER", 104)
+        with pytest.raises(ArithmeticError, match=r"for x=2097151\.9"):
+            _si_continued_fraction_array(_SI_TAIL - np.arange(4001) * 1e-3)
 
     def test_where_the_continued_fraction_stalled_answers(self):
         # At x = 1e11 the continued fraction's delta settles one float short
