@@ -4,20 +4,13 @@ The closed form built on Si(x) is the package's one route to every envelope
 integral: ``sinc_sq_integral`` is the integral of sinc^2 over
 [-alpha_t, alpha_t]. Si picks one of three branches by its argument: the power
 series up to 16, the continued fraction up to 2**21, and a closed-form tail
-above. A float goes by ``math`` alone, through the scalar ``si``; the many
-points of a curve go as an array, in blocks of _SI_BLOCK points, through
-array copies of the branches that give the same float at every point: the
-continued fraction is the scalar's loop line for line on real and imaginary
-float64 arrays, with each complex operation spelled out as CPython rounds it
-(numpy's complex multiply may fuse a multiply and an add, and its divide
-rounds otherwise), and the power series sums each point's terms with
-``fsum_prefixes``, checked array passes that return what ``math.fsum`` would
-at ascending prefix ends, settling ties with one exact walk. ``orders.curve``
-takes its order sums from the same helper. No module of the package imports
-numpy at load, so ``omega``, ``table``, ``experiment --dv-g/--dv-gc`` and
-every refused CLI call run without it.
-The test suite cross-checks Si against an independent composite
-Gauss-Legendre rule and against mpmath.
+above. A float goes by ``math`` alone, through the scalar ``si``; an array
+goes in blocks of _SI_BLOCK points through array copies of the branches that
+give the same float at every point. ``fsum_prefixes`` gives what
+``math.fsum`` would at ascending prefix ends of a table of terms, for the
+series copy and for the order sums of ``orders.curve``. No module of the
+package imports numpy at load. The test suite cross-checks Si against an
+independent composite Gauss-Legendre rule and against mpmath.
 """
 
 from __future__ import annotations
@@ -39,8 +32,7 @@ _CF_TOL = 1e-16
 # m = k 2**p, k odd up to 15, up to 2**21; below 2**23..2**26 it stalls.
 _CF_MAX_ITER = 300
 # Points per block of the array Si in ``sinc_sq_integral``: every point of a
-# block's continued fraction iterates until the block's slowest converges,
-# and the series' term table holds at most 38 rows of a block's points.
+# block's continued fraction iterates until the block's slowest converges.
 _SI_BLOCK = 4096
 # Below this x the primitive x - x^3/9 + ... rounds to x (x^2/9 < 2**-1022),
 # and sin(x)^2 in the closed form would go subnormal, then to zero.
@@ -204,23 +196,22 @@ def _si_continued_fraction_array(x: np.ndarray) -> np.ndarray:
 def _si_power_series_array(x: np.ndarray) -> np.ndarray:
     """The series branch of ``si`` at every x of an array in [0, 16], bit for bit.
 
-    Kept beside the scalar because it is faster over a curve's points and
-    far slower for one point. Each column holds the scalar's terms up to its
-    stopping term (later rows are zeroed), and ``fsum_prefixes`` gives each
-    column's correctly rounded sum, the scalar's ``math.fsum``. The running
-    product accumulates down the rows, so term_sin takes the scalar's
-    factors in the scalar's order and rounds alike. A term's magnitude never
-    decreases with x, rounding included, so the scalar's term count at the
-    largest x sizes the table, at most 38 rows; ``sinc_sq_integral`` hands
-    it one block of points at a time.
+    Kept beside the scalar because it is faster over a curve's points. Each
+    column holds the scalar's terms up to its stopping term (later rows are
+    zeroed), and ``fsum_prefixes`` gives each column's correctly rounded
+    sum, the scalar's ``math.fsum``. The running product accumulates down
+    the rows in place, so term_sin takes the scalar's factors in the
+    scalar's order and rounds alike. A term's magnitude never decreases with
+    x, rounding included, so the scalar's term count at the largest x sizes
+    the table: at most 38 rows of a _SI_BLOCK of points (1.25 MB).
     """
     import numpy as np
     count = len(_series_terms(float(x.max(initial=0.0))))
     k = np.arange(1, count)[:, None]
-    factors = np.empty((count, x.size))
-    factors[0] = x
-    factors[1:] = -x * x / ((2 * k) * (2 * k + 1))
-    terms = np.multiply.accumulate(factors, axis=0)
+    terms = np.empty((count, x.size))  # the factors, then their running products
+    terms[0] = x
+    terms[1:] = -x * x / ((2 * k) * (2 * k + 1))
+    np.multiply.accumulate(terms, axis=0, out=terms)
     terms[1:] /= 2 * k + 1
     stop = (np.abs(terms[1:]) < _SERIES_TOL).argmax(axis=0) + 1  # each column's last term
     terms[np.arange(count)[:, None] > stop] = 0.0
@@ -235,8 +226,8 @@ def _si_tail_array(x: np.ndarray) -> np.ndarray:
         return math.pi / 2.0 - (np.cos(x) / x + np.sin(x) / (x * x))
 
 
-# Terms per block of ``fsum_prefixes``: its working arrays hold one block
-# of rows, so memory stays flat however many terms are summed.
+# Terms per block of ``fsum_prefixes`` and ``orders._order_terms``: each
+# working array holds at most one block, whatever the table's shape.
 _SUM_BLOCK = 1 << 16
 
 
@@ -259,26 +250,29 @@ def fsum_prefixes(terms: np.ndarray, ends) -> np.ndarray:
     correctly rounded sum. The sums it cannot prove, ties and sums within
     about 2B of one, are settled by ``_exact_prefixes``, one exact walk per
     column up to its last such end, so the cost stays linear in the terms.
-    Rows go in blocks of _SUM_BLOCK, carrying s, E and sum(|E|) across; the
-    sums do not depend on the blocks; each block's ends are one slice of
-    ends. The terms must be finite.
+    Rows go in blocks of _SUM_BLOCK terms (at least one row), carrying s, E
+    and sum(|E|) across: those and one temporary are the working arrays, of
+    one block's rows each. The sums do not depend on the blocks; each
+    block's ends are one slice of ends. The terms must be finite.
     """
     import numpy as np
     ends = np.asarray(ends, dtype=np.intp)
     out = np.zeros((ends.size, terms.shape[1]))  # fsum of no terms is 0.0
     # Row 0 of each block's running sums carries s, E and sum(|E|) over the
     # earlier blocks; row i holds them after the block's i-th term.
-    run, err, mag = np.zeros((3, min(len(terms), _SUM_BLOCK) + 1, terms.shape[1]))
+    rows = max(1, _SUM_BLOCK // max(1, terms.shape[1]))
+    run, err, mag = np.zeros((3, min(len(terms), rows) + 1, terms.shape[1]))
     unproved = np.zeros(out.shape, dtype=bool)  # the sums the check cannot prove
     first = 0  # the first end not yet summed
-    for r0 in range(0, len(terms), _SUM_BLOCK):
-        t = terms[r0:r0 + _SUM_BLOCK]
+    for r0 in range(0, len(terms), rows):
+        t = terms[r0:r0 + rows]
         m = len(t) + 1
         run[1:m] = t
         np.add.accumulate(run[:m], out=run[:m])
-        prev, cur = run[:m - 1], run[1:m]
-        bb = cur - prev
-        np.add(prev - (cur - bb), t - bb, out=err[1:m])
+        prev, cur, twosum = run[:m - 1], run[1:m], err[1:m]
+        bb = cur - prev  # (prev - (cur - bb)) + (t - bb), with bb the one temporary
+        np.subtract(prev, np.subtract(cur, bb, out=twosum), out=twosum)
+        np.add(twosum, np.subtract(t, bb, out=bb), out=twosum)
         np.add.accumulate(err[:m], out=err[:m])
         np.abs(err[1:m], out=mag[1:m])
         np.add.accumulate(mag[:m], out=mag[:m])

@@ -3,10 +3,13 @@
 Each scalar is compared with the model's exact value at the same float
 inputs: the envelope sum S = sum_j sinc^2(j pi sigma) over the orders with
 j pi sigma <= alpha_t + EPS_TIE, counted in exact arithmetic, so the order
-count is part of the contract; the normalized resultant probability
-pi sigma S / (2 (Si(2 alpha_t) - sin^2(alpha_t) / alpha_t)), its reciprocal
-the occupation, and the 0th-order share 1 / S. An error of k ulp is at most
-k units in the last place of the exact value.
+count is part of the contract, and the envelope integral
+I = 2 (Si(2 alpha_t) - sin^2(alpha_t) / alpha_t). From these: the normalized
+resultant probability pi sigma S / I, its reciprocal the occupation, the
+0th-order share 1 / S and energy e_o / S, the output probability N I, the
+resultant sum pi sigma N S, one order's probability pi sigma sinc^2 / I, and
+an order table's totals p_r = pi sigma S / I, e_r = 1 and omega = 1 / p_r.
+An error of k ulp is at most k units in the last place of the exact value.
 
 The bounds are the ones the docstrings and the README state, by band of
 alpha_t. Below alpha_t = 8, Si(2 alpha_t) runs its power series, which
@@ -14,12 +17,13 @@ cancels more the nearer 2 alpha_t is to the switch at 16.
 """
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from grating_orders.diffraction import order_alpha
+from grating_orders.diffraction import GratingSpec, order_alpha, truncation_alpha
 from grating_orders.orders import (
     EPS_TIE,
     TIE_ULPS,
@@ -27,7 +31,12 @@ from grating_orders.orders import (
     _tie_at,
     normalized_resultant_probability,
     occupation_value,
+    order_probability,
+    order_table,
+    output_probability,
     propagating_orders,
+    resultant_sum,
+    zero_order_energy,
     zero_order_share,
 )
 
@@ -35,8 +44,24 @@ from grating_orders.orders import (
 # probability and the occupation. Measured at 7,000 seeded points like these:
 # largest errors 5.7, 63, 2.3e3, 7.7e4 and 3.7 ulp.
 NORMALIZED_BOUNDS = ((2.0, 8), (4.0, 100), (6.0, 4_000), (8.0, 150_000), (math.inf, 6))
+# The output probability, an order's probability (beyond what the rounding
+# of j sigma costs its sinc^2, ``sinc_sq_condition``) and an order table's
+# p_r and omega take the same bounds: measured at 7,000 such points, 3.6,
+# 51, 1.8e3, 6.6e4 and 2.0 ulp (output), 4.9, 49, 1.6e3, 6.7e4 and 3.3
+# (order), 48, 1.8e3, 7.1e4 and 2.5 (p_r, from alpha_t = pi) and 50, 2.0e3,
+# 6.7e4 and 3.0 (omega).
 # The share needs no Si: 3.2 ulp measured.
 SHARE_BOUND = 4
+# Nor do the resultant sum (3.0 ulp measured), the 0th-order energy (2.7 at
+# e_o in {0.7, 1, 1.9, 3.7, 1000.3}) and a table's e_r, whose exact value is
+# 1 (1 ulp measured).
+RESULTANT_BOUND = 4
+ENERGY_BOUND = 4
+E_R_BOUND = 2
+
+N_SLITS = 1250
+E_O = 3.7
+LAMBDA = 633.0
 
 DENSE_SWEEP_SIGMAS = (1 / 16, 1 / 24, 1 / 32, 1 / 48)
 TOP = 200.0
@@ -62,31 +87,67 @@ def contract_points():
     return pts
 
 
+def contract_orders(n, sigma):
+    """The orders whose probability is checked at a count n: 0, 1, n // 2 and
+    n, less the nulls, where j sigma is an integer in floats and the
+    package's 0.0 is the model's value by convention."""
+    return sorted({j for j in (0, 1, n // 2, n) if j == 0 or not (j * sigma).is_integer()})
+
+
+def table_spec(at, sigma):
+    """The grating of an order table at a contract point; below alpha_t = pi
+    its slit would be narrower than the wavelength, and it is refused."""
+    return GratingSpec.from_truncation(at, LAMBDA, sigma, N_SLITS)
+
+
+Exact = namedtuple("Exact", "normalized occupation share output resultant energy orders table")
+
+
 @pytest.fixture(scope="module")
 def exact():
-    """{(alpha_t, sigma): (normalized, occupation, share)}, 40-digit mpmath values."""
+    """{(alpha_t, sigma): Exact}, 40-digit mpmath values at the contract points.
+
+    orders maps each of ``contract_orders`` to its order probability; table
+    is None or (the table's alpha_t, p_r, omega): a table's alpha_t is
+    pi w / lambda, which may differ from the point's by an ulp.
+    """
     mp = pytest.importorskip("mpmath")
     pts = contract_points()
     out = {}
     with mp.workdps(40):
         for sigma in sorted({s for _, s in pts}):
             mine = [at for at, s in pts if s == sigma]
+            tables = {at: truncation_alpha(table_spec(at, sigma)) for at in mine if at >= math.pi}
+            top = max(mine + list(tables.values()))
             # in this range the tie is EPS_TIE: the ulp floor and the
             # eighth-spacing cap do not bind
-            assert TIE_ULPS * math.ulp(max(mine)) < EPS_TIE < math.pi * sigma / 8
+            assert TIE_ULPS * math.ulp(top) < EPS_TIE < math.pi * sigma / 8
             h = mp.pi * mp.mpf(sigma)
 
             def count(at):
                 return int(mp.floor((mp.mpf(at) + mp.mpf(EPS_TIE)) / h))
 
+            def sinc_sq(j):
+                return (mp.sin(j * h) / (j * h)) ** 2 if j else mp.mpf(1)
+
             sums = [mp.mpf(1)]  # S over orders -n..n, by n
-            for j in range(1, count(max(mine)) + 1):
-                sums.append(sums[-1] + 2 * (mp.sin(j * h) / (j * h)) ** 2)
-            for at in mine:
+            for j in range(1, count(top) + 1):
+                sums.append(sums[-1] + 2 * sinc_sq(j))
+
+            def model(at):
                 a = mp.mpf(at)
-                s = sums[count(at)]
-                normalized = h * s / (2 * (mp.si(2 * a) - mp.sin(a) ** 2 / a))
-                out[at, sigma] = (normalized, 1 / normalized, 1 / s)
+                return sums[count(at)], 2 * (mp.si(2 * a) - mp.sin(a) ** 2 / a)
+
+            for at in mine:
+                s, integral = model(at)
+                normalized = h * s / integral
+                orders = {j: h * sinc_sq(j) / integral for j in contract_orders(count(at), sigma)}
+                table = None
+                if at in tables:
+                    table_s, table_integral = model(tables[at])
+                    table = (tables[at], h * table_s / table_integral, table_integral / (h * table_s))
+                out[at, sigma] = Exact(normalized, 1 / normalized, 1 / s, N_SLITS * integral,
+                                       h * N_SLITS * s, E_O / s, orders, table)
     return out
 
 
@@ -122,6 +183,54 @@ def test_zero_order_share_within_its_bound(exact):
     worst = max((ulps(zero_order_share(at, sigma), e[2]), at, sigma)
                 for (at, sigma), e in exact.items())
     assert worst[0] <= SHARE_BOUND, worst
+
+
+def test_output_probability_within_its_band_bounds(exact):
+    worst = max((ulps(output_probability(at, N_SLITS), e.output) / normalized_bound(at), at, sigma)
+                for (at, sigma), e in exact.items())
+    assert worst[0] <= 1.0, worst
+
+
+def sinc_sq_condition(j, sigma):
+    """The ulp that order j's sinc^2 may lose to the rounding of t = j sigma,
+    to first order: its relative slope 2 pi |cot(pi t) - 1 / (pi t)| times
+    half an ulp of t, in units of 2**-53. It grows without bound near a
+    null, where t nears a nonzero integer."""
+    if j == 0:
+        return 0.0
+    t = j * sigma
+    return 2.0**53 * math.pi * math.ulp(t) * abs(1.0 / math.tan(math.pi * t) - 1.0 / (math.pi * t))
+
+
+def test_order_probability_within_its_band_bounds(exact):
+    checked = [(at, sigma, j, want) for (at, sigma), e in exact.items() for j, want in e.orders.items()]
+    assert len(checked) >= 1500
+    worst = max((ulps(order_probability(j, at, sigma), want)
+                 / (normalized_bound(at) + sinc_sq_condition(j, sigma)), at, sigma, j)
+                for at, sigma, j, want in checked)
+    assert worst[0] <= 1.0, worst
+
+
+@pytest.mark.parametrize("f,field,bound", [
+    (lambda at, sigma: resultant_sum(at, sigma, N_SLITS), "resultant", RESULTANT_BOUND),
+    (lambda at, sigma: zero_order_energy(at, sigma, E_O), "energy", ENERGY_BOUND),
+])
+def test_order_sum_scalars_within_their_bounds(exact, f, field, bound):
+    worst = max((ulps(f(at, sigma), getattr(e, field)), at, sigma) for (at, sigma), e in exact.items())
+    assert worst[0] <= bound, worst
+
+
+def test_order_table_totals_within_their_bounds(exact):
+    tables = [(at, sigma, e.table) for (at, sigma), e in exact.items() if e.table is not None]
+    assert len(tables) >= 350
+    worst = [(0.0,)] * 3
+    for at, sigma, (table_at, p_r, omega) in tables:
+        t = order_table(table_spec(at, sigma))
+        assert truncation_alpha(t.grating) == table_at
+        bound = normalized_bound(table_at)
+        worst = [max(w, (ulps(got, want) / b, at, sigma)) for w, got, want, b in zip(
+            worst, (t.p_r, t.e_r, t.omega), (p_r, 1, omega), (bound, E_R_BOUND, bound))]
+    assert max(worst)[0] <= 1.0, worst
 
 
 # The envelope sum over orders -n..n against its closed form

@@ -15,7 +15,6 @@ from grating_orders.orders import (
     MAX_ORDER_TERMS,
     MAX_POINTS,
     _ENVELOPE_MEMO_SIZE,
-    _TERM_BLOCK,
     _cap,
     _edge,
     _envelope_sum,
@@ -35,7 +34,7 @@ from grating_orders.orders import (
     zero_order_energy,
     zero_order_share,
 )
-from grating_orders.quadrature import fsum_prefixes
+from grating_orders.quadrature import _SUM_BLOCK, fsum_prefixes
 
 LAMBDA = 633.0
 ALPHA_3 = float(order_alpha(3, 0.5))
@@ -801,7 +800,7 @@ class TestCurve:
 
 
 def test_order_terms_are_the_scalar_terms_across_blocks():
-    n = 2 * _TERM_BLOCK + 3
+    n = 2 * _SUM_BLOCK + 3
     terms = _order_terms(n, 0.3)
     assert terms.dtype == np.float64
     assert terms.tolist() == [sinc_sq_at_order(j, 0.3) for j in range(n + 1)]

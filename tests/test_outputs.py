@@ -12,7 +12,10 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,6 +62,21 @@ def test_summary_stdout_matches_reference(capsys):
     spec.loader.exec_module(module)
     assert module.main() == 0
     assert sha256(capsys.readouterr().out.encode()) == REFERENCE["summary"]
+
+
+def test_make_figures_script_writes_the_reference_files(tmp_path):
+    # The script as a user runs it, in a child process: its output
+    # directory, its CSV loop and fig8's extra JSON.
+    src = str(ROOT / "src")
+    env = {**os.environ, "GRATING_ORDERS_OUTDIR": str(tmp_path),
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "make_figures.py")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    written = {path.name: sha256(path.read_bytes()) for path in tmp_path.iterdir()}
+    assert written == {name: digest for name, digest in REFERENCE.items() if name != "summary"}
+    assert [line.split()[0] for line in proc.stdout.splitlines()] == [
+        str(tmp_path / name) for name in REFERENCE if name != "summary"]
 
 
 @pytest.mark.parametrize("key", sorted(CLI_REFERENCE))

@@ -302,6 +302,23 @@ class TestArraySi:
             tracemalloc.stop()
         assert peak < 8 * x.nbytes + 10 * 38 * 8 * 256
 
+    def test_power_series_memory_at_the_real_block(self):
+        # One full block of series points, up to 2 alpha_t = 16, takes the
+        # longest table: 38 rows of _SI_BLOCK points (1.25 MB). The table,
+        # and the sum's working arrays of at most _SUM_BLOCK terms each, peak
+        # within 4 tables (4.2 MB measured; 10.3 MB when the sum's working
+        # arrays took all 38 rows of every column).
+        alpha = np.linspace(0.01, 8.0, _SI_BLOCK)
+        sinc_sq_integral(alpha)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sinc_sq_integral(alpha)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 38 * 8 * _SI_BLOCK
+
     def test_continued_fraction_equals_scalar(self):
         rng = np.random.default_rng(20111)
         above_cutoff = [16.0]
@@ -631,6 +648,48 @@ class TestFsumPrefixes:
                 expected = [repr(math.fsum(terms[:k, c].tolist())) for k in ends]
                 assert list(map(repr, got[:, c].tolist())) == expected, (ends, c)
         assert walks and all(at == sorted(at) for at in walks)
+
+    @staticmethod
+    def fsum_at_every_end(column):
+        # math.fsum(column[:n]) at every n, each taken over Shewchuk's
+        # partials of the prefix (an error-free expansion of its exact sum),
+        # so no prefix is summed again from its start.
+        partials, sums = [], [0.0]
+        for x in column:
+            i = 0
+            for y in partials:
+                if abs(x) < abs(y):
+                    x, y = y, x
+                hi = x + y
+                lo = y - (hi - x)
+                if lo:
+                    partials[i] = lo
+                    i += 1
+                x = hi
+            partials[i:] = [x]
+            sums.append(math.fsum(partials))
+        return sums
+
+    @pytest.mark.parametrize("block,rows,width", [
+        (None, 2 * _SUM_BLOCK + 3, 1),  # blocks of _SUM_BLOCK rows
+        (None, 39, 4096),  # a full series block: 16 rows a block
+        (None, 5, _SUM_BLOCK + 1),  # one row a block
+        # blocks of 10 terms, so the ends fall in many blocks: 10 rows a
+        # block down to 1, and 1 at widths above 10
+        *((10, 23, width) for width in (1, 2, 3, 10, 11, 40)),
+    ])
+    def test_every_end_and_column_whatever_the_blocks(self, monkeypatch, block, rows, width):
+        # A block holds at most _SUM_BLOCK terms, whatever the table's
+        # shape; the sums do not depend on where the blocks fall.
+        if block:
+            monkeypatch.setattr(quadrature, "_SUM_BLOCK", block)
+        rng = np.random.default_rng(rows + width)
+        terms = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-17, 17, size=(rows, width))
+        terms[:, -1] = np.resize([1e16, 1.0, -1e16, 2.0**-60], rows)  # cancellation
+        terms[:, 0] = [1.0] + [2.0**-53] * (rows - 1)  # a tie at every odd end
+        got = fsum_prefixes(terms, list(range(rows + 1)))
+        for c in range(width):
+            assert got[:, c].tolist() == self.fsum_at_every_end(terms[:, c].tolist()), c
 
     def test_small_block_carry_at_every_prefix(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_SUM_BLOCK", 7)
