@@ -185,9 +185,10 @@ def sinc_sq_at_order(j, sigma: float):
     by pi, so order positions that are exact envelope nulls (integer t, e.g.
     even orders of a Ronchi ruling) come out as exactly 0.0 instead of
     inheriting the rounding of pi. An int gives a float by ``math`` alone,
-    for the numpy-free commands; an int numpy array of orders gives the same
-    floats elementwise (``np.float_power(q, 2.0)`` is ``q ** 2``; ``q * q``
-    is not).
+    for the numpy-free commands: one order of ``_sinc_sq_orders``, the block
+    body of the scalar order sums. An int numpy array of orders gives the
+    same floats elementwise (``np.float_power(q, 2.0)`` is ``q ** 2``;
+    ``q * q`` is not).
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma!r}")
@@ -199,10 +200,17 @@ def sinc_sq_at_order(j, sigma: float):
             return np.where(t == 0.0, 1.0, np.float_power(q, 2.0))
     if t == 0.0:
         return 1.0
-    # remainder(t, 1) is t - round(t), exactly, in one call; the dispatch
-    # above costs about what this saves.
-    s = math.sin(math.pi * math.remainder(t, 1.0))
-    return (s / (math.pi * t)) ** 2
+    return _sinc_sq_orders((j,), sigma)[0]
+
+
+def _sinc_sq_orders(orders, sigma: float) -> list[float]:
+    """sinc^2(j pi sigma) at each nonzero order j of an iterable, by ``math`` alone.
+
+    The one ``math`` spelling of the formula, with no function call per
+    order; remainder(t, 1) is t - round(t), exactly, in one call.
+    """
+    sin, rem, pi = math.sin, math.remainder, math.pi
+    return [(sin(pi * rem(t, 1.0)) / (pi * t)) ** 2 for j in orders for t in [j * sigma]]
 
 
 def grating_factor(alpha, sigma: float, n_slits: int):

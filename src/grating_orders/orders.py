@@ -19,6 +19,7 @@ from itertools import chain
 
 from .diffraction import (
     GratingSpec,
+    _sinc_sq_orders,
     as_alpha,
     order_alpha,
     sinc_sq_at_order,
@@ -76,7 +77,7 @@ MAX_ORDER_TERMS = 10**7
 # Si; 167/209-240 MB, 3.0/3.3 s by the series), a 20-point curve at 1e7 orders
 # 109/109 MB, 0.7/0.7 s, an 8e5-point curve from order 9.6e6 to 1e7 with 4e5
 # distinct order counts 190/191 MB, 2.3/2.2 s, a 1e6-row fig3 190/233 MB,
-# 2.4/2.4 s, a 999,999-row table 27/28 MB, 2.4/2.4 s, and a 31,250-cycle
+# 2.4/2.4 s, a 999,999-row table 27/28 MB, 2.6/2.6 s, and a 31,250-cycle
 # experiment 51 MB, 0.2 s.
 MAX_POINTS = 10**6
 
@@ -181,6 +182,12 @@ def _order_counts(alphas: np.ndarray, sigma: float) -> np.ndarray:
 # Envelope sums kept by ``_envelope_sum``, each entry about 220 bytes.
 _ENVELOPE_MEMO_SIZE = 128
 
+# Orders per list of terms in the scalar order sums. A list takes 32 bytes a
+# term, a float object and its pointer, and the interpreter keeps freed
+# floats, so lists of _SUM_BLOCK terms (2 MB) raised a process's peak RSS by
+# about 3 MB; lists of 4096 add about 0.3 MB and cost no more time.
+_ORDER_BLOCK = 4096
+
 
 @lru_cache(maxsize=_ENVELOPE_MEMO_SIZE, typed=True)
 def _envelope_sum(n: int, sigma: float) -> float:
@@ -189,12 +196,19 @@ def _envelope_sum(n: int, sigma: float) -> float:
     The sum depends on alpha_t only through its order count n, so one entry
     serves every alpha_t between two thresholds, and a grating's second
     scalar costs a lookup. The key is typed, so a float64 sigma keeps its
-    own entry; a hit returns the float that the fsum returned. Within 2 ulp
-    of the exact sum at the float sigma (1.25 measured, at dyadic sigma 1/2,
-    3/8 and 1/16 and up to 1e6 orders, against the closed form in
-    tests/envelope_oracle.py).
+    own entry; a hit returns the float that the fsum returned. The terms
+    come from ``_sinc_sq_orders`` in blocks of _ORDER_BLOCK orders. Within
+    2 ulp of the exact sum at the float sigma (1.25 measured, at dyadic
+    sigma 1/2, 3/8 and 1/16 and up to 1e6 orders, against the closed form
+    in tests/envelope_oracle.py).
     """
-    return 1.0 + 2.0 * math.fsum(sinc_sq_at_order(j, sigma) for j in range(1, n + 1))
+    return 1.0 + 2.0 * math.fsum(chain.from_iterable(_order_blocks(n, sigma)))
+
+
+def _order_blocks(n: int, sigma: float):
+    """sinc^2 at orders 1..n, as lists of at most _ORDER_BLOCK terms each."""
+    for lo in range(1, n + 1, _ORDER_BLOCK):
+        yield _sinc_sq_orders(range(lo, min(lo + _ORDER_BLOCK, n + 1)), sigma)
 
 
 def _order_terms(n: int, sigma: float) -> np.ndarray:
@@ -355,9 +369,11 @@ class OrderTable(namedtuple("OrderTable", "grating p_rj e_rj omega_j p_r e_r ome
     The columns hold orders 0..n indexed by |j|, each an ``array('d')``:
     orders +-j carry equal values bit for bit, so each is stored once. The
     totals p_r and e_r are each one fsum over a column and its orders 1..n
-    again: the 2n + 1 signed orders, whose exact sum fsum rounds. p_r and
-    omega meet ``normalized_resultant_probability``'s ulp bounds by band of
-    alpha_t, and e_r is within 2 ulp of its exact value 1 (1 measured).
+    again: the 2n + 1 signed orders, whose exact sum fsum rounds. p_r,
+    omega and every omega_j meet ``normalized_resultant_probability``'s ulp
+    bounds by band of alpha_t, and e_r is within 2 ulp of its exact value 1
+    (1 measured). p_rj meets ``order_probability``'s bounds, and e_rj is
+    within 6 ulp plus the same rounding term for t = j sigma (3.8 measured).
     """
 
     __slots__ = ()
@@ -384,8 +400,9 @@ def order_table(spec: GratingSpec) -> OrderTable:
             "use omega for the totals"
         )
     denom = sinc_sq_integral(at)
-    p_rj = array("d", (math.pi * sigma * sinc_sq_at_order(j, sigma) / denom
-                       for j in range(orders[-1] + 1)))
+    p_rj = array("d")
+    for block in chain([[1.0]], _order_blocks(orders[-1], sigma)):  # order 0's sinc^2 is 1
+        p_rj.extend([math.pi * sigma * s / denom for s in block])
     p_r = math.fsum(chain(p_rj, memoryview(p_rj)[1:]))  # a view: the column is not copied
     omega = 1.0 / p_r
     e_rj = array("d", (p / p_r for p in p_rj))

@@ -58,6 +58,13 @@ SHARE_BOUND = 4
 RESULTANT_BOUND = 4
 ENERGY_BOUND = 4
 E_R_BOUND = 2
+# An order table's columns: p_rj is ``order_probability``'s float at the
+# table's alpha_t and takes its bounds (measured beyond the rounding term at
+# 7,050 such points: 49, 1.6e3, 6.7e4 and 3.3 ulp, from alpha_t = pi);
+# omega_j = e_rj / p_rj is omega with two more roundings and takes the band
+# bounds too (50, 2.0e3, 6.6e4 and 3.9); e_rj = p_rj / p_r runs no Si, and
+# is within 6 ulp beyond the rounding term (3.8 measured).
+E_RJ_BOUND = 6
 
 N_SLITS = 1250
 E_O = 3.7
@@ -100,7 +107,7 @@ def table_spec(at, sigma):
     return GratingSpec.from_truncation(at, LAMBDA, sigma, N_SLITS)
 
 
-Exact = namedtuple("Exact", "normalized occupation share output resultant energy orders table")
+Exact = namedtuple("Exact", "normalized occupation share output resultant energy orders table columns")
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +116,9 @@ def exact():
 
     orders maps each of ``contract_orders`` to its order probability; table
     is None or (the table's alpha_t, p_r, omega): a table's alpha_t is
-    pi w / lambda, which may differ from the point's by an ulp.
+    pi w / lambda, which may differ from the point's by an ulp. columns is
+    None or maps each of ``contract_orders`` at the table's own count to its
+    (p_rj, e_rj); every omega_j is the table's omega.
     """
     mp = pytest.importorskip("mpmath")
     pts = contract_points()
@@ -142,12 +151,14 @@ def exact():
                 s, integral = model(at)
                 normalized = h * s / integral
                 orders = {j: h * sinc_sq(j) / integral for j in contract_orders(count(at), sigma)}
-                table = None
+                table = columns = None
                 if at in tables:
                     table_s, table_integral = model(tables[at])
                     table = (tables[at], h * table_s / table_integral, table_integral / (h * table_s))
+                    columns = {j: (h * sinc_sq(j) / table_integral, sinc_sq(j) / table_s)
+                               for j in contract_orders(count(tables[at]), sigma)}
                 out[at, sigma] = Exact(normalized, 1 / normalized, 1 / s, N_SLITS * integral,
-                                       h * N_SLITS * s, E_O / s, orders, table)
+                                       h * N_SLITS * s, E_O / s, orders, table, columns)
     return out
 
 
@@ -230,6 +241,25 @@ def test_order_table_totals_within_their_bounds(exact):
         bound = normalized_bound(table_at)
         worst = [max(w, (ulps(got, want) / b, at, sigma)) for w, got, want, b in zip(
             worst, (t.p_r, t.e_r, t.omega), (p_r, 1, omega), (bound, E_R_BOUND, bound))]
+    assert max(worst)[0] <= 1.0, worst
+
+
+def test_order_table_columns_within_their_bounds(exact):
+    # The orders checked are ``contract_orders`` at the table's own count.
+    worst = [(0.0,)] * 3
+    checked = 0
+    for (at, sigma), e in exact.items():
+        if e.table is None:
+            continue
+        t = order_table(table_spec(at, sigma))
+        bound = normalized_bound(e.table[0])
+        for j, (p_rj, e_rj) in e.columns.items():
+            condition = sinc_sq_condition(j, sigma)
+            worst = [max(w, (ulps(got, want) / b, at, sigma, j)) for w, got, want, b in zip(
+                worst, (t.p_rj[j], t.e_rj[j], t.omega_j[j]), (p_rj, e_rj, e.table[2]),
+                (bound + condition, E_RJ_BOUND + condition, bound))]
+            checked += 1
+    assert checked >= 1200
     assert max(worst)[0] <= 1.0, worst
 
 

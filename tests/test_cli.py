@@ -24,6 +24,7 @@ NUMPY_FREE = [
     "sweep --j-min 5 --j-max 2 --out sweep.csv", "figure --id fig99 --out fig99.csv",
     "omega --j-equiv 3- --sigma 1e-4", "table --j-equiv 10001- --sigma 1e-4 --out table.csv",
     "experiment --dv-g 1e308 --dv-gc 1e-308",
+    "omega --j-equiv 100000.5",  # 1e5 orders, summed in blocks
 ]
 LENGTH_FORMS = "expected a positive finite length in nm, or metres below 1e-2"
 DECIMAL_FORMS = "expected a decimal number: 2, 0.5, 1e-3"
@@ -505,10 +506,10 @@ def test_table_row_bound(tmp_path, monkeypatch, capsys):
     # refused before a single order term is evaluated
     from grating_orders import orders
 
-    def no_terms(j, sigma):
+    def no_terms(js, sigma):
         raise AssertionError("an order term was evaluated")
 
-    monkeypatch.setattr(orders, "sinc_sq_at_order", no_terms)
+    monkeypatch.setattr(orders, "_sinc_sq_orders", no_terms)
     assert 2 * 500000 + 1 == orders.MAX_POINTS + 1
     code, out, err = run(["table", "--j-equiv", "500000"], tmp_path, monkeypatch, capsys)
     assert code == 2

@@ -263,6 +263,8 @@ class TestArrayKernels:
         assert sinc_sq_at_order(j, sigma).tolist() == expected
         j = np.random.default_rng(round(1 / sigma)).integers(10**5, 10**7 + 1, 20_000)
         assert sinc_sq_at_order(j, sigma).tolist() == [sinc_sq_at_order(k, sigma) for k in j.tolist()]
+        j = np.concatenate([-j, np.arange(-1000, 0)])  # negative orders too
+        assert sinc_sq_at_order(j, sigma).tolist() == [sinc_sq_at_order(k, sigma) for k in j.tolist()]
         assert sinc_sq_at_order(np.array([0, 2]), 0.5).tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("call,message", [

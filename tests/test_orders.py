@@ -7,7 +7,13 @@ from hypothesis import given, settings, strategies as st
 from reference_quadrature import gauss_legendre, sinc_sq_plain
 
 from grating_orders import orders
-from grating_orders.diffraction import GratingSpec, order_alpha, sinc_sq_at_order, truncation_alpha
+from grating_orders.diffraction import (
+    GratingSpec,
+    _sinc_sq_orders,
+    order_alpha,
+    sinc_sq_at_order,
+    truncation_alpha,
+)
 from grating_orders.figures import write_order_table
 from grating_orders.orders import (
     EDGE_OFFSET,
@@ -501,11 +507,11 @@ class TestEnvelopeMemo:
     def test_one_sum_per_order_count(self, monkeypatch):
         calls = []
 
-        def counted(j, sigma):
-            calls.append(j)
-            return sinc_sq_at_order(j, sigma)
+        def counted(js, sigma):
+            calls.extend(js)
+            return _sinc_sq_orders(js, sigma)
 
-        monkeypatch.setattr(orders, "sinc_sq_at_order", counted)
+        monkeypatch.setattr(orders, "_sinc_sq_orders", counted)
         sigma = 0.3
         n = 2000
         at, same_n = order_alpha(n + 0.25, sigma), order_alpha(n + 0.75, sigma)
@@ -804,6 +810,40 @@ def test_order_terms_are_the_scalar_terms_across_blocks():
     terms = _order_terms(n, 0.3)
     assert terms.dtype == np.float64
     assert terms.tolist() == [sinc_sq_at_order(j, 0.3) for j in range(n + 1)]
+
+
+BLOCK_SIGMAS = [0.5, 1 / 3, 0.3, 1 / 8, 0.9, 1e-3, np.float64(0.3)]
+
+
+class TestScalarOrderBlocks:
+    """The scalar order sums take their terms in blocks of ``_sinc_sq_orders``;
+    each block edge neither drops nor repeats an order. The reference is the
+    numpy body of ``sinc_sq_at_order``, one array of every order."""
+
+    @pytest.fixture(params=[None, 7], ids=["real-block", "block-7"])
+    def block(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(orders, "_ORDER_BLOCK", request.param)
+        _envelope_sum.cache_clear()
+        yield orders._ORDER_BLOCK
+        _envelope_sum.cache_clear()
+
+    @pytest.mark.parametrize("sigma", BLOCK_SIGMAS)
+    def test_envelope_sum_equals_the_array_terms(self, block, sigma):
+        for n in (1, 2, block - 1, block, block + 1, 2 * block + 3):
+            terms = sinc_sq_at_order(np.arange(1, n + 1), sigma).tolist()
+            assert _envelope_sum(n, sigma) == 1.0 + 2.0 * math.fsum(terms), n
+
+    @pytest.mark.parametrize("sigma", BLOCK_SIGMAS)
+    def test_table_columns_are_the_per_order_expressions(self, block, sigma):
+        n = 2 * block * math.ceil(1 / (sigma * block)) + 3  # alpha_t >= pi
+        t = order_table(GratingSpec.from_truncation(order_alpha(n + 0.5, sigma), LAMBDA, sigma))
+        assert len(t.p_rj) == n + 1
+        denom = orders.sinc_sq_integral(truncation_alpha(t.grating))
+        p_rj = [math.pi * sigma * s / denom for s in sinc_sq_at_order(np.arange(n + 1), sigma).tolist()]
+        assert t.p_rj.tolist() == p_rj
+        assert t.e_rj.tolist() == [p / t.p_r for p in p_rj]
+        assert t.omega_j.tolist() == [e / p if p > 0 else t.omega for p, e in zip(p_rj, t.e_rj)]
 
 
 class TestPrefixEnvelopes:
