@@ -165,17 +165,17 @@ def propagating_orders(alpha_t: float, sigma: float) -> range:
     return range(-n, n + 1)
 
 
-def _order_counts(alphas: np.ndarray, sigma: float) -> np.ndarray:
+def _order_counts(alphas: np.ndarray, sigma: float, n_min: int, n_max: int) -> np.ndarray:
     """propagating_orders(at, sigma)[-1] at every alpha_t of a positive array.
 
-    The scalar rule gives the counts n_min and n_max at the two ends; every
-    cap lies in [pos(n_min), pos(n_max + 1)), and positions never decrease
-    with j, so the last position <= cap, found by one sorted search with
-    the scalar's own float comparison, is each point's count.
+    n_min and n_max are the scalar rule's counts at the array's least and
+    greatest alpha_t; every cap lies in [pos(n_min), pos(n_max + 1)), and
+    positions never decrease with j, so the last position <= cap, found by
+    one sorted search with the scalar's own float comparison, is each
+    point's count.
     """
     import numpy as np
-    j = np.arange(propagating_orders(alphas.min(), sigma)[-1],
-                  propagating_orders(alphas.max(), sigma)[-1] + 2)
+    j = np.arange(n_min, n_max + 2)
     return j[np.searchsorted(order_alpha(j, sigma), _cap(alphas, sigma), side="right") - 1]
 
 
@@ -488,7 +488,11 @@ def curve(
     pts = np.sort(np.concatenate([grid, below[below > lo], above[above < hi]]))
     pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]  # as np.unique, without numpy.ma
 
-    counts, slot = np.unique(_order_counts(pts, sigma), return_inverse=True)
+    # The points run from lo, and every edge sample lies strictly inside.
+    # They end at hi, unless the grid's step is subnormal: its rounding can
+    # then carry inner grid points past hi.
+    n_end = n_hi if pts[-1] == hi else propagating_orders(pts[-1], sigma)[-1]
+    counts, slot = np.unique(_order_counts(pts, sigma, n_lo, n_end), return_inverse=True)
     terms = _order_terms(int(counts[-1]), sigma)
     envelope = 1.0 + 2.0 * fsum_prefixes(terms[1:, None], counts)[:, 0]
     integral = None if f is _share else sinc_sq_integral(pts)

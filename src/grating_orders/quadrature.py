@@ -138,8 +138,9 @@ def _quotient(u, zr, zi):
     # u / (zr + i zi) for a real u, as CPython's complex quotient
     # (_Py_c_quot) rounds it: Smith's method, scaled by the larger component
     # of the divisor. With the numerator's imaginary part 0.0 its formulas
-    # reduce to these exactly; "+ 0.0" and "0.0 -" keep its signed zeros.
-    # Returns the real and imaginary arrays. Callers hold np.errstate.
+    # reduce to these exactly; "+ 0.0" and "0.0 -" keep its signed zeros. u
+    # may be a column, one numerator per row of the divisor arrays. Returns
+    # the real and imaginary arrays. Callers hold np.errstate.
     import numpy as np
     real_major = np.abs(zr) >= np.abs(zi)
     big = np.where(real_major, zr, zi)
@@ -155,13 +156,16 @@ def _si_continued_fraction_array(x: np.ndarray) -> np.ndarray:
 
     Kept beside the scalar because it is faster over a curve's points and
     far slower for one point. It is the scalar's loop line for line, each
-    complex value a real and an imaginary float64 array (b, c, d, h and
-    delta as br, cr/ci, dr/di, hr/hi and er/ei), each complex operation
-    spelled out as CPython rounds it: the products as ``_Py_c_prod``, the
-    two divisions by ``_quotient``. b.imag stays x, since x + 0.0 is x. The
-    scalar's a d takes complex(a, 0.0), whose zero part changes only the
-    signs of zeros in the product, and + b (b.real >= 3, b.imag = x > 16)
-    absorbs them. A point's h is recorded on the iteration at which the
+    complex value a real and an imaginary float64 array (c, d, h and delta
+    as cr/ci, dr/di, hr/hi and er/ei), each complex operation spelled out
+    as CPython rounds it: the products as ``_Py_c_prod``, the divisions by
+    ``_quotient``. b is the float br = 2i - 1 plus x i, since x + 0.0 is x.
+    The scalar's a d takes complex(a, 0.0), whose zero part changes only
+    the signs of zeros in the product, and + b (b.real >= 3, b.imag = x >
+    16) absorbs them. A step's two divisions are one ``_quotient`` pass:
+    row 0 of zr, zi holds a d + b, under 1, and row 1 holds c, under a;
+    row 0 of the quotient is the new d, and b plus row 1 the new c, written
+    back into row 1. A point's h is recorded on the iteration at which the
     scalar would return; every point iterates until the slowest converges,
     so ``sinc_sq_integral`` hands it one block at a time. np.sin and np.cos
     are assumed to return what math.sin and math.cos do, which
@@ -169,17 +173,22 @@ def _si_continued_fraction_array(x: np.ndarray) -> np.ndarray:
     """
     import numpy as np
     with np.errstate(divide="ignore", invalid="ignore"):
-        br = np.ones_like(x)
-        cr, ci = 1e300, 0.0
-        dr, di = hr, hi = _quotient(1.0, br, x)
+        zr, zi = np.full((2, x.size), 1e300), np.zeros((2, x.size))  # row 1: c
+        cr, ci = zr[1], zi[1]
+        u = np.array([[1.0], [0.0]])  # the numerators 1 and a
+        dr, di = hr, hi = _quotient(1.0, 1.0, x)
         hr_out, hi_out = np.empty_like(x), np.empty_like(x)
         pending = np.ones(x.size, dtype=bool)
         for i in range(2, _CF_MAX_ITER):
             a = float(-((i - 1) ** 2))
-            br = br + 2.0
-            dr, di = _quotient(1.0, a * dr + br, a * di + x)
-            qr, qi = _quotient(a, cr, ci)
-            cr, ci = br + qr, x + qi
+            br = 2.0 * i - 1.0
+            np.add(a * dr, br, out=zr[0])
+            np.add(a * di, x, out=zi[0])
+            u[1] = a
+            qr, qi = _quotient(u, zr, zi)
+            dr, di = qr[0], qi[0]
+            np.add(br, qr[1], out=cr)
+            np.add(x, qi[1], out=ci)
             er, ei = cr * dr - ci * di, cr * di + ci * dr
             hr, hi = hr * er - hi * ei, hr * ei + hi * er
             np.copyto(hr_out, hr, where=pending)  # h as of each point's last pending step

@@ -64,6 +64,12 @@ SCALARS = {
 }
 
 
+def order_counts(alphas, sigma):
+    """``_order_counts`` given the scalar counts at the array's ends, as ``curve`` gives them."""
+    return _order_counts(alphas, sigma, propagating_orders(alphas.min(), sigma)[-1],
+                         propagating_orders(alphas.max(), sigma)[-1])
+
+
 class TestPropagatingOrders:
     def test_symmetric_window(self):
         assert propagating_orders(2.63 * math.pi / 2, 0.5) == range(-2, 3)
@@ -131,7 +137,7 @@ class TestTieAtEveryMagnitude:
         for _ in range(ulps):
             at = math.nextafter(at, 0.0)
         assert propagating_orders(at, sigma)[-1] == j
-        assert _order_counts(np.array([at]), sigma).tolist() == [j]
+        assert order_counts(np.array([at]), sigma).tolist() == [j]
 
     def test_grating_built_at_its_own_threshold(self):
         # w = j sigma lambda lands 1 ulp below order j's position; the absolute
@@ -140,7 +146,7 @@ class TestTieAtEveryMagnitude:
         at = truncation_alpha(spec)
         assert at + EPS_TIE == at and order_alpha(9000006, 0.9) > at
         assert propagating_orders(at, 0.9)[-1] == 9000006
-        assert _order_counts(np.array([at]), 0.9).tolist() == [9000006]
+        assert order_counts(np.array([at]), 0.9).tolist() == [9000006]
 
     def test_small_alpha_keeps_absolute_tie(self):
         # Below about 2**21 the tie is EPS_TIE, as before: an order 0.5e-9
@@ -179,7 +185,7 @@ class TestTieAtEveryMagnitude:
         j = np.arange(1, 200)
         at = order_alpha(j, sigma)
         assert [propagating_orders(a, sigma)[-1] for a in at.tolist()] == j.tolist()
-        assert _order_counts(at, sigma).tolist() == j.tolist()
+        assert order_counts(at, sigma).tolist() == j.tolist()
 
     @pytest.mark.parametrize("sigma", [1e-8, 1e-9, 1e-11, 5e-324])
     def test_below_edge_sample_stops_short_of_its_order(self, sigma):
@@ -189,7 +195,7 @@ class TestTieAtEveryMagnitude:
         j = np.arange(1, 2000)
         below = order_alpha(j, sigma) - _edge(sigma)
         assert [propagating_orders(a, sigma)[-1] for a in below.tolist()] == (j - 1).tolist()
-        assert _order_counts(below, sigma).tolist() == (j - 1).tolist()
+        assert order_counts(below, sigma).tolist() == (j - 1).tolist()
 
 
 SIGMAS = st.one_of(st.floats(1e-3, 0.99), st.floats(1e-11, 1e-8))
@@ -216,13 +222,13 @@ class TestArrayOrderCounts:
         pts = [p for c in (aj, aj - tie, aj + tie, aj - EDGE_OFFSET, aj + EDGE_OFFSET)
                for p in self.near(c, 3) if p > 0]
         expected = [propagating_orders(p, sigma)[-1] for p in pts]
-        assert _order_counts(np.array(pts), sigma).tolist() == expected
+        assert order_counts(np.array(pts), sigma).tolist() == expected
 
     @given(st.lists(st.floats(1e-3, 3e3), min_size=1, max_size=50), st.floats(1e-3, 0.99))
     @settings(max_examples=200)
     def test_equal_scalar_anywhere(self, alphas, sigma):
         expected = [propagating_orders(p, sigma)[-1] for p in alphas]
-        assert _order_counts(np.array(alphas), sigma).tolist() == expected
+        assert order_counts(np.array(alphas), sigma).tolist() == expected
 
 
 class TestOutputProbability:
@@ -641,7 +647,7 @@ class TestCurve:
         sigma = 1e-9
         c = curve("occupation", sigma, (order_alpha(2.5, sigma), order_alpha(3.5, sigma)), 5)
         assert (c.abscissa / (math.pi * sigma)).round(12).tolist() == [2.5, 2.75, 3.0, 3.25, 3.5]
-        assert _order_counts(c.abscissa, sigma).tolist() == [2, 2, 3, 3, 3]
+        assert order_counts(c.abscissa, sigma).tolist() == [2, 2, 3, 3, 3]
         assert c.ordinate[1] == pytest.approx(1.1, rel=1e-12)
         assert c.ordinate.tolist() == [occupation_value(a, sigma) for a in c.abscissa.tolist()]
 
@@ -723,14 +729,16 @@ class TestCurve:
         hi = lo + j_width * math.pi * sigma
         c = curve(kind, sigma, (lo, hi), samples)
         alphas = c.abscissa.tolist()
+        assert alphas[0] == lo and alphas[-1] == hi  # whose counts curve reuses
         assert c.ordinate.tolist() == [scalar(at, sigma) for at in alphas]
         counts = [propagating_orders(at, sigma)[-1] for at in alphas]
-        assert _order_counts(c.abscissa, sigma).tolist() == counts
+        assert order_counts(c.abscissa, sigma).tolist() == counts
 
     @pytest.mark.parametrize("kind", CURVE_KINDS)
     def test_tiny_sigma_curve_equals_scalar(self, kind):
         # every alpha here is below 2**-511, where the envelope integral is 2
-        # alpha; at the least subnormal sigma the order spacing is 3 or 4 units
+        # alpha; at the least subnormal sigma the order spacing is 3 or 4
+        # units, and the grid's rounded step carries inner points past hi
         for sigma in (1e-300, 5e-324):
             c = curve(kind, sigma, (math.pi * sigma, 9.5 * math.pi * sigma), 41)
             want = [SCALARS[kind](at, sigma) for at in c.abscissa.tolist()]

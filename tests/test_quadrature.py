@@ -335,6 +335,33 @@ class TestArraySi:
         got = _si_continued_fraction_array(x)
         assert got.tolist() == [quadrature._si_continued_fraction(v) for v in x.tolist()]
 
+    def test_two_row_quotient_equals_one_row_calls(self):
+        # Each continued-fraction step divides 1 by a d + b and a by c in one
+        # _quotient pass over two rows, the numerators a column. Each row
+        # equals its own one-row call, and CPython's complex quotient, bit for
+        # bit: at ties |zr| == |zi|, signed-zero parts, the first step's
+        # c = 1e300 + 0j broadcast into its row, and every a negative.
+        rng = np.random.default_rng(20116)
+        ties = [(3.0, 3.0), (-3.0, 3.0), (3.0, -3.0), (-2.5, -2.5), (1e-300, -1e-300)]
+        zeros = [(0.0, 5.0), (-0.0, 5.0), (5.0, 0.0), (5.0, -0.0), (-5.0, -0.0), (-0.0, -17.0)]
+        spread = rng.normal(size=(50, 2)) * 10.0 ** rng.uniform(-8.0, 8.0, (50, 1))
+        d = np.concatenate([ties, zeros, spread])  # the divisors a d + b
+
+        def bits(values):
+            return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+        for cr, ci in ((d[::-1, 0], d[::-1, 1]), (1e300, 0.0)):  # c on a later step, and on the first
+            zr = np.stack([d[:, 0], np.broadcast_to(cr, len(d))])
+            zi = np.stack([d[:, 1], np.broadcast_to(ci, len(d))])
+            for a in (-1.0, -4.0, -(298.0**2)):
+                qr, qi = quadrature._quotient(np.array([[1.0], [a]]), zr, zi)
+                for row, (u, ur, ui) in enumerate(((1.0, d[:, 0], d[:, 1]), (a, cr, ci))):
+                    one_r, one_i = np.broadcast_arrays(*quadrature._quotient(u, ur, ui), qr[row])[:2]
+                    assert bits(qr[row]) == bits(one_r) and bits(qi[row]) == bits(one_i), (a, row)
+                    want = [complex(u, 0.0) / complex(r, i) for r, i in zip(zr[row].tolist(), zi[row].tolist())]
+                    assert bits(qr[row]) == bits([w.real for w in want]), (a, row)
+                    assert bits(qi[row]) == bits([w.imag for w in want]), (a, row)
+
     def test_empty(self):
         assert _si_continued_fraction_array(np.array([])).size == 0
 
