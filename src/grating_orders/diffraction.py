@@ -188,7 +188,8 @@ def sinc_sq_at_order(j, sigma: float):
     for the numpy-free commands: one order of ``_sinc_sq_orders``, the block
     body of the scalar order sums. An int numpy array of orders gives the
     same floats elementwise (``np.float_power(q, 2.0)`` is ``q ** 2``;
-    ``q * q`` is not).
+    ``q * q`` is not): the body of a curve's terms, and of the scalar sums'
+    blocks from ``orders._ARRAY_SUM_ORDERS`` orders up where numpy is loaded.
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma!r}")

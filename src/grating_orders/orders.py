@@ -12,6 +12,7 @@ stepping discontinuously at order thresholds under sparse sampling
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from collections import namedtuple
 from functools import lru_cache
@@ -188,6 +189,13 @@ _ENVELOPE_MEMO_SIZE = 128
 # about 3 MB; lists of 4096 add about 0.3 MB and cost no more time.
 _ORDER_BLOCK = 4096
 
+# Least order count whose scalar sum takes its blocks from the array
+# ``sinc_sq_at_order`` where numpy is already loaded (a sum never imports it):
+# the same floats, about 5x faster. It is faster from about 50 orders; lower it
+# once the benchmark keeps no per-op results, which at 2**12 made point-queries
+# peak RSS rise 16%.
+_ARRAY_SUM_ORDERS = 1 << 14
+
 
 @lru_cache(maxsize=_ENVELOPE_MEMO_SIZE, typed=True)
 def _envelope_sum(n: int, sigma: float) -> float:
@@ -197,7 +205,8 @@ def _envelope_sum(n: int, sigma: float) -> float:
     serves every alpha_t between two thresholds, and a grating's second
     scalar costs a lookup. The key is typed, so a float64 sigma keeps its
     own entry; a hit returns the float that the fsum returned. The terms
-    come from ``_sinc_sq_orders`` in blocks of _ORDER_BLOCK orders. Within
+    come from ``_order_blocks``, by the array body from _ARRAY_SUM_ORDERS
+    orders where numpy is loaded: the same floats, so the same sum. Within
     2 ulp of the exact sum at the float sigma (1.25 measured, at dyadic
     sigma 1/2, 3/8 and 1/16 and up to 1e6 orders, against the closed form
     in tests/envelope_oracle.py).
@@ -206,9 +215,14 @@ def _envelope_sum(n: int, sigma: float) -> float:
 
 
 def _order_blocks(n: int, sigma: float):
-    """sinc^2 at orders 1..n, as lists of at most _ORDER_BLOCK terms each."""
+    """sinc^2 at orders 1..n, as lists of at most _ORDER_BLOCK terms each, by
+    ``_sinc_sq_orders``, or by the array ``sinc_sq_at_order`` from
+    _ARRAY_SUM_ORDERS orders on where numpy is already loaded."""
+    np = sys.modules.get("numpy") if n >= _ARRAY_SUM_ORDERS else None
     for lo in range(1, n + 1, _ORDER_BLOCK):
-        yield _sinc_sq_orders(range(lo, min(lo + _ORDER_BLOCK, n + 1)), sigma)
+        hi = min(lo + _ORDER_BLOCK, n + 1)
+        yield (_sinc_sq_orders(range(lo, hi), sigma) if np is None
+               else sinc_sq_at_order(np.arange(lo, hi), sigma).tolist())
 
 
 def _order_terms(n: int, sigma: float) -> np.ndarray:
@@ -436,7 +450,8 @@ def curve(
     sigma below about 1.3e-6 the offset shrinks to a quarter of the order
     spacing. A range whose top admits more than MAX_ORDER_TERMS orders, or
     a curve of more than MAX_POINTS points, is refused before any array is
-    built.
+    built. Where the grid's step is subnormal, a curve may hold fewer than
+    ``samples`` points, all in [lo, hi].
 
     Every ordinate equals the scalar function at its abscissa bit for bit,
     computed in one array pass rather than one scalar call per point: the
@@ -479,7 +494,9 @@ def curve(
             "narrow the range or use fewer samples"
         )
 
-    grid = np.linspace(lo, hi, samples)
+    # Where the grid's step is subnormal, its rounding can carry inner grid
+    # points past hi; clipped, they repeat hi and the dedupe drops them.
+    grid = np.minimum(np.linspace(lo, hi, samples), hi)
     j = np.arange(max(1, n_lo), n_hi + 1)
     aj = order_alpha(j, sigma)
     aj = aj[(aj > lo) & (aj < hi)]
@@ -488,11 +505,8 @@ def curve(
     pts = np.sort(np.concatenate([grid, below[below > lo], above[above < hi]]))
     pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]  # as np.unique, without numpy.ma
 
-    # The points run from lo, and every edge sample lies strictly inside.
-    # They end at hi, unless the grid's step is subnormal: its rounding can
-    # then carry inner grid points past hi.
-    n_end = n_hi if pts[-1] == hi else propagating_orders(pts[-1], sigma)[-1]
-    counts, slot = np.unique(_order_counts(pts, sigma, n_lo, n_end), return_inverse=True)
+    # The points run from lo to hi, and every edge sample lies strictly inside.
+    counts, slot = np.unique(_order_counts(pts, sigma, n_lo, n_hi), return_inverse=True)
     terms = _order_terms(int(counts[-1]), sigma)
     envelope = 1.0 + 2.0 * fsum_prefixes(terms[1:, None], counts)[:, 0]
     integral = None if f is _share else sinc_sq_integral(pts)

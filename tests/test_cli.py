@@ -165,12 +165,13 @@ def child_env() -> dict:
 
 
 class TestNumpyFreeStart:
-    # A child process runs the CLI with or without numpy made unimportable.
-    def run_cli(self, argv, cwd, block_numpy):
+    # A child process runs the CLI as it is, with numpy made unimportable, or
+    # with numpy imported first, where long order sums take the array body.
+    def run_cli(self, argv, cwd, block_numpy, load_numpy=False):
         cwd.mkdir()
-        code = ("import sys, runpy; sys.modules['numpy'] = None; "
-                "runpy.run_module('grating_orders.cli', run_name='__main__')")
-        prefix = ["-c", code] if block_numpy else ["-m", "grating_orders.cli"]
+        first = "sys.modules['numpy'] = None" if block_numpy else "import numpy"
+        code = f"import sys, runpy; {first}; runpy.run_module('grating_orders.cli', run_name='__main__')"
+        prefix = ["-c", code] if block_numpy or load_numpy else ["-m", "grating_orders.cli"]
         proc = subprocess.run([sys.executable, *prefix, *argv], cwd=cwd, env=child_env(),
                               capture_output=True)
         files = {p.name: p.read_bytes() for p in cwd.iterdir()}
@@ -182,6 +183,15 @@ class TestNumpyFreeStart:
         blocked = self.run_cli(key.split(), tmp_path / "blocked", block_numpy=True)
         assert blocked == normal
         assert normal[0] == (2 if normal[2] else 0)
+
+    # 1e5 and 2e4 orders, above _ARRAY_SUM_ORDERS
+    @pytest.mark.parametrize("key", ["omega --j-equiv 100000.5",
+                                     "table --j-equiv 20000.5 --out table.csv"])
+    def test_same_bytes_with_numpy_loaded(self, key, tmp_path):
+        blocked = self.run_cli(key.split(), tmp_path / "blocked", block_numpy=True)
+        loaded = self.run_cli(key.split(), tmp_path / "loaded", block_numpy=False, load_numpy=True)
+        assert loaded == blocked
+        assert blocked[0] == 0
 
     def test_import_leaves_numpy_unloaded(self):
         code = "import sys, grating_orders.cli; print('numpy' in sys.modules)"

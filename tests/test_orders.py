@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -738,9 +739,11 @@ class TestCurve:
     def test_tiny_sigma_curve_equals_scalar(self, kind):
         # every alpha here is below 2**-511, where the envelope integral is 2
         # alpha; at the least subnormal sigma the order spacing is 3 or 4
-        # units, and the grid's rounded step carries inner points past hi
+        # units, and the grid's rounded step would carry inner points past hi
         for sigma in (1e-300, 5e-324):
-            c = curve(kind, sigma, (math.pi * sigma, 9.5 * math.pi * sigma), 41)
+            lo, hi = math.pi * sigma, 9.5 * math.pi * sigma
+            c = curve(kind, sigma, (lo, hi), 41)
+            assert lo <= c.abscissa.min() and c.abscissa.max() <= hi and c.abscissa[-1] == hi
             want = [SCALARS[kind](at, sigma) for at in c.abscissa.tolist()]
             assert c.ordinate.tolist() == want
 
@@ -824,9 +827,11 @@ BLOCK_SIGMAS = [0.5, 1 / 3, 0.3, 1 / 8, 0.9, 1e-3, np.float64(0.3)]
 
 
 class TestScalarOrderBlocks:
-    """The scalar order sums take their terms in blocks of ``_sinc_sq_orders``;
-    each block edge neither drops nor repeats an order. The reference is the
-    numpy body of ``sinc_sq_at_order``, one array of every order."""
+    """The scalar order sums take their terms in blocks of ``_sinc_sq_orders``,
+    or from _ARRAY_SUM_ORDERS orders up, where numpy is loaded, of the array
+    ``sinc_sq_at_order``; each block edge neither drops nor repeats an order.
+    The reference is the numpy body of ``sinc_sq_at_order``, one array of
+    every order."""
 
     @pytest.fixture(params=[None, 7], ids=["real-block", "block-7"])
     def block(self, request, monkeypatch):
@@ -852,6 +857,67 @@ class TestScalarOrderBlocks:
         assert t.p_rj.tolist() == p_rj
         assert t.e_rj.tolist() == [p / t.p_r for p in p_rj]
         assert t.omega_j.tolist() == [e / p if p > 0 else t.omega for p, e in zip(p_rj, t.e_rj)]
+
+    @pytest.fixture(params=[(None, None), (None, 2), (7, 2)],
+                    ids=["real-sizes", "crossover-2-blocks", "block-7-crossover-2-blocks"])
+    def sizes(self, request, monkeypatch):
+        """(block, crossover) of the scalar sums, real or lowered."""
+        block, blocks = request.param
+        if block is not None:
+            monkeypatch.setattr(orders, "_ORDER_BLOCK", block)
+        if blocks is not None:
+            monkeypatch.setattr(orders, "_ARRAY_SUM_ORDERS", blocks * orders._ORDER_BLOCK)
+        return orders._ORDER_BLOCK, orders._ARRAY_SUM_ORDERS
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        """run(f): f() with numpy visible, the orders the array body took
+        for it, and f() with numpy hidden, where the array body takes none."""
+        taken = []
+        array_body = orders.sinc_sq_at_order
+        monkeypatch.setattr(orders, "sinc_sq_at_order",
+                            lambda j, sigma: taken.append(len(j)) or array_body(j, sigma))
+
+        def run(f):
+            taken.clear()
+            _envelope_sum.cache_clear()
+            visible = f()
+            count = sum(taken)
+            _envelope_sum.cache_clear()
+            with monkeypatch.context() as m:
+                m.setitem(sys.modules, "numpy", None)
+                hidden = f()
+            _envelope_sum.cache_clear()
+            assert sum(taken) == count
+            return visible, count, hidden
+
+        return run
+
+    @staticmethod
+    def route_counts(crossover, block):
+        """Order counts either side of the crossover and of the next block edge."""
+        edge = (crossover // block + 1) * block
+        return (crossover - 1, crossover, crossover + 1, edge, edge + 1)
+
+    @pytest.mark.parametrize("sigma", BLOCK_SIGMAS)
+    def test_envelope_sum_is_the_same_by_either_route(self, sizes, routes, sigma):
+        block, crossover = sizes
+        for n in self.route_counts(crossover, block):
+            visible, count, hidden = routes(lambda: _envelope_sum(n, sigma))
+            assert visible == hidden, n
+            assert count == (n if n >= crossover else 0), n
+
+    @pytest.mark.parametrize("sigma", [0.5, 0.3, 1e-3, np.float64(0.3)])
+    def test_table_is_the_same_by_either_route(self, sizes, routes, sigma, monkeypatch):
+        block, crossover = sizes
+        crossover = max(crossover, 2 * block * math.ceil(1 / (sigma * block)))  # alpha_t >= pi
+        monkeypatch.setattr(orders, "_ARRAY_SUM_ORDERS", crossover)
+        for n in self.route_counts(crossover, block):
+            spec = GratingSpec.from_truncation(order_alpha(n + 0.5, sigma), LAMBDA, sigma)
+            visible, count, hidden = routes(lambda: order_table(spec))
+            assert len(visible.p_rj) == n + 1
+            assert visible == hidden, n
+            assert count == (n if n >= crossover else 0), n
 
 
 class TestPrefixEnvelopes:
