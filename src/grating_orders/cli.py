@@ -5,7 +5,11 @@ diagnostic naming the violated precondition).
 
 The parser's choices and defaults come from modules that load neither numpy,
 ``dataclasses`` nor ``json``; ``experiment`` imports the coupling model when it
-runs, and with ``--dv-g/--dv-gc`` only ``pulses``.
+runs, and with ``--dv-g/--dv-gc`` only ``pulses``. ``omega``, ``table``, fig8
+and a small curve (``figure`` fig6, fig7 and fig9, and ``sweep``; see
+``orders._scalar_route``) are computed by the public scalar functions and
+written without importing numpy; fig3/4/5, a larger curve and the simulating
+``experiment`` import it.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from . import __version__
 from .diffraction import (
     DEFAULT_SLIT_COUNT, GratingSpec, equivalent_order, order_alpha, truncation_alpha,
 )
-from .figures import (FIGURE_IDS, WAVELENGTH_NM, _curve_dataset, build_figure,
-                      write_dataset, write_order_table)
+from .figures import (FIGURE_IDS, WAVELENGTH_NM, _curve_table, _figure_table, _write_table,
+                      write_order_table)
 from .orders import CURVE_KINDS, EDGE_OFFSET, occupation_value, order_table, propagating_orders
 
 OUTDIR_ENV = "GRATING_ORDERS_OUTDIR"
@@ -187,17 +191,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_figure(args: argparse.Namespace) -> int:
-    dataset = build_figure(args.figure_id, sigma=args.sigma, n_slits=args.n_slits,
-                           alpha_min=args.alpha_min, alpha_max=args.alpha_max,
-                           samples=args.samples)
-    _write(args, args.figure_id, dataset.rows.shape[0], write_dataset, dataset)
+    table = _figure_table(args.figure_id, sigma=args.sigma, n_slits=args.n_slits,
+                          alpha_min=args.alpha_min, alpha_max=args.alpha_max,
+                          samples=args.samples)
+    _write(args, args.figure_id, len(table[-1]), _write_table, table)
     return 0
 
 
 def _refuse_tied_below(args: argparse.Namespace, at: float) -> None:
-    """Refuse a 'j-' --j-equiv whose offset below order j, 2e-6 sigma, the tie still admits."""
+    """Refuse a 'j-' --j-equiv whose offset below order j, 2e-6 sigma, the tie still admits.
+
+    Called before any order is summed. An alpha_t that is not positive is
+    left to the command's own refusal.
+    """
     form = args.j_equiv[1] if args.w is None else ""
-    if form.endswith("-") and propagating_orders(at, args.sigma)[-1] >= int(form[:-1]):
+    if form.endswith("-") and at > 0 and propagating_orders(at, args.sigma)[-1] >= int(form[:-1]):
         raise ValueError(f"--j-equiv {form} at sigma={args.sigma!r} lies inside the threshold "
                          f"tie, which admits order {form[:-1]}")
 
@@ -208,8 +216,8 @@ def _run_table(args: argparse.Namespace) -> int:
         spec = GratingSpec.from_truncation(at, args.wavelength, args.sigma, args.n_slits)
     else:
         spec = GratingSpec(args.w, args.sigma, args.wavelength, args.n_slits)
-    table = order_table(spec)
     _refuse_tied_below(args, truncation_alpha(spec))
+    table = order_table(spec)
     j_equiv = equivalent_order(spec)
     _write(args, "table", 2 * len(table.p_rj) - 1, write_order_table, table)
     print(f"grating j-equiv {j_equiv:.4f}: "
@@ -229,8 +237,8 @@ def _run_omega(args: argparse.Namespace) -> int:
     else:
         spec = GratingSpec(args.w, args.sigma, args.wavelength)
         at, j_equiv = truncation_alpha(spec), equivalent_order(spec)
-    omega = occupation_value(at, args.sigma)
     _refuse_tied_below(args, at)
+    omega = occupation_value(at, args.sigma)
     print(f"j_equiv: {j_equiv:.6f}")
     print(f"alpha_t: {at!r}")
     print(f"P_r: {1.0 / omega:.6f}")
@@ -277,9 +285,9 @@ def _run_sweep(args: argparse.Namespace) -> int:
     params = {k: getattr(args, k) for k in ("quantity", "sigma", "j_min", "j_max", "samples")}
     lo = order_alpha(args.j_min, args.sigma)
     hi = order_alpha(args.j_max, args.sigma)
-    dataset = _curve_dataset("sweep", args.quantity, args.sigma, lo, hi, args.samples,
-                             args.quantity, params)
-    _write(args, "sweep", dataset.rows.shape[0], write_dataset, dataset)
+    table = _curve_table("sweep", args.quantity, args.sigma, lo, hi, args.samples,
+                         args.quantity, params)
+    _write(args, "sweep", len(table[-1]), _write_table, table)
     return 0
 
 

@@ -29,6 +29,7 @@ from .orders import (
     EDGE_OFFSET,
     MAX_POINTS,
     OrderTable,
+    _scalar_curve,
     _tie_at,
     curve,
     order_table,
@@ -162,12 +163,22 @@ def write_dataset(dataset: FigureDataset, path: Path | str, fmt: str = "csv") ->
     return _write_atomic(path, [emit(dataset, fmt)])
 
 
-def _signed(column, n: int) -> np.ndarray:
-    """A column indexed by |j| at the orders -n..n, zero past its last order."""
-    import numpy as np
-    values = np.zeros(n + 1)
-    values[: len(column)] = column
-    return values[np.abs(np.arange(-n, n + 1))]
+def _write_blocks(figure_id, params, columns, blocks, path, fmt):
+    """Write ``_encode``'s text of the blocks atomically, piece by piece."""
+    pieces = _encode(figure_id, params, columns, blocks, fmt)
+    return _write_atomic(path, (piece.encode("ascii") for piece in pieces))
+
+
+def _write_table(table, path: Path | str, fmt: str = "csv") -> Path:
+    """Write a table of ``_figure_table`` or ``_curve_table`` atomically: a
+    FigureDataset as ``write_dataset`` does, and a tuple's rows of floats in
+    blocks of _BLOCK rows, which ``_encode`` turns into the same bytes."""
+    if isinstance(table, FigureDataset):
+        return write_dataset(table, path, fmt)
+    figure_id, params, columns, rows = table
+    blocks = ([value for row in rows[i:i + _BLOCK] for value in row]
+              for i in range(0, len(rows), _BLOCK))
+    return _write_blocks(figure_id, params, columns, blocks, path, fmt)
 
 
 def write_order_table(table: OrderTable, path: Path | str, fmt: str = "csv") -> Path:
@@ -190,8 +201,7 @@ def write_order_table(table: OrderTable, path: Path | str, fmt: str = "csv") -> 
     blocks = ([value for j in range(lo, min(lo + _BLOCK, n + 1))
                for value in (float(j), p_rj[abs(j)], e_rj[abs(j)], omega_j[abs(j)])]
               for lo in range(-n, n + 1, _BLOCK))
-    pieces = _encode("table", params, ("j", "p_rj", "e_rj", "omega_j"), blocks, fmt)
-    return _write_atomic(path, (piece.encode("ascii") for piece in pieces))
+    return _write_blocks("table", params, ("j", "p_rj", "e_rj", "omega_j"), blocks, path, fmt)
 
 
 # The most slits N whose peak N**2 converts to a float: 2**1024 - 2**970 and above overflow.
@@ -232,6 +242,92 @@ def _curve_dataset(figure_id, kind, sigma, lo, hi, samples, value_column, params
     )
 
 
+def _curve_table(figure_id, kind, sigma, lo, hi, samples, value_column, params):
+    """``_curve_dataset``'s rows, by ``orders._scalar_curve`` where it takes the
+    curve: a (figure_id, params, columns, rows) tuple of float rows, built
+    without numpy. Else ``_curve_dataset``'s FigureDataset, by arrays."""
+    sampled = _scalar_curve(kind, sigma, (lo, hi), samples)
+    if sampled is None:
+        return _curve_dataset(figure_id, kind, sigma, lo, hi, samples, value_column, params)
+    spacing = math.pi * sigma
+    return (figure_id, {**params, "rule": "inclusive"}, ("alpha_t", "j_equiv", value_column),
+            [(at, at / spacing, value) for at, value in zip(*sampled)])
+
+
+def _figure_params(figure_id: str, overrides: dict) -> dict:
+    """The figure's parameters: its defaults, with each override that is not None.
+
+    An unknown figure id, or an override the figure does not take in
+    ``_FIGURES``, is refused.
+    """
+    if figure_id not in _FIGURES:
+        raise ValueError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
+    p = dict(_FIGURES[figure_id])
+    for key, value in overrides.items():
+        if value is None:
+            continue
+        if key not in p:
+            raise ValueError(f"{figure_id} takes no {key}; it takes {', '.join(p)}")
+        p[key] = value
+    return p
+
+
+def _curve_args(figure_id: str, p: dict) -> tuple:
+    """The arguments of ``_curve_dataset`` for a curve figure of parameters p.
+
+    The header also carries the tie in effect at the top of the range, its largest.
+    """
+    kind, column = _CURVES[figure_id]
+    sig, hi = p["sigma"], p["alpha_max"]
+    return (figure_id, kind, sig, p["alpha_min"], hi, p["samples"], column,
+            {**p, "eps_tie": _tie_at(hi, sig)})
+
+
+def _fig8(p: dict) -> tuple:
+    """fig8's (params, columns, rows): the order tables of the pair of gratings
+    EDGE_OFFSET either side of the third-order threshold, one row per signed order.
+
+    The rows are floats from the tables' ``array('d')`` columns, built without
+    numpy. The order count never falls as alpha_t grows, so the plus table
+    spans every order the minus table has; minus reads zero beyond it.
+    """
+    sig = p["sigma"]
+    a3 = order_alpha(3, sig)
+    tables = {label: order_table(GratingSpec.from_truncation(at, WAVELENGTH_NM, sig,
+                                                             p["n_slits"]))
+              for label, at in (("minus", a3 - EDGE_OFFSET), ("plus", a3 + EDGE_OFFSET))}
+    top = len(tables["plus"].p_rj) - 1
+    cols = [col for t in tables.values() for col in (t.p_rj, t.e_rj)]
+    rows = [(float(j), *(col[abs(j)] if abs(j) < len(col) else 0.0 for col in cols))
+            for j in range(-top, top + 1)]
+    params = {**p, "alpha_offset": EDGE_OFFSET, "lambda_nm": WAVELENGTH_NM}
+    for label, t in tables.items():
+        params.update(
+            {
+                f"w_nm_{label}": t.grating.slit_width_w,
+                f"p_r_{label}": t.p_r,
+                f"e_r_{label}": t.e_r,
+                f"omega_{label}": t.omega,
+            }
+        )
+    return params, ("j", "p_rj_minus", "e_rj_minus", "p_rj_plus", "e_rj_plus"), rows
+
+
+def _figure_table(figure_id: str, **overrides):
+    """``build_figure``'s dataset as the CLI writes it with ``_write_table``.
+
+    fig8, and a curve figure that ``orders._scalar_curve`` takes, come as a
+    (figure_id, params, columns, rows) tuple of float rows, built without
+    numpy; any other as ``build_figure``'s FigureDataset.
+    """
+    p = _figure_params(figure_id, overrides)
+    if figure_id in _CURVES:
+        return _curve_table(*_curve_args(figure_id, p))
+    if figure_id == "fig8":
+        return (figure_id, *_fig8(p))
+    return build_figure(figure_id, **p)
+
+
 def build_figure(figure_id: str, **overrides) -> FigureDataset:
     """Build one of the standard figure datasets.
 
@@ -243,23 +339,13 @@ def build_figure(figure_id: str, **overrides) -> FigureDataset:
     threshold; fig9: 0th-order energy step function. An override left None
     keeps the default; one the figure does not take in ``_FIGURES`` is refused.
     """
-    import numpy as np
-    if figure_id not in _FIGURES:
-        raise ValueError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
-    p = dict(_FIGURES[figure_id])
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in p:
-            raise ValueError(f"{figure_id} takes no {key}; it takes {', '.join(p)}")
-        p[key] = value
+    p = _figure_params(figure_id, overrides)
     sig = p["sigma"]
 
     if figure_id in _CURVES:
-        # The header also carries the tie in effect at the top of the range, its largest.
-        kind, column = _CURVES[figure_id]
-        return _curve_dataset(figure_id, kind, sig, p["alpha_min"], p["alpha_max"], p["samples"],
-                              column, {**p, "eps_tie": _tie_at(p["alpha_max"], sig)})
+        return _curve_dataset(*_curve_args(figure_id, p))
+    if figure_id == "fig8":
+        return FigureDataset("fig8", *_fig8(p))
 
     if figure_id == "fig4":
         n, j = p["n_slits"], 12
@@ -277,35 +363,6 @@ def build_figure(figure_id: str, **overrides) -> FigureDataset:
             },
             columns=("alpha", "single_slit", "collective_output", "resultant"),
             rows=rows,
-        )
-
-    if figure_id == "fig8":
-        a3 = order_alpha(3, sig)
-        tables = {}
-        for label, at in (("minus", a3 - EDGE_OFFSET), ("plus", a3 + EDGE_OFFSET)):
-            spec = GratingSpec.from_truncation(at, WAVELENGTH_NM, sig, p["n_slits"])
-            tables[label] = order_table(spec)
-        # The order count never falls as alpha_t grows, so the plus table
-        # spans every order the minus table has; minus reads zero beyond it.
-        top = len(tables["plus"].p_rj) - 1
-        columns = [np.arange(-top, top + 1)]
-        for t in (tables["minus"], tables["plus"]):
-            columns += [_signed(t.p_rj, top), _signed(t.e_rj, top)]
-        params = {**p, "alpha_offset": EDGE_OFFSET, "lambda_nm": WAVELENGTH_NM}
-        for label, t in tables.items():
-            params.update(
-                {
-                    f"w_nm_{label}": t.grating.slit_width_w,
-                    f"p_r_{label}": t.p_r,
-                    f"e_r_{label}": t.e_r,
-                    f"omega_{label}": t.omega,
-                }
-            )
-        return FigureDataset(
-            figure_id="fig8",
-            params=params,
-            columns=("j", "p_rj_minus", "e_rj_minus", "p_rj_plus", "e_rj_plus"),
-            rows=np.column_stack(columns),
         )
 
     # fig3/fig5

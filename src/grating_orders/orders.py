@@ -425,49 +425,30 @@ def order_table(spec: GratingSpec) -> OrderTable:
     return OrderTable(spec, p_rj, e_rj, omega_j, p_r, e_r, omega)
 
 
-# The curve kinds, each as f(sigma, envelope, integral), the arithmetic its
-# public scalar applies; the share kinds need no envelope integral.
+# The curve kinds, each as (f, scalar): f(sigma, envelope, integral), the
+# arithmetic its public scalar applies (the share kinds need no envelope
+# integral), which ``curve`` applies to arrays, and the public scalar, which
+# the scalar route calls at each point.
 _CURVE_FUNCS = {
-    "resultant_probability": _normalized,
-    "occupation": _occupation,
-    "zero_order_share": _share,
-    "zero_order_energy": _share,  # at unit total output energy
+    "resultant_probability": (_normalized, normalized_resultant_probability),
+    "occupation": (_occupation, occupation_value),
+    "zero_order_share": (_share, zero_order_share),
+    "zero_order_energy": (_share, zero_order_energy),  # at unit total output energy
 }
 CURVE_KINDS = tuple(_CURVE_FUNCS)
 
 
-def curve(
-    kind: str,
-    sigma: float,
-    alpha_range: tuple[float, float],
-    samples: int,
-) -> ProbabilityCurve:
-    """Sample the alpha_t-dependent scalar ``kind``, one of CURVE_KINDS, on a dense grid.
+def _curve_checks(kind: str, sigma: float, alpha_range, samples: int):
+    """``curve``'s checks and refusals, made before a route is chosen.
 
-    A pair of samples at alpha_j -+ 1e-6 is inserted around every order
-    position inside the range so threshold discontinuities are resolved as
-    two-sided limits instead of being aliased by the background grid; for
-    sigma below about 1.3e-6 the offset shrinks to a quarter of the order
-    spacing. A range whose top admits more than MAX_ORDER_TERMS orders, or
-    a curve of more than MAX_POINTS points, is refused before any array is
-    built. Where the grid's step is subnormal, a curve may hold fewer than
-    ``samples`` points, all in [lo, hi].
-
-    Every ordinate equals the scalar function at its abscissa bit for bit,
-    computed in one array pass rather than one scalar call per point: the
-    order counts come from ``propagating_orders`` at the ends of the range
-    and one sorted search over the ``order_alpha`` positions between them,
-    each order's sinc^2 is evaluated once, by the array ``sinc_sq_at_order``
-    in blocks (``_order_terms``), the scalar's correctly rounded fsum of the
-    first n terms comes from one checked array pass over the terms at the
-    distinct counts n, ascending from ``np.unique`` (``fsum_prefixes``), the
-    envelope and per-kind arithmetic run elementwise in the scalar's order,
-    and the envelope integral is ``sinc_sq_integral`` over the array.
+    Returns (f, lo, hi, n_lo, n_hi): the kind's arithmetic, the range as
+    floats and the order counts at its ends. A range whose top admits more
+    than MAX_ORDER_TERMS orders, or a curve of more than MAX_POINTS points,
+    is refused here, before any point is computed.
     """
-    import numpy as np
-    f = _CURVE_FUNCS.get(kind)
-    if f is None:
+    if kind not in _CURVE_FUNCS:
         raise ValueError(f"unknown curve kind {kind!r}; expected one of {CURVE_KINDS}")
+    f = _CURVE_FUNCS[kind][0]
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma!r}")
     lo, hi = float(alpha_range[0]), float(alpha_range[1])
@@ -493,6 +474,95 @@ def curve(
             f"curve would have more than {MAX_POINTS:.3g} points; "
             "narrow the range or use fewer samples"
         )
+    return f, lo, hi, n_lo, n_hi
+
+
+# Largest curve that ``_scalar_route`` sends by the public scalars, one call
+# per point: in points as MAX_POINTS counts them, samples + 2 (n_hi - n_lo),
+# and in orders at the top of the range, since the scalars sum each distinct
+# order count afresh. Median CPU of a CLI sweep subprocess, array route
+# (numpy's import included) against scalar route: resultant_probability 249
+# against 120 ms at 2,000 points, 212 against 158 at 8,192 and 244 against
+# 256 at 16,000; zero_order_energy 230 against 132 at 16,000; occupation at
+# sigma = 1/48 and 400 samples 267 against 152 ms at n_hi = 512 and 236
+# against 223 at 1,024 (Python 3.11, numpy 2.4, 2-core x86-64 Linux, where
+# numpy's import took about 120 ms). Where it took 70 ms: 140 against 136 ms
+# at 8,000 points and 114 against 85 at n_hi = 500. So both bounds sit at or
+# below the break-even.
+_SCALAR_CURVE_POINTS = 1 << 13
+_SCALAR_CURVE_ORDERS = 1 << 9
+
+
+def _scalar_route(samples: int, n_lo: int, n_hi: int) -> bool:
+    """Whether a checked curve goes by the public scalars rather than by arrays.
+
+    Only where numpy is not loaded, whose import the scalar route spares, and
+    only for a curve within both _SCALAR_CURVE_POINTS and _SCALAR_CURVE_ORDERS.
+    """
+    return (sys.modules.get("numpy") is None
+            and samples + 2 * (n_hi - n_lo) <= _SCALAR_CURVE_POINTS
+            and n_hi <= _SCALAR_CURVE_ORDERS)
+
+
+
+def _scalar_curve(kind: str, sigma: float, alpha_range, samples: int):
+    """``curve``'s abscissa and ordinate as two lists of floats, by ``math``.
+
+    None where ``_scalar_route`` sends the curve by arrays, after the same
+    checks and refusals as ``curve``. The points are ``curve``'s: the grid
+    k * step + lo of numpy's ``linspace`` (k / div * (hi - lo) + lo where the
+    step rounds to 0), clipped at hi and ending at hi, and the edge samples,
+    sorted and deduplicated. Each ordinate is the kind's public scalar at its
+    point, which the array route equals bit for bit.
+    """
+    _, lo, hi, n_lo, n_hi = _curve_checks(kind, sigma, alpha_range, samples)
+    if not _scalar_route(samples, n_lo, n_hi):
+        return None
+    div, delta = samples - 1, hi - lo
+    step = delta / div
+    pts = [min(k * step + lo if step else k / div * delta + lo, hi) for k in range(div)]
+    edge = _edge(sigma)
+    for j in range(max(1, n_lo), n_hi + 1):
+        aj = order_alpha(j, sigma)
+        if lo < aj < hi:
+            pts += [a for a in (aj - edge, aj + edge) if lo < a < hi]
+    pts = sorted({*pts, hi})
+    scalar = _CURVE_FUNCS[kind][1]
+    return pts, [scalar(at, sigma) for at in pts]
+
+
+def curve(
+    kind: str,
+    sigma: float,
+    alpha_range: tuple[float, float],
+    samples: int,
+) -> ProbabilityCurve:
+    """Sample the alpha_t-dependent scalar ``kind``, one of CURVE_KINDS, on a dense grid.
+
+    A pair of samples at alpha_j -+ 1e-6 is inserted around every order
+    position inside the range so threshold discontinuities are resolved as
+    two-sided limits instead of being aliased by the background grid; for
+    sigma below about 1.3e-6 the offset shrinks to a quarter of the order
+    spacing. A range whose top admits more than MAX_ORDER_TERMS orders, or
+    a curve of more than MAX_POINTS points, is refused before any array is
+    built (``_curve_checks``). Where the grid's step is subnormal, a curve
+    may hold fewer than ``samples`` points, all in [lo, hi].
+
+    Every ordinate equals the scalar function at its abscissa bit for bit,
+    computed in one array pass rather than one scalar call per point: the
+    order counts come from ``propagating_orders`` at the ends of the range
+    and one sorted search over the ``order_alpha`` positions between them,
+    each order's sinc^2 is evaluated once, by the array ``sinc_sq_at_order``
+    in blocks (``_order_terms``), the scalar's correctly rounded fsum of the
+    first n terms comes from one checked array pass over the terms at the
+    distinct counts n, ascending from ``np.unique`` (``fsum_prefixes``), the
+    envelope and per-kind arithmetic run elementwise in the scalar's order,
+    and the envelope integral is ``sinc_sq_integral`` over the array. The
+    CLI, where numpy is not loaded, takes a small curve by the scalars
+    instead (``_scalar_curve``), and writes the same points and values.
+    """
+    f, lo, hi, n_lo, n_hi = _curve_checks(kind, sigma, alpha_range, samples)
+    import numpy as np
 
     # Where the grid's step is subnormal, its rounding can carry inner grid
     # points past hi; clipped, they repeat hi and the dedupe drops them.

@@ -12,9 +12,22 @@ from dataset_csv import read_csv
 from grating_orders import __version__, cli
 from grating_orders.figures import _MAX_SLITS
 
-# The invocations that need no array: every omega and table of the benchmark
-# catalogue, the measured pulse pair and refused calls.
-NUMPY_FREE = [
+# Curve figures, fig8 and sweeps that the CLI writes without numpy: those of
+# the benchmark catalogue, fig7 and a refused fig8 override.
+REFUSED_FIG8 = "figure --id fig8 --samples 10 --out fig8.csv"
+CURVE_AND_FIG8 = [REFUSED_FIG8,
+    "figure --id fig6 --out fig6.csv", "figure --id fig7 --out fig7.csv",
+    "figure --id fig8 --out fig8.csv", "figure --id fig8 --format json --out fig8.json",
+    "figure --id fig9 --out fig9.csv",
+    "sweep --j-min 1.5 --j-max 12 --out sweep.csv",
+    "sweep --quantity resultant_probability --j-min 2 --j-max 9 --samples 400 --out sweep.csv",
+    "sweep --quantity zero_order_energy --j-min 0.5 --j-max 10 --samples 300 --format json "
+    "--out sweep.json",
+    "sweep --j-min 1 --j-max 20 --sigma 1/3 --out sweep.csv",
+]
+# The invocations that need no array: every omega, table, curve figure, fig8
+# and sweep of the benchmark catalogue, the measured pulse pair and refused calls.
+NUMPY_FREE = [*CURVE_AND_FIG8,
     "omega --j-equiv 3-", "omega --j-equiv 3+", "omega --w 833",
     "omega --j-equiv 6.5 --sigma 1/3",
     "table --j-equiv 3- --out table.csv", "table --j-equiv 3+ --out table.csv",
@@ -184,14 +197,15 @@ class TestNumpyFreeStart:
         assert blocked == normal
         assert normal[0] == (2 if normal[2] else 0)
 
-    # 1e5 and 2e4 orders, above _ARRAY_SUM_ORDERS
+    # 1e5 and 2e4 orders, above _ARRAY_SUM_ORDERS; with numpy loaded, the
+    # curves go by arrays rather than by the scalars
     @pytest.mark.parametrize("key", ["omega --j-equiv 100000.5",
-                                     "table --j-equiv 20000.5 --out table.csv"])
+                                     "table --j-equiv 20000.5 --out table.csv", *CURVE_AND_FIG8])
     def test_same_bytes_with_numpy_loaded(self, key, tmp_path):
         blocked = self.run_cli(key.split(), tmp_path / "blocked", block_numpy=True)
         loaded = self.run_cli(key.split(), tmp_path / "loaded", block_numpy=False, load_numpy=True)
         assert loaded == blocked
-        assert blocked[0] == 0
+        assert blocked[0] == (2 if key == REFUSED_FIG8 else 0)
 
     def test_import_leaves_numpy_unloaded(self):
         code = "import sys, grating_orders.cli; print('numpy' in sys.modules)"
@@ -204,8 +218,10 @@ class TestLeanStart:
     # those of a bare interpreter start.
     REPORT = ("import atexit, sys; "
               "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr)); ")
-    CURVE_CALLS = ["sweep --j-min 1.5 --j-max 12 --out sweep.csv",
-                   "figure --id fig6 --out fig6.csv", "figure --id fig9 --out fig9.csv"]
+    # curves that go by arrays: 8,200 samples plus 22 edge samples, over the
+    # scalar route's 8,192 points, and a top at order 513, over its 512 orders
+    CURVE_CALLS = ["sweep --j-min 1.5 --j-max 12 --samples 8200 --out sweep.csv",
+                   "sweep --j-min 512.5 --j-max 513 --samples 50 --out sweep.csv"]
 
     def loaded(self, code, argv, cwd):
         proc = subprocess.run([sys.executable, "-c", self.REPORT + code, *argv], cwd=cwd,
@@ -453,6 +469,23 @@ def test_below_form_inside_the_tie_is_refused(argv, tmp_path, monkeypatch, capsy
     assert err == (f"error: --j-equiv {j}- at sigma=0.0001 lies inside the threshold tie, "
                    f"which admits order {j}\n")
     assert not (tmp_path / "table.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["omega", "--j-equiv", "9999999-", "--sigma", "1e-4"],
+    ["table", "--j-equiv", "400000-", "--sigma", "1e-4", "--out", "table.csv"],
+])
+def test_below_form_inside_the_tie_is_refused_before_any_sum(argv, tmp_path, monkeypatch, capsys):
+    from grating_orders import orders
+
+    def no_sum(*args):
+        raise AssertionError("orders were summed before the refusal")
+
+    monkeypatch.setattr(orders, "_envelope_sum", no_sum)
+    monkeypatch.setattr(cli, "order_table", no_sum)
+    code, out, err = run(argv, tmp_path, monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --j-equiv {argv[2]} at sigma=0.0001 lies inside the threshold tie")
 
 
 def test_below_form_outside_the_tie_answers(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import math
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -814,6 +815,84 @@ class TestCurve:
             ProbabilityCurve(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="finite and positive"):
             ProbabilityCurve(np.array([1.0, 2.0]), np.array([1.0, -1.0]))
+
+
+@contextmanager
+def numpy_unloaded():
+    """sys.modules as a process sees it before numpy is imported; an import of it fails."""
+    loaded = sys.modules["numpy"]
+    sys.modules["numpy"] = None
+    try:
+        yield
+    finally:
+        sys.modules["numpy"] = loaded
+
+
+def scalar_curve(kind, sigma, alpha_range, samples):
+    with numpy_unloaded():
+        return orders._scalar_curve(kind, sigma, alpha_range, samples)
+
+
+def assert_routes_agree(kind, sigma, alpha_range, samples):
+    c = curve(kind, sigma, alpha_range, samples)
+    assert scalar_curve(kind, sigma, alpha_range, samples) == (c.abscissa.tolist(),
+                                                               c.ordinate.tolist())
+
+
+class TestScalarCurveRoute:
+    """Where numpy is not loaded, a small curve goes by the public scalars: the
+    same points and values as ``curve``'s arrays."""
+
+    @given(
+        st.sampled_from(CURVE_KINDS),
+        st.floats(1e-3, 0.99),
+        st.floats(1.0, 100.0),
+        st.floats(0.01, 60.0),
+        st.integers(2, 40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_curves_equal_array_route(self, kind, sigma, j_lo, j_width, samples):
+        lo = j_lo * math.pi * sigma
+        assert_routes_agree(kind, sigma, (lo, lo + j_width * math.pi * sigma), samples)
+
+    @pytest.mark.parametrize("kind", CURVE_KINDS)
+    @pytest.mark.parametrize("sigma", [1e-300, 5e-324])
+    def test_subnormal_step_equals_array_route(self, kind, sigma):
+        # inner grid points rounded past hi, clipped, repeat it
+        assert_routes_agree(kind, sigma, (math.pi * sigma, 9.5 * math.pi * sigma), 41)
+
+    @pytest.mark.parametrize("kind", CURVE_KINDS)
+    def test_step_rounding_to_zero_equals_array_route(self, kind):
+        # three subnormal units over 7 and 19 steps: linspace scales k / div
+        # instead, which places grid points between lo and hi
+        sigma = 5e-324
+        lo = math.pi * sigma
+        hi = lo + 3 * 5e-324
+        for samples in (8, 20):
+            assert (hi - lo) / (samples - 1) == 0.0
+            assert_routes_agree(kind, sigma, (lo, hi), samples)
+            assert len(scalar_curve(kind, sigma, (lo, hi), samples)[0]) > 2
+
+    def test_bounds_choose_the_route(self):
+        # points: samples + 2 (n_hi - n_lo), with n_lo = 0 and n_hi = 10
+        top = order_alpha(10, 0.5) + 0.1
+        points = orders._SCALAR_CURVE_POINTS - 20
+        assert_routes_agree("zero_order_share", 0.5, (0.01, top), points)
+        assert scalar_curve("zero_order_share", 0.5, (0.01, top), points + 1) is None
+        # orders at the top of the range, an order at its own threshold included
+        sigma, n = 1 / 48, orders._SCALAR_CURVE_ORDERS
+        lo = order_alpha(n - 12, sigma) + 1e-3
+        assert_routes_agree("occupation", sigma, (lo, order_alpha(n, sigma)), 10)
+        assert scalar_curve("occupation", sigma, (lo, order_alpha(n + 1, sigma)), 10) is None
+
+    def test_numpy_loaded_takes_arrays(self):
+        assert orders._scalar_curve("occupation", 0.5, (2.0, 7.0), 10) is None
+
+    def test_refusals_come_before_the_route(self):
+        with pytest.raises(ValueError, match="points"):
+            scalar_curve("zero_order_share", 0.5, (1.0, 2.0), MAX_POINTS + 1)
+        with pytest.raises(ValueError, match="unknown curve kind"):
+            scalar_curve("energy", 0.5, (1.0, 2.0), 10)
 
 
 def test_order_terms_are_the_scalar_terms_across_blocks():
