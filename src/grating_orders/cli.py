@@ -5,11 +5,13 @@ diagnostic naming the violated precondition).
 
 The parser's choices and defaults come from modules that load neither numpy,
 ``dataclasses`` nor ``json``; ``experiment`` imports the coupling model when it
-runs, and with ``--dv-g/--dv-gc`` only ``pulses``. ``omega``, ``table``, fig8
-and a small curve (``figure`` fig6, fig7 and fig9, and ``sweep``; see
-``orders._scalar_route``) are computed by the public scalar functions and
-written without importing numpy; fig3/4/5, a larger curve and the simulating
-``experiment`` import it.
+runs, and with ``--dv-g/--dv-gc`` only ``pulses``. ``figure`` writes the
+(params, columns, rows) that ``build_figure`` wraps, from the one builder
+``figures._figure``, and ``sweep`` takes its rows from the same curve
+sampler. ``omega``, ``table``, fig8 and a small curve (``figure`` fig6, fig7
+and fig9, and ``sweep``, within the bounds of ``orders._scalar_curve``) are
+computed by the public scalar functions and written without importing numpy;
+fig3/4/5, a larger curve and the simulating ``experiment`` import it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from . import __version__
 from .diffraction import (
     DEFAULT_SLIT_COUNT, GratingSpec, equivalent_order, order_alpha, truncation_alpha,
 )
-from .figures import (FIGURE_IDS, WAVELENGTH_NM, _curve_table, _figure_table, _write_table,
+from .figures import (FIGURE_IDS, WAVELENGTH_NM, _curve_rows, _figure, _write_rows,
                       write_order_table)
 from .orders import CURVE_KINDS, EDGE_OFFSET, occupation_value, order_table, propagating_orders
 
@@ -191,10 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_figure(args: argparse.Namespace) -> int:
-    table = _figure_table(args.figure_id, sigma=args.sigma, n_slits=args.n_slits,
-                          alpha_min=args.alpha_min, alpha_max=args.alpha_max,
-                          samples=args.samples)
-    _write(args, args.figure_id, len(table[-1]), _write_table, table)
+    overrides = {k: getattr(args, k) for k in ("sigma", "n_slits", "alpha_min", "alpha_max",
+                                               "samples")}
+    params, columns, rows = _figure(args.figure_id, overrides)
+    _write(args, args.figure_id, len(rows), _write_rows, args.figure_id, params, columns, rows)
     return 0
 
 
@@ -285,9 +287,9 @@ def _run_sweep(args: argparse.Namespace) -> int:
     params = {k: getattr(args, k) for k in ("quantity", "sigma", "j_min", "j_max", "samples")}
     lo = order_alpha(args.j_min, args.sigma)
     hi = order_alpha(args.j_max, args.sigma)
-    table = _curve_table("sweep", args.quantity, args.sigma, lo, hi, args.samples,
-                         args.quantity, params)
-    _write(args, "sweep", len(table[-1]), _write_table, table)
+    rows = _curve_rows(args.quantity, args.sigma, lo, hi, args.samples)
+    _write(args, "sweep", len(rows), _write_rows, "sweep", {**params, "rule": "inclusive"},
+           ("alpha_t", "j_equiv", args.quantity), rows)
     return 0
 
 

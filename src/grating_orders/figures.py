@@ -5,14 +5,16 @@ carries the metadata in '#'-prefixed lines before a plain column-name row;
 JSON mirrors the same fields. Floats are written with ``repr`` so values
 round-trip losslessly. Writes are atomic (temp file + rename) and the bytes
 are a pure function of the dataset, so repeated runs are byte-identical.
+``build_figure`` and the CLI take each figure from one builder, ``_figure``.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from collections import namedtuple
-from itertools import count
+from itertools import count, islice
 from pathlib import Path
 
 from . import __version__
@@ -145,7 +147,11 @@ def emit(dataset: FigureDataset, fmt: str = "csv") -> bytes:
 def _write_atomic(path: Path | str, pieces) -> Path:
     # A temp file beside path, of this process and call, then rename; a failed write
     # leaves path as it was, and "x" keeps a write off any file it did not create.
+    # The rename would replace a FIFO or a device node, so a path that exists and is
+    # not a regular file, or a link to one, is refused before the temp file is made.
     path = Path(path)
+    if path.exists() and not path.is_file():
+        raise ValueError(f"{path} exists and is not a regular file; it is not replaced")
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{next(_TEMP_NUMBERS)}.tmp")
     fh = open(tmp, "xb")
@@ -163,22 +169,18 @@ def write_dataset(dataset: FigureDataset, path: Path | str, fmt: str = "csv") ->
     return _write_atomic(path, [emit(dataset, fmt)])
 
 
-def _write_blocks(figure_id, params, columns, blocks, path, fmt):
-    """Write ``_encode``'s text of the blocks atomically, piece by piece."""
+def _write_rows(figure_id, params, columns, rows, path: Path | str, fmt: str = "csv") -> Path:
+    """Write a dataset's rows atomically: a float64 array as a ``FigureDataset``,
+    with its checks, by ``write_dataset``; any other iterable of rows of floats
+    streamed through ``_encode`` in blocks of _BLOCK rows, without numpy. Both
+    write the same bytes."""
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(rows, np.ndarray):
+        return write_dataset(FigureDataset(figure_id, params, columns, rows), path, fmt)
+    rows = iter(rows)
+    blocks = iter(lambda: [value for row in islice(rows, _BLOCK) for value in row], [])
     pieces = _encode(figure_id, params, columns, blocks, fmt)
     return _write_atomic(path, (piece.encode("ascii") for piece in pieces))
-
-
-def _write_table(table, path: Path | str, fmt: str = "csv") -> Path:
-    """Write a table of ``_figure_table`` or ``_curve_table`` atomically: a
-    FigureDataset as ``write_dataset`` does, and a tuple's rows of floats in
-    blocks of _BLOCK rows, which ``_encode`` turns into the same bytes."""
-    if isinstance(table, FigureDataset):
-        return write_dataset(table, path, fmt)
-    figure_id, params, columns, rows = table
-    blocks = ([value for row in rows[i:i + _BLOCK] for value in row]
-              for i in range(0, len(rows), _BLOCK))
-    return _write_blocks(figure_id, params, columns, blocks, path, fmt)
 
 
 def write_order_table(table: OrderTable, path: Path | str, fmt: str = "csv") -> Path:
@@ -198,10 +200,8 @@ def write_order_table(table: OrderTable, path: Path | str, fmt: str = "csv") -> 
         "j_equiv": equivalent_order(table.grating),
     }
     p_rj, e_rj, omega_j = table.p_rj, table.e_rj, table.omega_j
-    blocks = ([value for j in range(lo, min(lo + _BLOCK, n + 1))
-               for value in (float(j), p_rj[abs(j)], e_rj[abs(j)], omega_j[abs(j)])]
-              for lo in range(-n, n + 1, _BLOCK))
-    return _write_blocks("table", params, ("j", "p_rj", "e_rj", "omega_j"), blocks, path, fmt)
+    rows = ((float(j), p_rj[abs(j)], e_rj[abs(j)], omega_j[abs(j)]) for j in range(-n, n + 1))
+    return _write_rows("table", params, ("j", "p_rj", "e_rj", "omega_j"), rows, path, fmt)
 
 
 # The most slits N whose peak N**2 converts to a float: 2**1024 - 2**970 and above overflow.
@@ -226,39 +226,27 @@ def _intensity_rows(alpha_lo, alpha_hi, samples, sigma, n_slits, include_single=
     return np.column_stack([*columns, n_slits * envelope, grating_intensity(pts, sigma, n_slits)])
 
 
-def _curve_dataset(figure_id, kind, sigma, lo, hi, samples, value_column, params):
-    """Sample ``curve`` into (alpha_t, j_equiv, value) rows under a header of ``params``.
-
-    Every header also names the one inclusion rule.
-    """
+def _curve_rows(kind, sigma, lo, hi, samples):
+    """A curve's (alpha_t, j_equiv, value) rows: tuples of floats by
+    ``orders._scalar_curve`` where it takes the curve, else one float64 array
+    from ``curve``, looked up as a module global. The same floats either way."""
+    sampled = _scalar_curve(kind, sigma, (lo, hi), samples)
+    spacing = math.pi * sigma
+    if sampled is not None:
+        return [(at, at / spacing, value) for at, value in zip(*sampled)]
     import numpy as np
     c = curve(kind, sigma, (lo, hi), samples)
-    j_equiv = c.abscissa / (math.pi * sigma)
-    return FigureDataset(
-        figure_id=figure_id,
-        params={**params, "rule": "inclusive"},
-        columns=("alpha_t", "j_equiv", value_column),
-        rows=np.column_stack([c.abscissa, j_equiv, c.ordinate]),
-    )
+    return np.column_stack([c.abscissa, c.abscissa / spacing, c.ordinate])
 
 
-def _curve_table(figure_id, kind, sigma, lo, hi, samples, value_column, params):
-    """``_curve_dataset``'s rows, by ``orders._scalar_curve`` where it takes the
-    curve: a (figure_id, params, columns, rows) tuple of float rows, built
-    without numpy. Else ``_curve_dataset``'s FigureDataset, by arrays."""
-    sampled = _scalar_curve(kind, sigma, (lo, hi), samples)
-    if sampled is None:
-        return _curve_dataset(figure_id, kind, sigma, lo, hi, samples, value_column, params)
-    spacing = math.pi * sigma
-    return (figure_id, {**params, "rule": "inclusive"}, ("alpha_t", "j_equiv", value_column),
-            [(at, at / spacing, value) for at, value in zip(*sampled)])
+def _figure(figure_id: str, overrides: dict) -> tuple:
+    """One standard figure's (params, columns, rows), for ``build_figure`` and the CLI.
 
-
-def _figure_params(figure_id: str, overrides: dict) -> dict:
-    """The figure's parameters: its defaults, with each override that is not None.
-
-    An unknown figure id, or an override the figure does not take in
-    ``_FIGURES``, is refused.
+    The parameters are the figure's defaults in ``_FIGURES``, with each
+    override that is not None; an unknown figure id, or an override the
+    figure does not take, is refused. The rows are a float64 array, or, for
+    fig8 and a curve that ``orders._scalar_curve`` takes, a list of tuples of
+    floats built without numpy: ``FigureDataset`` and ``_write_rows`` take either.
     """
     if figure_id not in _FIGURES:
         raise ValueError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
@@ -269,67 +257,64 @@ def _figure_params(figure_id: str, overrides: dict) -> dict:
         if key not in p:
             raise ValueError(f"{figure_id} takes no {key}; it takes {', '.join(p)}")
         p[key] = value
-    return p
-
-
-def _curve_args(figure_id: str, p: dict) -> tuple:
-    """The arguments of ``_curve_dataset`` for a curve figure of parameters p.
-
-    The header also carries the tie in effect at the top of the range, its largest.
-    """
-    kind, column = _CURVES[figure_id]
-    sig, hi = p["sigma"], p["alpha_max"]
-    return (figure_id, kind, sig, p["alpha_min"], hi, p["samples"], column,
-            {**p, "eps_tie": _tie_at(hi, sig)})
-
-
-def _fig8(p: dict) -> tuple:
-    """fig8's (params, columns, rows): the order tables of the pair of gratings
-    EDGE_OFFSET either side of the third-order threshold, one row per signed order.
-
-    The rows are floats from the tables' ``array('d')`` columns, built without
-    numpy. The order count never falls as alpha_t grows, so the plus table
-    spans every order the minus table has; minus reads zero beyond it.
-    """
     sig = p["sigma"]
-    a3 = order_alpha(3, sig)
-    tables = {label: order_table(GratingSpec.from_truncation(at, WAVELENGTH_NM, sig,
-                                                             p["n_slits"]))
-              for label, at in (("minus", a3 - EDGE_OFFSET), ("plus", a3 + EDGE_OFFSET))}
-    top = len(tables["plus"].p_rj) - 1
-    cols = [col for t in tables.values() for col in (t.p_rj, t.e_rj)]
-    rows = [(float(j), *(col[abs(j)] if abs(j) < len(col) else 0.0 for col in cols))
-            for j in range(-top, top + 1)]
-    params = {**p, "alpha_offset": EDGE_OFFSET, "lambda_nm": WAVELENGTH_NM}
-    for label, t in tables.items():
-        params.update(
-            {
-                f"w_nm_{label}": t.grating.slit_width_w,
-                f"p_r_{label}": t.p_r,
-                f"e_r_{label}": t.e_r,
-                f"omega_{label}": t.omega,
-            }
-        )
-    return params, ("j", "p_rj_minus", "e_rj_minus", "p_rj_plus", "e_rj_plus"), rows
 
-
-def _figure_table(figure_id: str, **overrides):
-    """``build_figure``'s dataset as the CLI writes it with ``_write_table``.
-
-    fig8, and a curve figure that ``orders._scalar_curve`` takes, come as a
-    (figure_id, params, columns, rows) tuple of float rows, built without
-    numpy; any other as ``build_figure``'s FigureDataset.
-    """
-    p = _figure_params(figure_id, overrides)
     if figure_id in _CURVES:
-        return _curve_table(*_curve_args(figure_id, p))
+        # The header also carries the tie in effect at the top of the range, its
+        # largest, and names the one inclusion rule.
+        kind, column = _CURVES[figure_id]
+        hi = p["alpha_max"]
+        params = {**p, "eps_tie": _tie_at(hi, sig), "rule": "inclusive"}
+        return (params, ("alpha_t", "j_equiv", column),
+                _curve_rows(kind, sig, p["alpha_min"], hi, p["samples"]))
+
     if figure_id == "fig8":
-        return (figure_id, *_fig8(p))
-    return build_figure(figure_id, **p)
+        # The order tables of the pair of gratings EDGE_OFFSET either side of the
+        # third-order threshold, one row per signed order, from the tables'
+        # array('d') columns. The order count never falls as alpha_t grows, so the
+        # plus table spans every order the minus table has; minus reads zero beyond it.
+        a3 = order_alpha(3, sig)
+        tables = {label: order_table(GratingSpec.from_truncation(at, WAVELENGTH_NM, sig,
+                                                                 p["n_slits"]))
+                  for label, at in (("minus", a3 - EDGE_OFFSET), ("plus", a3 + EDGE_OFFSET))}
+        top = len(tables["plus"].p_rj) - 1
+        cols = [col for t in tables.values() for col in (t.p_rj, t.e_rj)]
+        rows = [(float(j), *(col[abs(j)] if abs(j) < len(col) else 0.0 for col in cols))
+                for j in range(-top, top + 1)]
+        params = {**p, "alpha_offset": EDGE_OFFSET, "lambda_nm": WAVELENGTH_NM}
+        for label, t in tables.items():
+            params.update(
+                {
+                    f"w_nm_{label}": t.grating.slit_width_w,
+                    f"p_r_{label}": t.p_r,
+                    f"e_r_{label}": t.e_r,
+                    f"omega_{label}": t.omega,
+                }
+            )
+        return params, ("j", "p_rj_minus", "e_rj_minus", "p_rj_plus", "e_rj_plus"), rows
+
+    if figure_id == "fig4":
+        # The rows first: their checks refuse an n_slits that overflows the header.
+        n, j = p["n_slits"], 12
+        aj = order_alpha(j, sig)
+        half = math.pi * sig / 2.0
+        rows = _intensity_rows(aj - half, aj + half, p["samples"], sig, n, include_single=True)
+        params = {
+            **p,
+            "j": j,
+            "subinterval_width": math.pi * sig,
+            "peak_base_width": 2.0 * math.pi * sig / n,
+            "riemann_strip": math.pi * sig * n * sinc_sq_at_order(j, sig),
+        }
+        return params, ("alpha", "single_slit", "collective_output", "resultant"), rows
+
+    # fig3/fig5
+    rows = _intensity_rows(p["alpha_min"], p["alpha_max"], p["samples"], sig, p["n_slits"])
+    return p, ("alpha", "collective_output", "resultant"), rows
 
 
 def build_figure(figure_id: str, **overrides) -> FigureDataset:
-    """Build one of the standard figure datasets.
+    """Build one of the standard figure datasets: ``_figure``'s (params, columns, rows).
 
     fig3/fig5: envelope-plus-orders intensity sections (sigma = 1/8 and 1/2);
     fig4: one-subinterval detail with its Riemann strip value (fig3/4/5 rows
@@ -338,38 +323,6 @@ def build_figure(figure_id: str, **overrides) -> FigureDataset:
     fig8: per-order tables for the pair of gratings straddling the third-order
     threshold; fig9: 0th-order energy step function. An override left None
     keeps the default; one the figure does not take in ``_FIGURES`` is refused.
+    The CLI writes the same (params, columns, rows), so the same bytes.
     """
-    p = _figure_params(figure_id, overrides)
-    sig = p["sigma"]
-
-    if figure_id in _CURVES:
-        return _curve_dataset(*_curve_args(figure_id, p))
-    if figure_id == "fig8":
-        return FigureDataset("fig8", *_fig8(p))
-
-    if figure_id == "fig4":
-        n, j = p["n_slits"], 12
-        aj = order_alpha(j, sig)
-        half = math.pi * sig / 2.0
-        rows = _intensity_rows(aj - half, aj + half, p["samples"], sig, n, include_single=True)
-        return FigureDataset(
-            figure_id=figure_id,
-            params={
-                **p,
-                "j": j,
-                "subinterval_width": math.pi * sig,
-                "peak_base_width": 2.0 * math.pi * sig / n,
-                "riemann_strip": math.pi * sig * n * sinc_sq_at_order(j, sig),
-            },
-            columns=("alpha", "single_slit", "collective_output", "resultant"),
-            rows=rows,
-        )
-
-    # fig3/fig5
-    rows = _intensity_rows(p["alpha_min"], p["alpha_max"], p["samples"], sig, p["n_slits"])
-    return FigureDataset(
-        figure_id=figure_id,
-        params=p,
-        columns=("alpha", "collective_output", "resultant"),
-        rows=rows,
-    )
+    return FigureDataset(figure_id, *_figure(figure_id, overrides))

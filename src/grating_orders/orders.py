@@ -439,7 +439,7 @@ CURVE_KINDS = tuple(_CURVE_FUNCS)
 
 
 def _curve_checks(kind: str, sigma: float, alpha_range, samples: int):
-    """``curve``'s checks and refusals, made before a route is chosen.
+    """``curve``'s checks and refusals, which both routes make before any point.
 
     Returns (f, lo, hi, n_lo, n_hi): the kind's arithmetic, the range as
     floats and the order counts at its ends. A range whose top admits more
@@ -477,7 +477,7 @@ def _curve_checks(kind: str, sigma: float, alpha_range, samples: int):
     return f, lo, hi, n_lo, n_hi
 
 
-# Largest curve that ``_scalar_route`` sends by the public scalars, one call
+# Largest curve that ``_scalar_curve`` sends by the public scalars, one call
 # per point: in points as MAX_POINTS counts them, samples + 2 (n_hi - n_lo),
 # and in orders at the top of the range, since the scalars sum each distinct
 # order count afresh. Median CPU of a CLI sweep subprocess, array route
@@ -493,30 +493,23 @@ _SCALAR_CURVE_POINTS = 1 << 13
 _SCALAR_CURVE_ORDERS = 1 << 9
 
 
-def _scalar_route(samples: int, n_lo: int, n_hi: int) -> bool:
-    """Whether a checked curve goes by the public scalars rather than by arrays.
-
-    Only where numpy is not loaded, whose import the scalar route spares, and
-    only for a curve within both _SCALAR_CURVE_POINTS and _SCALAR_CURVE_ORDERS.
-    """
-    return (sys.modules.get("numpy") is None
-            and samples + 2 * (n_hi - n_lo) <= _SCALAR_CURVE_POINTS
-            and n_hi <= _SCALAR_CURVE_ORDERS)
-
-
-
 def _scalar_curve(kind: str, sigma: float, alpha_range, samples: int):
     """``curve``'s abscissa and ordinate as two lists of floats, by ``math``.
 
-    None where ``_scalar_route`` sends the curve by arrays, after the same
-    checks and refusals as ``curve``. The points are ``curve``'s: the grid
+    None where numpy is loaded, since the scalar route spares only its
+    import: the caller then takes ``curve``'s arrays, and ``curve`` makes the
+    checks. Otherwise the checks and refusals are ``curve``'s, and a curve
+    over either bound, _SCALAR_CURVE_POINTS points or _SCALAR_CURVE_ORDERS
+    orders at hi, is None too. The points are ``curve``'s: the grid
     k * step + lo of numpy's ``linspace`` (k / div * (hi - lo) + lo where the
     step rounds to 0), clipped at hi and ending at hi, and the edge samples,
     sorted and deduplicated. Each ordinate is the kind's public scalar at its
     point, which the array route equals bit for bit.
     """
+    if sys.modules.get("numpy") is not None:
+        return None
     _, lo, hi, n_lo, n_hi = _curve_checks(kind, sigma, alpha_range, samples)
-    if not _scalar_route(samples, n_lo, n_hi):
+    if samples + 2 * (n_hi - n_lo) > _SCALAR_CURVE_POINTS or n_hi > _SCALAR_CURVE_ORDERS:
         return None
     div, delta = samples - 1, hi - lo
     step = delta / div
@@ -558,8 +551,9 @@ def curve(
     distinct counts n, ascending from ``np.unique`` (``fsum_prefixes``), the
     envelope and per-kind arithmetic run elementwise in the scalar's order,
     and the envelope integral is ``sinc_sq_integral`` over the array. The
-    CLI, where numpy is not loaded, takes a small curve by the scalars
-    instead (``_scalar_curve``), and writes the same points and values.
+    figure builder and the CLI's sweep, where numpy is not loaded, take a
+    small curve by the scalars instead (``_scalar_curve``, which ``figures``
+    asks first): the same points and values.
     """
     f, lo, hi, n_lo, n_hi = _curve_checks(kind, sigma, alpha_range, samples)
     import numpy as np

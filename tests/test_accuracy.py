@@ -341,6 +341,43 @@ def test_envelope_sum_within_its_bound_at_the_largest_count(sigma):
     assert ulps(_envelope_sum(n, sigma), lerch_sum(n, sigma)) <= ENVELOPE_BOUND
 
 
+# Past the contract points' alpha_t = 200, up to 1.5e6 orders, the model's
+# order sum comes from the Lerch form. Measured: 1.3, 0.94 and 0.84 ulp at
+# most (normalized, occupation, share).
+FAR_POINTS = [(at, sigma) for at in (1e3, 1e4, 1e5) for sigma in (0.3, 1 / 48, 0.7)]
+
+
+@pytest.fixture(scope="module")
+def far_exact():
+    """{(alpha_t, sigma): (normalized, occupation, share)} at FAR_POINTS, with
+    the order count in exact arithmetic, as the ``exact`` fixture counts it."""
+    mp = pytest.importorskip("mpmath")
+    from envelope_oracle import lerch_sum
+
+    out = {}
+    with mp.workdps(40):
+        for at, sigma in FAR_POINTS:
+            assert TIE_ULPS * math.ulp(at) < EPS_TIE  # the tie is EPS_TIE here too
+            h, a = mp.pi * mp.mpf(sigma), mp.mpf(at)
+            n = int(mp.floor((a + mp.mpf(EPS_TIE)) / h))
+            assert propagating_orders(at, sigma)[-1] == n
+            s = lerch_sum(n, sigma)
+            normalized = h * s / (2 * (mp.si(2 * a) - mp.sin(a) ** 2 / a))
+            out[at, sigma] = (normalized, 1 / normalized, 1 / s)
+    return out
+
+
+@pytest.mark.parametrize("f,column,bound", [
+    (normalized_resultant_probability, 0, normalized_bound),
+    (occupation_value, 1, normalized_bound),
+    (zero_order_share, 2, lambda at: SHARE_BOUND),
+])
+def test_scalars_past_two_hundred_within_their_bounds(far_exact, f, column, bound):
+    worst = max((ulps(f(at, sigma), e[column]) / bound(at), at, sigma)
+                for (at, sigma), e in far_exact.items())
+    assert worst[0] <= 1.0, worst
+
+
 # Order counts by the full inclusion rule at dyadic sigma, and the envelope
 # sum at the count, against the closed form. Order j is admitted when its
 # position (j pi) sigma is at most the cap alpha_t + _tie_at(alpha_t, sigma),

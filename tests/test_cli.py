@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 from dataset_csv import read_csv
 
 from grating_orders import __version__, cli
-from grating_orders.figures import _MAX_SLITS
+from grating_orders.figures import _MAX_SLITS, FIGURE_IDS, build_figure, emit
+from grating_orders.orders import _SCALAR_CURVE_POINTS
 
 # Curve figures, fig8 and sweeps that the CLI writes without numpy: those of
 # the benchmark catalogue, fig7 and a refused fig8 override.
@@ -309,6 +311,46 @@ class TestFigureCommand:
         )
         assert code == 2
         assert "sigma" in err
+
+
+class TestOneBuilder:
+    """``figure`` writes the bytes of ``emit(build_figure(...))``: both take
+    their (params, columns, rows) from ``figures._figure``."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("fid", FIGURE_IDS)
+    def test_figure_writes_build_figure_bytes(self, fid, fmt, tmp_path, monkeypatch, capsys):
+        code, _, _ = run(["figure", "--id", fid, "--format", fmt], tmp_path, monkeypatch, capsys)
+        assert code == 0
+        assert (tmp_path / f"{fid}.{fmt}").read_bytes() == emit(build_figure(fid), fmt)
+
+    def test_curve_over_the_scalar_bound_writes_build_figure_bytes(self, tmp_path):
+        # 9,000 samples exceed the scalar route's point bound, so the child,
+        # which starts without numpy, samples the curve by arrays.
+        assert 9000 > _SCALAR_CURVE_POINTS
+        argv = ["figure", "--id", "fig7", "--samples", "9000", "--out", "fig7.csv"]
+        proc = subprocess.run([sys.executable, "-m", "grating_orders.cli", *argv], cwd=tmp_path,
+                              env=child_env(), capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "fig7.csv").read_bytes() == emit(build_figure("fig7", samples=9000))
+
+
+# Each command that writes --out, with a valid call.
+OUT_CALLS = [["figure", "--id", "fig6"], ["sweep", "--j-min", "1.5", "--j-max", "12"],
+             ["table", "--w", "1250"]]
+
+
+@pytest.mark.parametrize("argv", OUT_CALLS, ids=lambda argv: argv[0])
+def test_out_refuses_a_fifo(argv, tmp_path, monkeypatch, capsys):
+    # The rename would leave a regular file where the FIFO was; the path is
+    # refused before a temp file is made, and the FIFO is never opened.
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    code, out, err = run([*argv, "--out", str(pipe)], tmp_path, monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {pipe} exists and is not a regular file; it is not replaced\n"
+    assert stat.S_ISFIFO(pipe.stat().st_mode)
+    assert list(tmp_path.iterdir()) == [pipe]
 
 
 # The flags each figure takes, written out here rather than read from the

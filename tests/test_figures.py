@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,23 @@ class TestDatasetAndEmit:
         assert _write_atomic(path, pieces()) == path
         assert path.read_bytes() == b"".join(first)
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_a_directory_is_refused_by_its_own_name(self, tmp_path):
+        target = tmp_path / "dir"
+        target.mkdir()
+        refusal = f"^{re.escape(str(target))} exists and is not a regular file"
+        with pytest.raises(ValueError, match=refusal):
+            _write_atomic(target, [b"x"])
+        assert list(tmp_path.iterdir()) == [target] and target.is_dir()
+
+    def test_a_link_to_a_regular_file_is_replaced_as_before(self, tmp_path):
+        # The rename replaces the link itself; the file it named is untouched.
+        (tmp_path / "file").write_bytes(b"old")
+        link = tmp_path / "link"
+        link.symlink_to("file")
+        assert _write_atomic(link, [b"new"]) == link
+        assert not link.is_symlink() and link.read_bytes() == b"new"
+        assert (tmp_path / "file").read_bytes() == b"old"
 
 
 def per_row_csv(ds):
