@@ -28,9 +28,9 @@ from .diffraction import (
     sinc_sq_at_order,
 )
 from .orders import (
-    EDGE_OFFSET,
     MAX_POINTS,
     OrderTable,
+    _edge,
     _scalar_curve,
     _tie_at,
     curve,
@@ -269,19 +269,20 @@ def _figure(figure_id: str, overrides: dict) -> tuple:
                 _curve_rows(kind, sig, p["alpha_min"], hi, p["samples"]))
 
     if figure_id == "fig8":
-        # The order tables of the pair of gratings EDGE_OFFSET either side of the
-        # third-order threshold, one row per signed order, from the tables'
-        # array('d') columns. The order count never falls as alpha_t grows, so the
-        # plus table spans every order the minus table has; minus reads zero beyond it.
-        a3 = order_alpha(3, sig)
+        # The order tables of the pair of gratings a curve's edge offset either
+        # side of the third-order threshold, one row per signed order, from the
+        # tables' array('d') columns. The order count never falls as alpha_t
+        # grows, so the plus table spans every order the minus table has; minus
+        # reads zero beyond it.
+        a3, edge = order_alpha(3, sig), _edge(sig)
         tables = {label: order_table(GratingSpec.from_truncation(at, WAVELENGTH_NM, sig,
                                                                  p["n_slits"]))
-                  for label, at in (("minus", a3 - EDGE_OFFSET), ("plus", a3 + EDGE_OFFSET))}
+                  for label, at in (("minus", a3 - edge), ("plus", a3 + edge))}
         top = len(tables["plus"].p_rj) - 1
         cols = [col for t in tables.values() for col in (t.p_rj, t.e_rj)]
         rows = [(float(j), *(col[abs(j)] if abs(j) < len(col) else 0.0 for col in cols))
                 for j in range(-top, top + 1)]
-        params = {**p, "alpha_offset": EDGE_OFFSET, "lambda_nm": WAVELENGTH_NM}
+        params = {**p, "alpha_offset": edge, "lambda_nm": WAVELENGTH_NM}
         for label, t in tables.items():
             params.update(
                 {

@@ -26,7 +26,7 @@ from .diffraction import (
     sinc_sq_at_order,
     truncation_alpha,
 )
-from .quadrature import _SUM_BLOCK, fsum_prefixes, sinc_sq_integral
+from .quadrature import fsum_prefixes, sinc_sq_integral
 
 __all__ = [
     "CURVE_KINDS",
@@ -48,7 +48,7 @@ __all__ = [
 # Displacement used to render the two one-sided limits of a threshold
 # discontinuity; physical beams only approximate a true mathematical
 # discontinuity, so a pair of nearby samples is the honest representation.
-# The same offset places the CLI's 'j-'/'j+' truncations and fig8's pair.
+# The CLI's 'j-'/'j+' truncations take it; curves and fig8's pair, ``_edge``.
 EDGE_OFFSET = 1e-6
 
 # Absolute tolerance by which an order sitting just above truncation is still
@@ -110,23 +110,8 @@ def _edge(sigma: float) -> float:
     return min(EDGE_OFFSET, math.pi * sigma / 4)
 
 
-class ProbabilityCurve(namedtuple("ProbabilityCurve", "abscissa ordinate")):
-    """A sampled scalar function of alpha_t: two equal-length float64 arrays."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
-
-    def __new__(cls, abscissa, ordinate):
-        import numpy as np
-        a = np.asarray(abscissa, dtype=float)
-        o = np.asarray(ordinate, dtype=float)
-        if a.shape != o.shape or a.ndim != 1 or a.size < 1:
-            raise ValueError("abscissa and ordinate must be equal-length 1-D arrays")
-        if not np.all(np.diff(a) > 0):
-            raise ValueError("abscissa must be strictly increasing")
-        if not (np.all(np.isfinite(o)) and np.all(o > 0)):
-            raise ValueError("ordinate values must be finite and positive")
-        return super().__new__(cls, a, o)
+# A scalar of alpha_t sampled as two float64 arrays: made, and checked, by ``curve``.
+ProbabilityCurve = namedtuple("ProbabilityCurve", "abscissa ordinate")
 
 
 def propagating_orders(alpha_t: float, sigma: float) -> range:
@@ -143,15 +128,13 @@ def propagating_orders(alpha_t: float, sigma: float) -> range:
     one inclusion rule.
     Positions never decrease with j, so the two walks from the estimate
     cap / (pi sigma), which test that one condition, stop at the last
-    admitted order. An alpha_t that admits order
-    MAX_ORDER_TERMS + 1 is refused before the walks, which past about 2**53
-    orders would no longer advance.
+    admitted order. A sigma outside (0, 1) is refused by the first
+    ``order_alpha``, and an alpha_t that admits order MAX_ORDER_TERMS + 1
+    before the walks, which past about 2**53 orders would no longer advance.
     """
     at = as_alpha(alpha_t)
     if at <= 0:
         raise ValueError(f"alpha_t must be positive, got {at!r}")
-    if not 0.0 < sigma < 1.0:
-        raise ValueError(f"sigma must lie in (0, 1), got {sigma!r}")
     cap = _cap(at, sigma)
     if order_alpha(MAX_ORDER_TERMS + 1, sigma) <= cap:
         raise ValueError(
@@ -183,9 +166,9 @@ def _order_counts(alphas: np.ndarray, sigma: float, n_min: int, n_max: int) -> n
 # Envelope sums kept by ``_envelope_sum``, each entry about 220 bytes.
 _ENVELOPE_MEMO_SIZE = 128
 
-# Orders per list of terms in the scalar order sums. A list takes 32 bytes a
-# term, a float object and its pointer, and the interpreter keeps freed
-# floats, so lists of _SUM_BLOCK terms (2 MB) raised a process's peak RSS by
+# Orders per block of terms in the order sums and a curve's terms. A list takes
+# 32 bytes a term, a float object and its pointer, and the interpreter keeps
+# freed floats, so lists of 65,536 terms (2 MB) raised a process's peak RSS by
 # about 3 MB; lists of 4096 add about 0.3 MB and cost no more time.
 _ORDER_BLOCK = 4096
 
@@ -229,16 +212,18 @@ def _order_terms(n: int, sigma: float) -> np.ndarray:
     """sinc^2 at orders 0..n, indexed by |j|: one float64 array filled in blocks."""
     import numpy as np
     terms = np.empty(n + 1)
-    for lo in range(0, n + 1, _SUM_BLOCK):
-        j = np.arange(lo, min(lo + _SUM_BLOCK, n + 1))
-        terms[lo:lo + j.size] = sinc_sq_at_order(j, sigma)
+    for lo in range(0, n + 1, _ORDER_BLOCK):
+        hi = min(lo + _ORDER_BLOCK, n + 1)
+        terms[lo:hi] = sinc_sq_at_order(np.arange(lo, hi), sigma)
     return terms
 
 
 # The arithmetic each public scalar applies to an envelope sum and the
 # symmetric envelope integral; ``curve`` applies the same to float64 arrays.
-def _normalized(sigma, envelope, integral):
-    return math.pi * sigma * envelope / integral
+# The strip rule pi sigma x / I, x an envelope sum or one order's sinc^2, with
+# sigma and I scaled by 2**600: exact, so a subnormal pi sigma keeps its bits.
+def _normalized(sigma, x, integral):
+    return math.pi * (sigma * 2.0**600) * x / (integral * 2.0**600)
 
 
 def _occupation(sigma, envelope, integral):
@@ -267,11 +252,13 @@ def resultant_sum(alpha_t: float, sigma: float, n_slits: int) -> float:
 
     The order sum is the one ``_envelope_sum`` remembers by (order count,
     sigma). It needs no Si: within 4 ulp of the exact value (3.0 measured).
+    Scaled by 2**600 as in ``_normalized``, so a subnormal sigma keeps its bits.
     """
     if not (isinstance(n_slits, int) and n_slits >= 1):
         raise ValueError(f"n_slits must be an integer >= 1, got {n_slits!r}")
     at = as_alpha(alpha_t)
-    return math.pi * sigma * n_slits * _envelope_sum(propagating_orders(at, sigma)[-1], sigma)
+    envelope = _envelope_sum(propagating_orders(at, sigma)[-1], sigma)
+    return math.pi * (sigma * 2.0**600) * n_slits * envelope / 2.0**600
 
 
 def _strip_alpha(alpha_t, sigma: float, quantity: str) -> float:
@@ -293,10 +280,11 @@ def normalized_resultant_probability(alpha_t: float, sigma: float) -> float:
     Riemann approximation of the envelope integral. The order sum is the
     one ``_envelope_sum`` remembers by (order count, sigma).
 
-    Accuracy, in ulp of the model's exact value at the given floats, as
-    measured for sigma in [1/48, 0.9] and alpha_t up to 200: 8 for alpha_t
-    <= 2, 100 to 4, 4000 to 6, 1.5e5 to 8 (there Si(2 alpha_t) runs its power
-    series near the switch at 16) and 6 above 8 (tests/test_accuracy.py).
+    Accuracy, in ulp of the model's exact value at the given floats, measured
+    for sigma in [1/48, 0.9] up to alpha_t = 200 and for sigma from 5e-324 to
+    1 - 2**-53 up to 4000 orders (tests/test_accuracy.py): 8 for alpha_t <= 2,
+    100 to 4, 4000 to 6, 1.5e5 to 8 (there Si(2 alpha_t) runs its power
+    series near the switch at 16) and 6 above 8.
     """
     at = _strip_alpha(alpha_t, sigma, "normalized resultant probability")
     envelope = _envelope_sum(propagating_orders(at, sigma)[-1], sigma)
@@ -308,13 +296,14 @@ def order_probability(j: int, alpha_t: float, sigma: float) -> float:
 
     Requires alpha_t >= pi sigma and meets the ulp bounds, as
     ``normalized_resultant_probability`` does, plus what rounding t = j sigma
-    costs sinc^2 near a null: a relative 2 pi |cot(pi t) - 1/(pi t)| ulp(t)/2.
+    costs sinc^2 near a null: a relative 2 pi |cot(pi t) - 1/(pi t)| ulp(t)/2,
+    to first order, which fails where t lies within about 2**10 ulp of an integer.
     """
     at = _strip_alpha(alpha_t, sigma, "order probability")
     orders = propagating_orders(at, sigma)
     if j not in orders:
         raise ValueError(f"order j={j} is not propagating at alpha_t={at!r} (|j| <= {orders[-1]})")
-    return math.pi * sigma * sinc_sq_at_order(j, sigma) / sinc_sq_integral(at)
+    return _normalized(sigma, sinc_sq_at_order(j, sigma), sinc_sq_integral(at))
 
 
 def occupation_value(alpha_t: float, sigma: float) -> float:
@@ -357,7 +346,8 @@ def zero_order_share(alpha_t: float, sigma: float) -> float:
     changes, and only at orders that are not envelope nulls. That sum is
     the one ``_envelope_sum`` remembers by (order count, sigma). It needs
     no Si: within 4 ulp of the exact value, as measured for sigma in
-    [1/48, 0.9] and alpha_t up to 200.
+    [1/48, 0.9] with alpha_t up to 200, and over every admitted sigma, from
+    5e-324 to 1 - 2**-53, with up to 4000 orders.
     """
     at = as_alpha(alpha_t)
     return _share(sigma, _envelope_sum(propagating_orders(at, sigma)[-1], sigma))
@@ -403,7 +393,9 @@ def order_table(spec: GratingSpec) -> OrderTable:
     convention. A grating with more than MAX_POINTS signed orders is
     refused before any order is evaluated. Defined for any duty cycle,
     although sigma away from 0.5 steps outside the square-wave-ruling
-    setting the table is normally read in.
+    setting the table is normally read in. Its alpha_t >= pi needs sigma above
+    about 2e-6; ``OrderTable``'s bounds are measured for sigma in [1/48, 0.9],
+    1e-3, 1 - 2**-30 and 1 - 2**-53.
     """
     at = truncation_alpha(spec)
     sigma = spec.duty_sigma
@@ -416,7 +408,7 @@ def order_table(spec: GratingSpec) -> OrderTable:
     denom = sinc_sq_integral(at)
     p_rj = array("d")
     for block in chain([[1.0]], _order_blocks(orders[-1], sigma)):  # order 0's sinc^2 is 1
-        p_rj.extend([math.pi * sigma * s / denom for s in block])
+        p_rj.extend([_normalized(sigma, s, denom) for s in block])
     p_r = math.fsum(chain(p_rj, memoryview(p_rj)[1:]))  # a view: the column is not copied
     omega = 1.0 / p_r
     e_rj = array("d", (p / p_r for p in p_rj))
@@ -539,7 +531,8 @@ def curve(
     spacing. A range whose top admits more than MAX_ORDER_TERMS orders, or
     a curve of more than MAX_POINTS points, is refused before any array is
     built (``_curve_checks``). Where the grid's step is subnormal, a curve
-    may hold fewer than ``samples`` points, all in [lo, hi].
+    may hold fewer than ``samples`` points, all in [lo, hi]. The abscissa is
+    checked strictly increasing and every ordinate finite and positive.
 
     Every ordinate equals the scalar function at its abscissa bit for bit,
     computed in one array pass rather than one scalar call per point: the
@@ -575,4 +568,8 @@ def curve(
     envelope = 1.0 + 2.0 * fsum_prefixes(terms[1:, None], counts)[:, 0]
     integral = None if f is _share else sinc_sq_integral(pts)
     values = f(sigma, envelope[slot], integral)
+    if not np.all(np.diff(pts) > 0):
+        raise ValueError("abscissa must be strictly increasing")
+    if not (np.all(np.isfinite(values)) and np.all(values > 0)):
+        raise ValueError("ordinate values must be finite and positive")
     return ProbabilityCurve(pts, values)

@@ -235,7 +235,7 @@ def _si_tail_array(x: np.ndarray) -> np.ndarray:
         return math.pi / 2.0 - (np.cos(x) / x + np.sin(x) / (x * x))
 
 
-# Terms per block of ``fsum_prefixes`` and ``orders._order_terms``: each
+# Terms per block of ``fsum_prefixes`` and ``_exact_prefixes``: each
 # working array holds at most one block, whatever the table's shape.
 _SUM_BLOCK = 1 << 16
 

@@ -556,6 +556,8 @@ def test_width_and_j_equiv_exclude_each_other(subcommand, tmp_path, monkeypatch,
     [
         (["figure", "--id", "fig8", "--sigma", "0.25"], ("alpha_t=", "sigma=0.25")),
         (["table", "--j-equiv", "1.5"], ("alpha_t=", "j-equivalent 1.500000")),
+        # a pair EDGE_OFFSET either side of order 3 would start below alpha_t = 0
+        (["figure", "--id", "fig8", "--sigma", "1e-9"], ("alpha_t=", "sigma=1e-09")),
     ],
 )
 def test_truncation_below_pi_is_named(argv, named, tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import math
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,13 +24,13 @@ from grating_orders.orders import (
     MAX_ORDER_TERMS,
     MAX_POINTS,
     _ENVELOPE_MEMO_SIZE,
+    _ORDER_BLOCK,
     _cap,
     _edge,
     _envelope_sum,
     _order_counts,
     _order_terms,
     CURVE_KINDS,
-    ProbabilityCurve,
     curve,
     normalized_resultant_probability,
     occupation_value,
@@ -42,7 +43,7 @@ from grating_orders.orders import (
     zero_order_energy,
     zero_order_share,
 )
-from grating_orders.quadrature import _SUM_BLOCK, fsum_prefixes
+from grating_orders.quadrature import fsum_prefixes
 
 LAMBDA = 633.0
 ALPHA_3 = float(order_alpha(3, 0.5))
@@ -344,13 +345,16 @@ class TestOccupationValue:
     def test_asymptote(self):
         assert 0.99 <= occupation_value(100 * math.pi, 0.5) <= 1.01
 
-    @pytest.mark.parametrize("sigma", [1e-300, 1e-200, 1e-160, 1e-155, 5e-324])
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-200, 1e-160, 1e-155, 1e-310, 1e-320, 5e-324])
     def test_tiny_sigma_keeps_the_small_angle_limit(self, sigma):
-        # Seven orders of sinc^2 = 1 over the envelope integral 2 alpha_t =
-        # 6 pi sigma. alpha_t is below 2**-511, where sin(alpha)**2 in the
-        # closed form would underflow. At the least subnormal sigma pi*sigma
-        # rounds to 3 units and alpha_t to 9, so the ratio is still 6/7.
-        assert occupation_value(3 * math.pi * sigma, sigma) == pytest.approx(6 / 7, rel=4e-16)
+        # Seven orders of sinc^2 = 1 over the envelope integral 2 alpha_t:
+        # the model's value at these floats is 2 alpha_t / (7 pi sigma), about
+        # 6/7. alpha_t is below 2**-511, where sin(alpha)**2 in the closed form
+        # would underflow. At the least subnormal sigma alpha_t rounds to 9
+        # units, so the occupation is 18 / (7 pi).
+        at = 3 * math.pi * sigma
+        want = 2 * float(Fraction(at) / Fraction(sigma)) / (7 * math.pi)
+        assert occupation_value(at, sigma) == pytest.approx(want, rel=4e-16)
 
     @given(st.floats(1.8, 40.0), st.sampled_from([0.5, 0.125]))
     @settings(max_examples=150)
@@ -741,7 +745,7 @@ class TestCurve:
         # every alpha here is below 2**-511, where the envelope integral is 2
         # alpha; at the least subnormal sigma the order spacing is 3 or 4
         # units, and the grid's rounded step would carry inner points past hi
-        for sigma in (1e-300, 5e-324):
+        for sigma in (1e-300, 1e-310, 1e-320, 5e-324):
             lo, hi = math.pi * sigma, 9.5 * math.pi * sigma
             c = curve(kind, sigma, (lo, hi), 41)
             assert lo <= c.abscissa.min() and c.abscissa.max() <= hi and c.abscissa[-1] == hi
@@ -810,11 +814,15 @@ class TestCurve:
         for i in (0, c.abscissa.size // 2, c.abscissa.size - 1):
             assert c.ordinate[i] == occupation_value(float(c.abscissa[i]), 0.5)
 
-    def test_probability_curve_validation(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            ProbabilityCurve(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
-        with pytest.raises(ValueError, match="finite and positive"):
-            ProbabilityCurve(np.array([1.0, 2.0]), np.array([1.0, -1.0]))
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_probability_curve_validation(self, monkeypatch, bad):
+        # ``curve`` checks the record it returns: with the kind's arithmetic
+        # patched to give a value that is not finite and positive, it refuses.
+        f, scalar = orders._CURVE_FUNCS["occupation"]
+        monkeypatch.setitem(orders._CURVE_FUNCS, "occupation",
+                            (lambda *args: f(*args) * 0.0 + bad, scalar))
+        with pytest.raises(ValueError, match="^ordinate values must be finite and positive$"):
+            curve("occupation", 0.5, (2.0, 9.0), 5)
 
 
 @contextmanager
@@ -896,7 +904,7 @@ class TestScalarCurveRoute:
 
 
 def test_order_terms_are_the_scalar_terms_across_blocks():
-    n = 2 * _SUM_BLOCK + 3
+    n = 2 * _ORDER_BLOCK + 3
     terms = _order_terms(n, 0.3)
     assert terms.dtype == np.float64
     assert terms.tolist() == [sinc_sq_at_order(j, 0.3) for j in range(n + 1)]

@@ -1,10 +1,11 @@
 """The records: immutable, keyword-constructible, validated, with the same repr and refusals.
 
-The records on the numpy-free path are namedtuple subclasses that validate in
-``__new__``, and their ``_make`` and ``_replace`` construct through it; a
-``ProbabilityCurve`` is just its abscissa and ordinate arrays. A coupling
-``PulseTrain`` is a namedtuple record too; ``CouplingScenario`` stays a
-dataclass, so ``dataclasses.replace`` works on it.
+The records that some function takes as input are namedtuple subclasses that
+validate in ``__new__``, and their ``_make`` and ``_replace`` construct
+through it. A ``ProbabilityCurve`` is a plain namedtuple of its abscissa and
+ordinate arrays, which ``curve``, its only maker, checks (tests/test_orders.py).
+A coupling ``PulseTrain`` is a namedtuple record too; ``CouplingScenario``
+stays a dataclass, so ``dataclasses.replace`` works on it.
 """
 
 import dataclasses
@@ -52,8 +53,6 @@ def test_keywords_defaults_and_repr():
     assert isinstance(ds.rows, np.ndarray) and ds.rows.shape == (1, 1)
     assert repr(ds) == ("FigureDataset(figure_id='fig0', params={'k': 1}, columns=('a',), "
                         "rows=array([[1.]]))")
-    c = ProbabilityCurve(abscissa=[1, 2], ordinate=[3, 4])
-    assert c.abscissa.dtype == c.ordinate.dtype == np.float64
     table = order_table(SPEC)
     assert table.grating is SPEC and table.omega == 1.0 / table.p_r
 
@@ -70,12 +69,6 @@ REFUSALS = [
     (GratingSpec, (1250.0, 0.5, 633.0, 2.0),
      "slit_count_N must be an integer >= 1, got 2.0"),
     (PulsePair, (1.0, 0.0), "pulse heights must be finite and positive, got 1.0, 0.0"),
-    (ProbabilityCurve, ([1.0, 2.0], [1.0]),
-     "abscissa and ordinate must be equal-length 1-D arrays"),
-    (ProbabilityCurve, ([2.0, 1.0], [1.0, 1.0]),
-     "abscissa must be strictly increasing"),
-    (ProbabilityCurve, ([1.0, 2.0], [1.0, np.inf]),
-     "ordinate values must be finite and positive"),
     (FigureDataset, ("f", {}, ("a", "b"), [[1.0, 2.0], [1.0]]),
      "rows must be 2-D with 2 columns, got ragged rows of shapes [(1,), (2,)]"),
     (FigureDataset, ("f", {}, ("a", "b"), [[1.0, 2.0, 3.0]]),
@@ -109,12 +102,19 @@ def test_replace_and_make_refuse_as_construction(cls, args, message):
 def test_replace_keeps_valid_records_whole():
     spec = SPEC._replace(duty_sigma=0.25)
     assert spec == GratingSpec(1250.0, 0.25, 633.0) and spec.period_p == 5000.0
-    c = records()[2]
-    doubled = c._replace(ordinate=(2.0 * c.ordinate).tolist())
-    assert doubled.ordinate.tolist() == (2.0 * c.ordinate).tolist()
-    assert doubled.abscissa is c.abscissa
     ds = FigureDataset("fig0", {}, ["a"], [[1.0]])._replace(rows=[[2.0], [3.0]])
     assert ds.rows.shape == (2, 1) and ds.columns == ("a",)
+
+
+def test_curve_record_is_two_float64_arrays():
+    # a plain namedtuple: _replace swaps one field and keeps the other whole
+    c = records()[2]
+    assert type(c) is ProbabilityCurve and c._fields == ("abscissa", "ordinate")
+    assert c.abscissa.dtype == c.ordinate.dtype == np.float64
+    assert c.abscissa.shape == c.ordinate.shape == (c.abscissa.size,)
+    doubled = c._replace(ordinate=2.0 * c.ordinate)
+    assert doubled.ordinate.tolist() == (2.0 * c.ordinate).tolist()
+    assert doubled.abscissa is c.abscissa
 
 
 def test_coupling_scenario_stays_a_dataclass():
