@@ -185,11 +185,13 @@ def sinc_sq_at_order(j, sigma: float):
     by pi, so order positions that are exact envelope nulls (integer t, e.g.
     even orders of a Ronchi ruling) come out as exactly 0.0 instead of
     inheriting the rounding of pi. An int gives a float by ``math`` alone,
-    for the numpy-free commands: one order of ``_sinc_sq_orders``, the block
-    body of the scalar order sums. An int numpy array of orders gives the
-    same floats elementwise (``np.float_power(q, 2.0)`` is ``q ** 2``;
-    ``q * q`` is not): the body of a curve's terms, and of the scalar sums'
-    blocks from ``orders._ARRAY_SUM_ORDERS`` orders up where numpy is loaded.
+    for the numpy-free commands, reduced by ``math.remainder`` at every t;
+    ``_sinc_sq_orders``, the block body of the scalar order sums, gives the
+    same float wherever its reduction holds. An int numpy array of orders
+    gives the same floats elementwise (``np.float_power(q, 2.0)`` is
+    ``q ** 2``; ``q * q`` is not): the body of a curve's terms, and of the
+    scalar sums' blocks from ``orders._ARRAY_SUM_ORDERS`` orders up where
+    numpy is loaded.
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma!r}")
@@ -201,17 +203,26 @@ def sinc_sq_at_order(j, sigma: float):
             return np.where(t == 0.0, 1.0, np.float_power(q, 2.0))
     if t == 0.0:
         return 1.0
-    return _sinc_sq_orders((j,), sigma)[0]
+    return (math.sin(math.pi * math.remainder(t, 1.0)) / (math.pi * t)) ** 2
+
+
+# 1.5 * 2**52: t + _ROUNDER lies in [2**52, 2**53), where the doubles are the
+# integers, for every |t| < 2**51, so the addition rounds t to its nearest
+# integer, ties to even, and subtracting _ROUNDER again is exact.
+_ROUNDER = 6755399441055744.0
 
 
 def _sinc_sq_orders(orders, sigma: float) -> list[float]:
     """sinc^2(j pi sigma) at each nonzero order j of an iterable, by ``math`` alone.
 
-    The one ``math`` spelling of the formula, with no function call per
-    order; remainder(t, 1) is t - round(t), exactly, in one call.
+    ``sinc_sq_at_order``'s formula with no function call per order but sin:
+    t - ((t + _ROUNDER) - _ROUNDER) is t - round(t), exactly, which is
+    remainder(t, 1) up to the sign of a zero that the square drops. It needs
+    |j sigma| < 2**51, which every order sum meets, since its orders are at
+    most ``orders.MAX_ORDER_TERMS`` and sigma < 1.
     """
-    sin, rem, pi = math.sin, math.remainder, math.pi
-    return [(sin(pi * rem(t, 1.0)) / (pi * t)) ** 2 for j in orders for t in [j * sigma]]
+    sin, pi, r = math.sin, math.pi, _ROUNDER
+    return [(sin(pi * (t - ((t + r) - r))) / (pi * t)) ** 2 for j in orders for t in [j * sigma]]
 
 
 def grating_factor(alpha, sigma: float, n_slits: int):

@@ -174,9 +174,11 @@ _ORDER_BLOCK = 4096
 
 # Least order count whose scalar sum takes its blocks from the array
 # ``sinc_sq_at_order`` where numpy is already loaded (a sum never imports it):
-# the same floats, about 5x faster. It is faster from about 50 orders; lower it
-# once the benchmark keeps no per-op results, which at 2**12 made point-queries
-# peak RSS rise 16%.
+# the same floats. Against ``_sinc_sq_orders`` a block of 4096 takes 189 us
+# instead of 947 (x5.0), and blocks break even at about 48 orders (11 us
+# each; best of 9, median of 4 processes, Python 3.11, numpy 2.4, 2-core
+# x86-64 Linux). Lower it once the benchmark keeps no per-op results, which at
+# 2**12 made point-queries peak RSS rise 16%.
 _ARRAY_SUM_ORDERS = 1 << 14
 
 
@@ -472,15 +474,16 @@ def _curve_checks(kind: str, sigma: float, alpha_range, samples: int):
 # Largest curve that ``_scalar_curve`` sends by the public scalars, one call
 # per point: in points as MAX_POINTS counts them, samples + 2 (n_hi - n_lo),
 # and in orders at the top of the range, since the scalars sum each distinct
-# order count afresh. Median CPU of a CLI sweep subprocess, array route
-# (numpy's import included) against scalar route: resultant_probability 249
-# against 120 ms at 2,000 points, 212 against 158 at 8,192 and 244 against
-# 256 at 16,000; zero_order_energy 230 against 132 at 16,000; occupation at
-# sigma = 1/48 and 400 samples 267 against 152 ms at n_hi = 512 and 236
-# against 223 at 1,024 (Python 3.11, numpy 2.4, 2-core x86-64 Linux, where
-# numpy's import took about 120 ms). Where it took 70 ms: 140 against 136 ms
-# at 8,000 points and 114 against 85 at n_hi = 500. So both bounds sit at or
-# below the break-even.
+# order count afresh. Median CPU of a CLI sweep subprocess over 5 runs, array
+# route (numpy's import included) against scalar route, the bounds raised for
+# the scalar: resultant_probability 311 against 109 ms at 2,000 points, 338
+# against 189 at 8,192 and 379 against 317 at 16,000; zero_order_energy 378
+# against 181 at 16,000; occupation at sigma = 1/48 and 400 samples 301
+# against 145 ms at n_hi = 512 and 314 against 280 at 1,024 (Python 3.11,
+# numpy 2.4, 2-core x86-64 Linux, where numpy's import took about 190 ms).
+# The break-even moves with numpy's import time: where it took 70 to 120 ms,
+# the scalar route broke even at about 8,000 to 16,000 points and 1,000
+# orders. So both bounds sit at or below the break-even.
 _SCALAR_CURVE_POINTS = 1 << 13
 _SCALAR_CURVE_ORDERS = 1 << 9
 

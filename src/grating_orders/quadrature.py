@@ -44,12 +44,15 @@ _ALPHA_MAX = sys.float_info.max / 2.0
 def _series_terms(x: float) -> list[float]:
     # The terms (-1)^k x^(2k+1) / ((2k+1) (2k+1)!) of Si(x) through the first
     # past k = 0 below _SERIES_TOL. They grow with x: x = 16 takes the most, 38.
+    # The denominators are floats, exact as their ints are.
+    tol, mx2 = _SERIES_TOL, -x * x
     term_sin = x  # (-1)^k x^(2k+1) / (2k+1)!
     terms = [x]
-    for k in itertools.count(1):
-        term_sin *= -x * x / ((2 * k) * (2 * k + 1))
-        terms.append(term_sin / (2 * k + 1))
-        if abs(terms[-1]) < _SERIES_TOL:
+    for odd in itertools.count(3.0, 2.0):  # 2k + 1
+        term_sin *= mx2 / ((odd - 1.0) * odd)
+        term = term_sin / odd
+        terms.append(term)
+        if abs(term) < tol:
             return terms
 
 
@@ -62,8 +65,10 @@ def _si_continued_fraction(x: float) -> float:
     c = complex(1e300, 0.0)
     d = 1.0 / b
     h = d
-    for i in range(2, _CF_MAX_ITER):
-        a = -((i - 1) ** 2)
+    m = 0.0
+    for _ in range(2, _CF_MAX_ITER):
+        m += 1.0  # i - 1
+        a = -m * m  # exact: the float that the array copy takes
         b += 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
@@ -78,17 +83,20 @@ def _si_continued_fraction(x: float) -> float:
 def si(x: float) -> float:
     """Sine integral Si(x) = integral of sin(t)/t from 0 to x, for every finite x.
 
-    Odd, tending to +-pi/2. The branch follows |x|: the power series, at
-    most 38 terms compensated-summed, up to 16; the continued-fraction
-    auxiliary functions up to 2**21; above that pi/2 - cos(x)/x - sin(x)/x^2,
-    whose dropped terms are below 2/x^3 < 2.2e-19. No finite x raises. Within
-    1e-10 of 50-digit references, least accurate just below 16, where the
-    series cancels most; above 2**21 within 2.3e-16.
+    Odd, down to si(-0.0) = -0.0, and tending to +-pi/2. The branch follows
+    |x|: the power series, at most 38 terms compensated-summed, up to 16; the
+    continued-fraction auxiliary functions up to 2**21; above that
+    pi/2 - cos(x)/x - sin(x)/x^2, whose dropped terms are below
+    2/x^3 < 2.2e-19. No finite x raises. Within 1e-10 of 50-digit references,
+    least accurate just below 16, where the series cancels most; above 2**21
+    within 2.3e-16.
     """
     if not math.isfinite(x):
         raise ValueError(f"si requires finite x, got {x!r}")
     if x < 0.0:
         return -si(-x)
+    if x == 0.0:
+        return float(x)  # Si is odd: -0.0 keeps its sign
     if x <= _SI_SERIES_CUTOFF:
         return math.fsum(_series_terms(x))
     if x <= _SI_TAIL:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from grating_orders.diffraction import (
     GratingSpec,
+    _sinc_sq_orders,
     alpha_from_theta,
     equivalent_order,
     grating_factor,
@@ -254,16 +255,28 @@ class TestArrayKernels:
             single = [sinc_sq(x)] if include_single else []
             assert row == [x, *single, n_slits * sinc_sq(x), grating_intensity(x, sigma, n_slits)]
 
-    @pytest.mark.parametrize("sigma", [1 / 2, 1 / 3, 0.3, 1 / 8, 1 / 48])
+    @pytest.mark.parametrize("sigma", [1 / 2, 1 / 3, 0.3, 1 / 8, 1 / 48, 1 - 2**-53])
     def test_order_terms_equal_scalar(self, sigma):
         # every order up to 1e5, then 20,000 sampled orders up to 1e7: the
-        # array squares with np.float_power, the scalar with ** 2
+        # array squares with np.float_power, the scalar with ** 2, and the
+        # order sums' block body gives the scalar's floats
+        rng = np.random.default_rng(round(1 / sigma))
         j = np.arange(10**5 + 1)
         expected = [sinc_sq_at_order(k, sigma) for k in range(10**5 + 1)]
         assert sinc_sq_at_order(j, sigma).tolist() == expected
-        j = np.random.default_rng(round(1 / sigma)).integers(10**5, 10**7 + 1, 20_000)
-        assert sinc_sq_at_order(j, sigma).tolist() == [sinc_sq_at_order(k, sigma) for k in j.tolist()]
-        j = np.concatenate([-j, np.arange(-1000, 0)])  # negative orders too
+        assert _sinc_sq_orders(range(1, 10**5 + 1), sigma) == expected[1:]
+        j = rng.integers(10**5, 10**7 + 1, 20_000)
+        j = np.concatenate([j, -j, np.arange(-1000, 0)])  # negative orders too
+        expected = [sinc_sq_at_order(k, sigma) for k in j.tolist()]
+        assert sinc_sq_at_order(j, sigma).tolist() == expected
+        assert _sinc_sq_orders(j.tolist(), sigma) == expected
+        # 1,500 log-uniform orders from |j sigma| = 2**51, where the block
+        # body's reduction stops holding, to the ends of int64, both signs
+        top = np.iinfo(np.int64).max
+        lo = math.ceil(2**51 / sigma)
+        bits = rng.integers(lo.bit_length(), 64, 1500)
+        j = np.maximum(rng.integers(1 << (bits - 1), top >> (63 - bits), endpoint=True), lo)
+        j = np.concatenate([j, [lo, top], -j, [-top - 1]])
         assert sinc_sq_at_order(j, sigma).tolist() == [sinc_sq_at_order(k, sigma) for k in j.tolist()]
         assert sinc_sq_at_order(np.array([0, 2]), 0.5).tolist() == [1.0, 0.0]
 

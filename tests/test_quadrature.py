@@ -49,6 +49,7 @@ INT_SINC_SQ_3PI_2 = 1.4625552081907675  # integral of sinc^2 on [0, 3pi/2]
 class TestSi:
     def test_zero(self):
         assert si(0.0) == 0.0
+        assert math.copysign(1.0, si(-0.0)) == -1.0  # odd, to the sign of zero
 
     @pytest.mark.parametrize("x,expected", sorted(SI_REFERENCE.items()))
     def test_reference_values(self, x, expected):
